@@ -3,8 +3,8 @@
 Subcommands map onto the library's main entry points.  All randomness flows
 from --seed, so a repeated invocation produces byte-identical output files
 (reports carry no timestamps and are written atomically).  Exit codes: 0 all
-checks passed, 1 at least one check failed or the integrator did not converge,
-2 malformed configuration or arguments.
+checks passed, 1 at least one check failed (or a sweep completed no trial),
+2 malformed configuration or arguments, found before any work starts.
 
 A flat key=value config file can pre-set any flag (seed=3, group=SU,
 tol.dhat-eigenvalue-residual=1e-5, ...); explicit flags win over the file.
@@ -118,6 +118,25 @@ def extract_tolerances(argv, config):
     return remaining, out
 
 
+def _positive(value, flag):
+    """Reject counts and sizes below one instead of silently replacing them."""
+    if value is not None and value < 1:
+        raise ConfigError(f"{flag} must be a positive integer, not {value}")
+    return value
+
+
+def _output_path(out):
+    """Check that --out names a file in an existing directory before any work runs."""
+    if out is None:
+        return None
+    if os.path.isdir(out):
+        raise ConfigError(f"--out {out} is a directory, not a file path")
+    directory = os.path.dirname(os.path.abspath(out))
+    if not os.path.isdir(directory):
+        raise ConfigError(f"--out directory {directory} does not exist")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # output plumbing
 
@@ -211,9 +230,9 @@ def cmd_section(config):
     group = config.get("group", "U")
     if group not in ("U", "SU", "SO"):
         raise ConfigError(f"group must be U, SU or SO, not {group!r}")
-    dim = config.get("dim")
+    dim = _positive(config.get("dim"), "--dim")
     dims = [dim] if dim is not None else [2, 3, 4, 5, 6]
-    trials = config.get("trials") or 50
+    trials = _positive(config.get("trials"), "--trials") or 50
     r = float(config.get("r", 0.0))
     branch, split = 0.0, 0.0
     if group == "SO":
@@ -233,8 +252,13 @@ def cmd_section(config):
         f"max endpoint={report['max_endpoint_err']:.3e} group={report['max_group_residual']:.3e} "
         f"poly={report['max_poly_residual']:.3e} det={report['max_det_deviation']:.3e}"
     )
-    ok = not report["failures"]
-    print("PASS" if ok else f"FAIL ({len(report['failures'])} trials over threshold)")
+    ok = not report["failures"] and report["completed"] > 0
+    if report["failures"]:
+        print(f"FAIL ({len(report['failures'])} trials over threshold)")
+    elif not report["completed"]:
+        print("FAIL (no trial completed a section)")
+    else:
+        print("PASS")
     out = config.get("out")
     if out:
         payload = {"schema": 1, "command": "section", "seed": seed, "r": r, "report": report}
@@ -245,6 +269,8 @@ def cmd_section(config):
 def _build_model(config):
     model_name = config.get("model", "sphere")
     grid = int(config.get("grid", 4096))
+    if grid < 1 or grid & (grid - 1):
+        raise ConfigError(f"--grid must be a power of two, not {grid}")
     winding = config.get("winding")
     if model_name == "torus":
         pair = winding if winding is not None else (1, 0)
@@ -273,12 +299,8 @@ def cmd_holonomy(config):
     mode_bound = int(config.get("modes", 8))
     if mode_bound < 1:
         raise ConfigError("--modes must be a positive integer")
-    try:
-        data = geo.monodromy(model, loop)
-        basis = geo.eigen_sections(model, loop, data, mode_bound)
-    except RuntimeError as exc:
-        print(f"integration failed: {exc}", file=sys.stderr)
-        return 1
+    data = geo.monodromy(model, loop)
+    basis = geo.eigen_sections(model, loop, data, mode_bound)
     gram_error = float(np.max(np.abs(basis.gram() - np.eye(basis.count))))
     dhat_max = float(np.max(geo.dhat_residuals(basis)))
     periodicity = basis.periodicity_residual()
@@ -387,7 +409,7 @@ def build_parser():
     p_hol.add_argument("--winding", type=_parse_winding, help="integer (or comma pair for the torus)")
     p_hol.add_argument("--r", type=float, help="annulus parameter for the weighted pairing, > 1")
     p_hol.add_argument("--modes", type=int, help="Fourier mode bound P of the fibre basis")
-    p_hol.add_argument("--grid", type=int, help="sample grid / integrator steps (power of two)")
+    p_hol.add_argument("--grid", type=int, help="sample grid of the fibre basis (power of two)")
     p_hol.add_argument("--out")
 
     p_demo = sub.add_parser("demo", help="named demonstration runs")
@@ -412,9 +434,9 @@ def main(argv=None):
 
         config = {"tolerances": tolerances}
         config["seed"] = _setting(args, file_config, "seed", int, 0)
-        config["out"] = _setting(args, file_config, "out", str, None)
+        config["out"] = _output_path(_setting(args, file_config, "out", str, None))
         if args.command == "verify":
-            config["trials"] = _setting(args, file_config, "trials", int, None)
+            config["trials"] = _positive(_setting(args, file_config, "trials", int, None), "--trials")
             return cmd_verify(config)
         if args.command == "section":
             config["group"] = _setting(args, file_config, "group", str, "U")

@@ -13,6 +13,11 @@ a fixed orthonormal frame, so that parallel transport solves Phi' = A(t) Phi:
   generated by -(pi w) ad_X.
 
 Reparametrised loops use the pulled-back coefficient sigma'(t) A(sigma(t)).
+Every coefficient therefore has the form A(t) = sigma'(t) A0 with one
+constant skew matrix A0, all values commute, and transport has the closed
+form Phi(t0 -> t) = exp((sigma(t) - sigma(t0)) A0), evaluated from a single
+eigendecomposition of A0.  A fourth-order Runge-Kutta integration survives
+only as the independent oracle behind `transport_defect`.
 
 The covariant derivative along the loop is D = d/dt - A(t).  The holonomy is
 the frame matrix after one period; writing its eigenvalues e^{2 pi i s_j}
@@ -29,10 +34,12 @@ import numpy as np
 from dataclasses import dataclass
 
 from .laurent import SampledLoop, laurent_eval, polynomiality_residual
-from .spectral import clustered_eig
+from .spectral import clustered_eig, one_parameter_path
 
 MODEL_TAGS = ("flat-torus-T2", "round-sphere-S2", "group-SU2")
-CONVERGENCE_TOL = 1e-6
+# Fourier coefficients below this fraction of the largest one are round-off
+# and are left out of trigonometric interpolation
+TRIG_FLOOR = 1e-13
 J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 # quaternion basis of the 2x2 skew-hermitian traceless matrices, orthonormal
@@ -152,6 +159,19 @@ class ConnectionModel:
         scale = loop.reparam.dsigma(ts)
         return scale[:, None, None] * base[None, :, :]
 
+    def transport_matrices(self, loop, t0, ts):
+        """Closed-form transport exp((sigma(t) - sigma(t0)) A0) from t0 to each t.
+
+        A vanishing A0 (the torus) gives the identity bit for bit.
+        """
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        base = self.base_coefficient(loop)
+        n = base.shape[0]
+        if not base.any():
+            return np.broadcast_to(np.eye(n), (ts.size, n, n)).copy()
+        sigma = loop.reparam.sigma if loop.reparam is not None else np.asarray
+        return one_parameter_path(base, sigma(ts) - sigma(float(t0))).real
+
 
 @dataclass(frozen=True)
 class BaseLoop:
@@ -190,7 +210,11 @@ def su2_model(direction=(0.0, 0.0, 1.0), winding=1, grid=4096, reparam=None):
 
 
 def _rk4_propagators(model, loop, t0, h, steps):
-    """One-step fourth-order propagators for Phi' = A(t) Phi on a uniform grid."""
+    """One-step fourth-order propagators for Phi' = A(t) Phi on a uniform grid.
+
+    Together with `_chain_product` this is the integration oracle that
+    `transport_defect` holds the closed form against.
+    """
     ts = t0 + h * np.arange(steps)
     a1 = model.coefficients(loop, ts)
     a2 = model.coefficients(loop, ts + 0.5 * h)
@@ -215,35 +239,25 @@ def _chain_product(mats):
     return mats[0]
 
 
-def _integrate(model, loop, t0, t1, steps):
-    h = (t1 - t0) / steps
-    return _chain_product(_rk4_propagators(model, loop, t0, h, steps))
-
-
 def transport(model, loop, t0=0.0, t1=1.0, steps=4096, check=True):
-    """Parallel transport matrix from time t0 to t1 along the loop.
+    """Parallel transport matrix from time t0 to t1 along the loop, in closed form.
 
-    Integrates at the requested step count and at twice it; a disagreement
-    above 1e-6 is reported as a convergence failure.  Returns the finer
-    result, checked orthogonal/unitary to 1e-8.
+    The closed form needs no grid: `steps` is accepted and ignored, so calls
+    written for a step count keep working.  With check=True the result is
+    confirmed orthogonal/unitary to 1e-8.
     """
-    if steps < 64:
-        raise ValueError("need at least 64 integration steps")
-    coarse = _integrate(model, loop, t0, t1, steps)
-    fine = _integrate(model, loop, t0, t1, 2 * steps)
+    phi = model.transport_matrices(loop, t0, t1)[0]
     if check:
-        defect = np.linalg.norm(coarse - fine)
-        if defect > CONVERGENCE_TOL:
-            raise RuntimeError(f"transport integration did not converge (step-doubling defect {defect:.3e})")
-        unit = np.linalg.norm(fine.conj().T @ fine - np.eye(fine.shape[0]))
+        unit = np.linalg.norm(phi.conj().T @ phi - np.eye(phi.shape[0]))
         if unit > 1e-8:
             raise RuntimeError(f"transport lost orthogonality ({unit:.3e})")
-    return fine
+    return phi
 
 
 def transport_defect(model, loop, t0=0.0, t1=1.0, steps=4096):
-    """Step-doubling disagreement of the transport integrator."""
-    return float(np.linalg.norm(_integrate(model, loop, t0, t1, steps) - _integrate(model, loop, t0, t1, 2 * steps)))
+    """Distance of the closed-form transport from an RK4 integration with `steps` steps."""
+    oracle = _chain_product(_rk4_propagators(model, loop, t0, (t1 - t0) / steps, steps))
+    return float(np.linalg.norm(model.transport_matrices(loop, t0, t1)[0] - oracle))
 
 
 def holonomy(model, loop, steps=4096):
@@ -252,16 +266,10 @@ def holonomy(model, loop, steps=4096):
 
 
 def transport_frame(model, loop, steps=None):
-    """Cumulative frame Phi(i/steps), i = 0..steps, with Phi(0) = I."""
+    """Transported frame Phi(i/steps), i = 0..steps, with Phi(0) = I."""
     if steps is None:
         steps = loop.grid
-    props = _rk4_propagators(model, loop, 0.0, 1.0 / steps, steps)
-    n = props.shape[1]
-    frame = np.empty((steps + 1, n, n))
-    frame[0] = np.eye(n)
-    for i in range(steps):
-        frame[i + 1] = props[i] @ frame[i]
-    return frame
+    return model.transport_matrices(loop, 0.0, np.arange(steps + 1) / steps)
 
 
 @dataclass(frozen=True)
@@ -287,11 +295,36 @@ def _window(x):
     return np.mod(np.asarray(x, dtype=float) + 0.5, 1.0) - 0.5
 
 
+def _projector_basis(proj, rank):
+    """Orthonormal basis of the range of a projector: Gram-Schmidt of P e_1, P e_2, ...
+
+    A column is kept when its remainder exceeds 1/(2 sqrt n).  One pass always
+    finds `rank` columns: the remainder projector left after the pass would
+    have a diagonal entry of at least 1/n, and that column's remainder could
+    only have been larger when it was visited.
+    """
+    n = proj.shape[0]
+    basis = np.zeros((n, 0), dtype=complex)
+    for k in range(n):
+        v = proj[:, k]
+        for _ in range(2):  # second pass restores orthogonality lost to round-off
+            v = v - basis @ (basis.conj().T @ v)
+        norm = np.linalg.norm(v)
+        if norm > 0.5 / np.sqrt(n):
+            basis = np.column_stack([basis, v / norm])
+            if basis.shape[1] == rank:
+                break
+    return basis
+
+
 def floquet(g, frame_path=None):
     """Floquet exponents s_j in [-1/2, 1/2) and eigenframe of a holonomy matrix.
 
     Eigenvalues are clustered as in the spectral helpers; columns are ordered
-    by exponent.  Rejects matrices that are not unitary/orthogonal to 1e-8.
+    by exponent.  Inside a multi-eigenvalue cluster the Schur vectors depend
+    on the round-off in g, so the frame there is the deterministic basis of
+    the cluster's spectral projector from `_projector_basis` (for g = +-I the
+    standard basis).  Rejects matrices that are not unitary/orthogonal to 1e-8.
     """
     arr = np.asarray(g, dtype=complex)
     if np.linalg.norm(arr.conj().T @ arr - np.eye(arr.shape[0])) > 1e-8:
@@ -299,33 +332,28 @@ def floquet(g, frame_path=None):
     decomp = clustered_eig(arr)
     n = arr.shape[0]
     exps = np.empty(n)
+    vectors = decomp.vectors.copy()
     for cluster in decomp.clusters:
         val = decomp.cluster_value(cluster)
         exps[list(cluster)] = _window(np.angle(val) / (2.0 * np.pi))
+        if len(cluster) > 1:
+            vectors[:, list(cluster)] = _projector_basis(decomp.projector(cluster), len(cluster))
     order = np.lexsort((np.arange(n), exps))
     return MonodromyData(
         holonomy=arr,
         exponents=exps[order],
-        frame=decomp.vectors[:, order],
+        frame=vectors[:, order],
         frame_path=frame_path,
     )
 
 
 def monodromy(model, loop, steps=None):
-    """Full pipeline: transported frame, holonomy and Floquet data.
+    """Full pipeline: transported frame on the grid, holonomy and Floquet data.
 
-    The holonomy is the end of the cumulative frame product, so the discrete
-    quasi-periodicity Phi(t+1) = Phi(t) g is exact; convergence is checked
-    against a step-doubled integration.
+    The holonomy is the frame at t = 1, from the same closed form as the grid.
     """
-    if steps is None:
-        steps = loop.grid
     frame = transport_frame(model, loop, steps)
-    g = frame[-1]
-    fine = transport(model, loop, 0.0, 1.0, steps)
-    if np.linalg.norm(g - fine) > CONVERGENCE_TOL:
-        raise RuntimeError("frame integration disagrees with step-doubled transport")
-    return floquet(g, frame_path=frame[:-1])
+    return floquet(frame[-1], frame_path=frame[:-1])
 
 
 def _mode_pairs(mode_bound, exponents):
@@ -515,18 +543,26 @@ def cos_gram(basis, r, coefficients=None):
 
 
 def trig_interpolate(values, new_ts, block=512):
-    """Evaluate the trigonometric interpolant of periodic samples at new times."""
+    """Evaluate the trigonometric interpolant of periodic samples at new times.
+
+    Only Fourier modes whose largest coefficient (over all channels) exceeds
+    TRIG_FLOOR times the largest coefficient overall are summed, so a
+    band-limited signal costs its band rather than the whole grid; a signal
+    with a full spectrum keeps every mode.
+    """
     values = np.asarray(values, dtype=complex)
     n = values.shape[0]
-    coeffs = np.fft.fft(values, axis=0) / n
+    coeffs = np.fft.fft(values.reshape(n, -1), axis=0) / n
     freqs = np.fft.fftfreq(n, d=1.0 / n)
+    peak = np.abs(coeffs).max(axis=1)
+    keep = peak > TRIG_FLOOR * peak.max()
+    coeffs, freqs = coeffs[keep], freqs[keep]
     new_ts = np.asarray(new_ts, dtype=float)
     out = np.empty((new_ts.size,) + values.shape[1:], dtype=complex)
-    flat = coeffs.reshape(n, -1)
     for start in range(0, new_ts.size, block):
         chunk = new_ts[start : start + block]
         phases = np.exp(2j * np.pi * np.outer(chunk, freqs))
-        out[start : start + chunk.size] = (phases @ flat).reshape((chunk.size,) + values.shape[1:])
+        out[start : start + chunk.size] = (phases @ coeffs).reshape((chunk.size,) + values.shape[1:])
     return out
 
 
@@ -546,20 +582,6 @@ def condiff_residual(model, loop, rep, values):
     return float(np.sqrt(np.mean(np.abs(lhs - rhs) ** 2)) / scale)
 
 
-def section_degree(values, floor=1e-10):
-    """Largest Fourier mode carrying relative mass above the floor."""
-    arr = np.asarray(values, dtype=complex)
-    n = arr.shape[0]
-    coeffs = np.fft.fft(arr, axis=0) / n
-    mass = np.sqrt(np.sum(np.abs(coeffs.reshape(n, -1)) ** 2, axis=1))
-    total = np.linalg.norm(mass)
-    if total == 0:
-        return 0
-    freqs = np.abs(np.fft.fftfreq(n, d=1.0 / n))
-    keep = mass > floor * total
-    return int(freqs[keep].max()) if keep.any() else 0
-
-
 def reparam_actions(basis, rep):
     """Standard vs transport action of a reparametrisation on the fibre basis.
 
@@ -569,15 +591,22 @@ def reparam_actions(basis, rep):
     break it.  The transport action carries the coefficients unchanged to the
     basis over the reparametrised loop and only needs a periodicity check.
     """
-    ts = np.arange(basis.grid) / basis.grid
+    grid, count = basis.grid, basis.count
+    ts = np.arange(grid) / grid
     sig = np.mod(rep.sigma(ts), 1.0)
-    stacked = np.moveaxis(basis.values, 0, 1).reshape(basis.grid, -1)
-    pulled_all = trig_interpolate(stacked, sig).reshape(basis.grid, basis.count, -1)
-    residuals = np.empty(basis.count)
-    degrees = np.empty(basis.count, dtype=int)
-    for idx in range(basis.count):
-        degrees[idx] = section_degree(basis.values[idx])
-        residuals[idx] = polynomiality_residual(SampledLoop(values=pulled_all[:, idx, :]), degrees[idx])
+    stacked = np.moveaxis(basis.values, 0, 1)  # (grid, count, n)
+    pulled = trig_interpolate(stacked, sig)
+    # one FFT gives each section's degree (largest mode above 1e-10 of its
+    # mass) and the mass of its pullback beyond that degree
+    spectrum = np.fft.fft(np.concatenate([stacked, pulled], axis=1), axis=0) / grid
+    mass = np.sqrt(np.sum(np.abs(spectrum) ** 2, axis=2))  # (mode, section)
+    own, moved_mass = mass[:, :count], mass[:, count:]
+    freqs = np.abs(np.fft.fftfreq(grid, d=1.0 / grid))[:, None]
+    degrees = np.where(own > 1e-10 * np.linalg.norm(own, axis=0), freqs, 0.0).max(axis=0).astype(int)
+    if degrees.max() >= grid // 4:
+        raise ValueError(f"section degree {degrees.max()} must be < grid/4 = {grid // 4}")
+    total = np.linalg.norm(moved_mass, axis=0)
+    residuals = np.linalg.norm(np.where(freqs > degrees, moved_mass, 0.0), axis=0) / np.where(total > 0, total, 1.0)
     moved = basis.loop.with_reparam(rep)
     data2 = monodromy(basis.model, moved, steps=basis.grid)
     basis2 = eigen_sections(basis.model, moved, data2, basis.mode_bound)
@@ -633,15 +662,20 @@ class _DirectSumModel:
     def fibre_dim(self):
         return self.first[0].fibre_dim() + self.second[0].fibre_dim()
 
-    def coefficients(self, loop, ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        a = self.first[0].coefficients(self.first[1], ts)
-        b = self.second[0].coefficients(self.second[1], ts)
+    def _blockwise(self, method, *args):
+        a = getattr(self.first[0], method)(self.first[1], *args)
+        b = getattr(self.second[0], method)(self.second[1], *args)
         n, m = a.shape[1], b.shape[1]
-        out = np.zeros((ts.size, n + m, n + m))
+        out = np.zeros((a.shape[0], n + m, n + m))
         out[:, :n, :n] = a
         out[:, n:, n:] = b
         return out
+
+    def coefficients(self, loop, ts):
+        return self._blockwise("coefficients", ts)
+
+    def transport_matrices(self, loop, t0, ts):
+        return self._blockwise("transport_matrices", t0, ts)
 
 
 def _span_containment(inner, outer):

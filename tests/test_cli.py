@@ -186,3 +186,56 @@ def test_command_is_required():
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify"],
+        ["section", "--dim", "2", "--trials", "2"],
+        ["holonomy", "--grid", "64", "--modes", "1"],
+        ["demo", "counterexample"],
+    ],
+)
+def test_out_into_missing_directory_is_config_error(tmp_path, capsys, argv):
+    missing = tmp_path / "no-such-dir" / "report.json"
+    assert cli.main(argv + ["--out", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "does not exist" in err
+    assert not missing.parent.exists()
+
+
+def test_out_naming_a_directory_is_config_error(tmp_path):
+    assert cli.main(["section", "--dim", "2", "--trials", "2", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["section", "--trials", "0"],
+        ["section", "--trials", "-3"],
+        ["section", "--dim", "0", "--trials", "2"],
+        ["section", "--dim", "-1"],
+        ["verify", "--trials", "0"],
+    ],
+)
+def test_nonpositive_counts_are_config_errors(argv, capsys):
+    assert cli.main(argv) == 2
+    assert "must be a positive integer" in capsys.readouterr().err
+
+
+def test_section_with_no_completed_trial_fails(monkeypatch, capsys):
+    def reject(*args, **kwargs):
+        raise ValueError("eigenvalue on the branch cut")
+
+    monkeypatch.setattr(cli.props, "un_section", reject)
+    assert cli.main(["section", "--group", "U", "--dim", "2", "--trials", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "0/2 sections" in out
+    assert "FAIL" in out and "PASS" not in out
+
+
+@pytest.mark.parametrize("grid", ["10", "0", "-4", "96"])
+def test_holonomy_grid_must_be_power_of_two(grid, capsys):
+    assert cli.main(["holonomy", "--model", "torus", "--grid", grid]) == 2
+    assert "power of two" in capsys.readouterr().err

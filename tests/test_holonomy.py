@@ -15,6 +15,7 @@ from loopbundle import (
     direct_sum_union_residual,
     eigen_sections,
     dhat_residuals,
+    floquet,
     holonomy,
     identity_loop,
     loop_recognition_residual,
@@ -29,6 +30,7 @@ from loopbundle import (
     transport_defect,
     transport_frame,
 )
+from loopbundle.holonomy import _DirectSumModel, trig_interpolate
 
 TRANSPORT_TOL = 1e-8
 GRAM_TOL = 1e-8
@@ -82,6 +84,92 @@ def test_step_doubling_converges():
     fine = transport(model, loop, steps=2048)
     assert np.max(np.abs(coarse - fine)) < TRANSPORT_TOL
     assert transport_defect(model, loop) < TRANSPORT_TOL
+
+
+def _closed_form_cases():
+    """(id, model, loop, blocks): blocks lists the (model, loop) of each diagonal block."""
+    sine = Reparam("sine", shift=0.2, amplitude=0.1)
+    rot = Reparam("rotation", shift=0.35)
+    refl = Reparam("reflection", shift=0.4)
+    reparams = {"plain": None, "rotation": rot, "sine": sine, "reflection": refl, "composed": sine.compose(rot)}
+    cases = []
+    for name, (model, loop) in (
+        ("torus", torus_model(winding=(2, -1))),
+        ("sphere", sphere_model(1.1, winding=2)),
+        ("su2", su2_model(direction=(0.8, -0.3, 1.1), winding=1)),
+    ):
+        for kind, rep in reparams.items():
+            moved = loop if rep is None else loop.with_reparam(rep)
+            cases.append((f"{name}-{kind}", model, moved, [(model, moved)]))
+    tor = torus_model(winding=(1, 1))
+    sph = sphere_model(0.7, reparam=sine)
+    su2 = su2_model(direction=(1.0, 2.0, 2.0), winding=2, reparam=rot)
+    for name, first, second in (("sum-torus-sphere", tor, sph), ("sum-sphere-su2", sph, su2)):
+        cases.append((name, _DirectSumModel(first, second), first[1], [first, second]))
+    return cases
+
+
+CLOSED_FORM_CASES = _closed_form_cases()
+
+
+@pytest.mark.parametrize("case", CLOSED_FORM_CASES, ids=[case[0] for case in CLOSED_FORM_CASES])
+def test_closed_form_transport_matches_rk4_oracle(case):
+    _, model, loop, _ = case
+    for t0, t1 in ((0.0, 1.0), (0.2, 0.9), (0.7, 1.6)):
+        assert transport_defect(model, loop, t0, t1, steps=4096) < 1e-8
+
+
+@pytest.mark.parametrize("case", CLOSED_FORM_CASES, ids=[case[0] for case in CLOSED_FORM_CASES])
+def test_transport_frame_matches_matrix_exponential(case):
+    _, model, loop, blocks = case
+    ts = np.arange(65) / 64
+    frame = transport_frame(model, loop, steps=64)
+    expected = np.zeros_like(frame)
+    offset = 0
+    for block_model, block_loop in blocks:
+        a0 = block_model.base_coefficient(block_loop)
+        rep = block_loop.reparam
+        lift = rep.sigma(ts) - rep.sigma(0.0) if rep is not None else ts
+        size = a0.shape[0]
+        for i, step in enumerate(lift):
+            expected[i, offset : offset + size, offset : offset + size] = expm(step * a0)
+        offset += size
+    assert np.max(np.abs(frame - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("eye", [-np.eye(2), np.eye(3)])
+def test_degenerate_holonomy_frame_is_canonical(eye):
+    """Round-off in a +-I holonomy must not rotate the Floquet frame."""
+    rng = np.random.default_rng(11)
+    n = eye.shape[0]
+    frames = []
+    for _ in range(6):
+        noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        frames.append(floquet(eye + 1e-13 * noise / np.linalg.norm(noise)).frame)
+    for frame in frames[1:]:
+        assert np.max(np.abs(frame - frames[0])) < 1e-9
+    assert np.max(np.abs(frames[0] - np.eye(n))) < 1e-9
+
+
+def _dense_trig_reference(values, new_ts):
+    n = values.shape[0]
+    coeffs = np.fft.fft(values, axis=0) / n
+    freqs = np.fft.fftfreq(n, d=1.0 / n)
+    return np.exp(2j * np.pi * np.outer(new_ts, freqs)) @ coeffs
+
+
+def test_trig_interpolate_matches_dense_reference():
+    rng = np.random.default_rng(4)
+    grid = 1024
+    ts = np.arange(grid) / grid
+    new_ts = np.mod(ts + 0.1 * np.sin(2 * np.pi * ts) + 0.03, 1.0)
+    modes = np.arange(-5, 6)
+    band = np.exp(2j * np.pi * np.outer(ts, modes)) @ (rng.standard_normal((11, 3)) + 1j * rng.standard_normal((11, 3)))
+    noise = rng.standard_normal((grid, 3)) + 1j * rng.standard_normal((grid, 3))
+    for values in (band, noise):
+        dense = _dense_trig_reference(values, new_ts)
+        fast = trig_interpolate(values, new_ts)
+        assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 def test_su2_holonomy_powers():
