@@ -61,7 +61,6 @@ from .spectral import (
 )
 from .sections import (
     PathElement,
-    eval_path,
     project_path,
     act_group,
     path_group_residual,

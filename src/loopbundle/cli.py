@@ -125,6 +125,13 @@ def _positive(value, flag):
     return value
 
 
+def _finite(value, flag):
+    """Reject nan and infinite values, which argparse's float accepts."""
+    if not np.isfinite(value):
+        raise ConfigError(f"{flag} must be a finite number, not {value}")
+    return value
+
+
 def _output_path(out):
     """Check that --out names a file in an existing directory before any work runs."""
     if out is None:
@@ -200,14 +207,14 @@ def _print_records(records):
 
 def cmd_verify(config):
     """Run every registered property; exit 0 iff all pass."""
-    seed = int(config.get("seed", 0))
-    trials = config.get("trials")
-    tolerances = config.get("tolerances") or {}
+    seed = config["seed"]
+    trials = config["trials"]
+    tolerances = config["tolerances"]
     records = props.run_all(seed=seed, trials=trials, thresholds=tolerances)
     _print_records(records)
     failures = [rec.name for rec in records if not rec.passed]
     print(f"{len(records) - len(failures)}/{len(records)} properties passed (seed={seed})")
-    out = config.get("out")
+    out = config["out"]
     if out:
         payload = {
             "schema": 1,
@@ -227,13 +234,12 @@ def cmd_verify(config):
 
 def cmd_section(config):
     """Random section sweep over one group; exit 0 iff no trial broke tolerance."""
-    group = config.get("group", "U")
+    group = config["group"]
     if group not in ("U", "SU", "SO"):
         raise ConfigError(f"group must be U, SU or SO, not {group!r}")
-    dim = _positive(config.get("dim"), "--dim")
-    dims = [dim] if dim is not None else [2, 3, 4, 5, 6]
-    trials = _positive(config.get("trials"), "--trials") or 50
-    r = float(config.get("r", 0.0))
+    dims = [config["dim"]] if config["dim"] is not None else [2, 3, 4, 5, 6]
+    trials = config["trials"]
+    r = config["r"]
     branch, split = 0.0, 0.0
     if group == "SO":
         if not -1.0 <= r <= 1.0:
@@ -241,7 +247,7 @@ def cmd_section(config):
         split = r
     else:
         branch = r  # branch point exp(i * r) for the matrix logarithm
-    seed = int(config.get("seed", 0))
+    seed = config["seed"]
     rng = props.child_rng(seed, f"cli-section-{group}")
     report = props.sweep_sections(group, dims, trials, rng, branch=branch, split=split)
     print(
@@ -259,7 +265,7 @@ def cmd_section(config):
         print("FAIL (no trial completed a section)")
     else:
         print("PASS")
-    out = config.get("out")
+    out = config["out"]
     if out:
         payload = {"schema": 1, "command": "section", "seed": seed, "r": r, "report": report}
         write_json(out, payload)
@@ -267,38 +273,44 @@ def cmd_section(config):
 
 
 def _build_model(config):
-    model_name = config.get("model", "sphere")
-    grid = int(config.get("grid", 4096))
+    model_name = config["model"]
+    grid = config["grid"]
     if grid < 1 or grid & (grid - 1):
         raise ConfigError(f"--grid must be a power of two, not {grid}")
-    winding = config.get("winding")
+    if 2 * config["modes"] + 1 > grid:
+        raise ConfigError(f"--modes {config['modes']} needs 2 * modes + 1 <= --grid {grid}, or the basis aliases")
+    winding = config["winding"]
     if model_name == "torus":
         pair = winding if winding is not None else (1, 0)
+        if len(pair) > 2:
+            raise ConfigError(f"the torus takes one or two winding integers, not {len(pair)}")
         if len(pair) == 1:
             pair = (pair[0], 0)
         return geo.torus_model(winding=tuple(pair), grid=grid)
-    if model_name == "sphere":
-        theta = float(config.get("theta", np.pi / 3))
-        w = winding[0] if winding else 1
-        try:
-            return geo.sphere_model(theta, winding=w, grid=grid)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    if model_name not in ("sphere", "su2"):
+        raise ConfigError(f"model must be torus, sphere or su2, not {model_name!r}")
+    if winding is not None and len(winding) != 1:
+        raise ConfigError(f"the {model_name} model takes one winding integer, not {len(winding)}")
+    w = winding[0] if winding else 1
     if model_name == "su2":
-        w = winding[0] if winding else 1
         return geo.su2_model(direction=(0.0, 0.0, 1.0), winding=w, grid=grid)
-    raise ConfigError(f"model must be torus, sphere or su2, not {model_name!r}")
+    try:
+        return geo.sphere_model(config["theta"], winding=w, grid=grid)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def cmd_holonomy(config):
     """Monodromy/Floquet pipeline over one model loop; JSON report + spectra CSV."""
     model, loop = _build_model(config)
-    r = float(config.get("r", 2.0))
+    r = config["r"]
     if r <= 1.0:
         raise ConfigError("the annulus parameter --r must exceed 1")
-    mode_bound = int(config.get("modes", 8))
-    if mode_bound < 1:
-        raise ConfigError("--modes must be a positive integer")
+    mode_bound = config["modes"]
+    with np.errstate(over="ignore"):
+        top_weight = geo.cosh_weight(mode_bound + 0.5, r)
+    if not np.isfinite(top_weight):
+        raise ConfigError(f"pairing weight cosh((P + 1/2) ln r)^2 overflows at --modes {mode_bound} --r {r}")
     data = geo.monodromy(model, loop)
     basis = geo.eigen_sections(model, loop, data, mode_bound)
     gram_error = float(np.max(np.abs(basis.gram() - np.eye(basis.count))))
@@ -333,14 +345,13 @@ def cmd_holonomy(config):
     exps = " ".join(f"{s:+.6f}" for s in data.exponents)
     print(f"model={model.tag} exponents=[{exps}]")
     print(f"gram_error={gram_error:.3e} dhat_max={dhat_max:.3e} cos_gram_positive={checks['cos_gram_positive']}")
-    out = config.get("out")
+    out = config["out"]
     if out:
         write_json(out, payload)
-        log_r = np.log(r)
-        rows = [
-            (int(p), int(j), float(p - s), float(np.cosh((p - s) * log_r) ** 2))
-            for (p, s), j in zip(basis.pairs, np.tile(np.arange(data.exponents.size), 2 * mode_bound + 1))
-        ]
+        p_col = basis.pairs[:, 0].astype(int)
+        j_col = np.tile(np.arange(data.exponents.size), 2 * mode_bound + 1)
+        eigenvalues = basis.pairs[:, 0] - basis.pairs[:, 1]
+        rows = zip(p_col, j_col, eigenvalues, geo.cosh_weight(eigenvalues, r))
         write_csv(_sibling_csv(out, "spectra"), ["p", "j", "eigenvalue", "weight"], rows)
     ok = all(checks.values())
     print("PASS" if ok else "FAIL")
@@ -349,14 +360,14 @@ def cmd_holonomy(config):
 
 def cmd_demo(config):
     """Run one named demonstration and report residuals against thresholds."""
-    name = config.get("name")
+    name = config["name"]
     if name not in DEMO_PROPERTIES:
         raise ConfigError(f"demo must be one of {sorted(set(DEMO_PROPERTIES))}, not {name!r}")
-    seed = int(config.get("seed", 0))
+    seed = config["seed"]
     records = [props.run_property(prop, seed=seed) for prop in DEMO_PROPERTIES[name]]
     _print_records(records)
     failures = [rec.name for rec in records if not rec.passed]
-    out = config.get("out")
+    out = config["out"]
     if out:
         payload = {
             "schema": 1,
@@ -440,16 +451,16 @@ def main(argv=None):
             return cmd_verify(config)
         if args.command == "section":
             config["group"] = _setting(args, file_config, "group", str, "U")
-            config["dim"] = _setting(args, file_config, "dim", int, None)
-            config["trials"] = _setting(args, file_config, "trials", int, None)
-            config["r"] = _setting(args, file_config, "r", float, 0.0)
+            config["dim"] = _positive(_setting(args, file_config, "dim", int, None), "--dim")
+            config["trials"] = _positive(_setting(args, file_config, "trials", int, 50), "--trials")
+            config["r"] = _finite(_setting(args, file_config, "r", float, 0.0), "--r")
             return cmd_section(config)
         if args.command == "holonomy":
             config["model"] = _setting(args, file_config, "model", str, "sphere")
             config["theta"] = _setting(args, file_config, "theta", float, np.pi / 3)
             config["winding"] = _setting(args, file_config, "winding", _parse_winding, None)
-            config["r"] = _setting(args, file_config, "r", float, 2.0)
-            config["modes"] = _setting(args, file_config, "modes", int, 8)
+            config["r"] = _finite(_setting(args, file_config, "r", float, 2.0), "--r")
+            config["modes"] = _positive(_setting(args, file_config, "modes", int, 8), "--modes")
             config["grid"] = _setting(args, file_config, "grid", int, 4096)
             return cmd_holonomy(config)
         config["name"] = args.name

@@ -19,8 +19,9 @@ form Phi(t0 -> t) = exp((sigma(t) - sigma(t0)) A0), evaluated from a single
 eigendecomposition of A0.  A fourth-order Runge-Kutta integration survives
 only as the independent oracle behind `transport_defect`.
 
-The covariant derivative along the loop is D = d/dt - A(t).  The holonomy is
-the frame matrix after one period; writing its eigenvalues e^{2 pi i s_j}
+The covariant derivative along the loop is D = d/dt - A(t), with d/dt exact
+on the trigonometric interpolant of sampled sections.  The holonomy is the
+frame matrix after one period; writing its eigenvalues e^{2 pi i s_j}
 with exponents s_j in [-1/2, 1/2), the sections
 
     phi_{p,j}(t) = e^{2 pi i p t} Phi(t) e^{-2 pi i s_j t} w_j
@@ -129,13 +130,10 @@ class ConnectionModel:
     """One of the built-in geometries; supplies connection coefficients."""
 
     tag: str
-    radius: float = 1.0
 
     def __post_init__(self):
         if self.tag not in MODEL_TAGS:
             raise ValueError(f"unknown model tag {self.tag!r}")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
 
     def fibre_dim(self):
         return 3 if self.tag == "group-SU2" else 2
@@ -239,18 +237,17 @@ def _chain_product(mats):
     return mats[0]
 
 
-def transport(model, loop, t0=0.0, t1=1.0, steps=4096, check=True):
+def transport(model, loop, t0=0.0, t1=1.0, steps=4096):
     """Parallel transport matrix from time t0 to t1 along the loop, in closed form.
 
     The closed form needs no grid: `steps` is accepted and ignored, so calls
-    written for a step count keep working.  With check=True the result is
-    confirmed orthogonal/unitary to 1e-8.
+    written for a step count keep working.  The result is confirmed
+    orthogonal/unitary to 1e-8.
     """
     phi = model.transport_matrices(loop, t0, t1)[0]
-    if check:
-        unit = np.linalg.norm(phi.conj().T @ phi - np.eye(phi.shape[0]))
-        if unit > 1e-8:
-            raise RuntimeError(f"transport lost orthogonality ({unit:.3e})")
+    unit = np.linalg.norm(phi.conj().T @ phi - np.eye(phi.shape[0]))
+    if unit > 1e-8:
+        raise RuntimeError(f"transport lost orthogonality ({unit:.3e})")
     return phi
 
 
@@ -260,9 +257,9 @@ def transport_defect(model, loop, t0=0.0, t1=1.0, steps=4096):
     return float(np.linalg.norm(model.transport_matrices(loop, t0, t1)[0] - oracle))
 
 
-def holonomy(model, loop, steps=4096):
+def holonomy(model, loop):
     """Transport once around the loop."""
-    return transport(model, loop, 0.0, 1.0, steps)
+    return transport(model, loop, 0.0, 1.0)
 
 
 def transport_frame(model, loop, steps=None):
@@ -333,9 +330,8 @@ def floquet(g, frame_path=None):
     n = arr.shape[0]
     exps = np.empty(n)
     vectors = decomp.vectors.copy()
-    for cluster in decomp.clusters:
-        val = decomp.cluster_value(cluster)
-        exps[list(cluster)] = _window(np.angle(val) / (2.0 * np.pi))
+    for value, cluster in zip(decomp.cluster_values, decomp.clusters):
+        exps[list(cluster)] = _window(np.angle(value) / (2.0 * np.pi))
         if len(cluster) > 1:
             vectors[:, list(cluster)] = _projector_basis(decomp.projector(cluster), len(cluster))
     order = np.lexsort((np.arange(n), exps))
@@ -444,31 +440,24 @@ def eigen_sections(model, loop, data, mode_bound):
     )
 
 
-def _fd4(values, grid, axis=0):
-    """Fourth-order central difference along a periodic time axis."""
-    return (
-        -np.roll(values, -2, axis=axis)
-        + 8.0 * np.roll(values, -1, axis=axis)
-        - 8.0 * np.roll(values, 1, axis=axis)
-        + np.roll(values, 2, axis=axis)
-    ) * (grid / 12.0)
-
-
 def covariant_derivative(model, loop, values):
-    """D applied to a sampled section: finite-difference d/dt minus A(t)."""
-    grid = values.shape[0]
-    ts = np.arange(grid) / grid
-    coeff = model.coefficients(loop, ts)
-    return _fd4(values, grid) - np.einsum("tij,tj->ti", coeff, values)
+    """D = d/dt - A(t) on sampled sections of shape (..., grid, n).
+
+    d/dt is exact on the trigonometric interpolant; the Nyquist mode, whose
+    derivative the samples do not determine, is zeroed.
+    """
+    values = np.asarray(values, dtype=complex)
+    grid = values.shape[-2]
+    freqs = np.fft.fftfreq(grid, d=1.0 / grid)
+    freqs[freqs == -grid / 2] = 0.0
+    deriv = np.fft.ifft((2j * np.pi * freqs)[:, None] * np.fft.fft(values, axis=-2), axis=-2)
+    coeff = model.coefficients(loop, np.arange(grid) / grid)
+    return deriv - np.einsum("tij,...tj->...ti", coeff, values)
 
 
 def dhat_residuals(basis):
     """Relative defect of (1/2 pi) D phi = i (p - s_j) phi per basis section."""
-    grid = basis.grid
-    ts = np.arange(grid) / grid
-    coeff = basis.model.coefficients(basis.loop, ts)
-    deriv = _fd4(basis.values, grid, axis=1)
-    dhat = (deriv - np.einsum("tij,mtj->mti", coeff, basis.values)) / (2.0 * np.pi)
+    dhat = covariant_derivative(basis.model, basis.loop, basis.values) / (2.0 * np.pi)
     eigs = 1j * (basis.pairs[:, 0] - basis.pairs[:, 1])
     defect = dhat - eigs[:, None, None] * basis.values
     num = np.sqrt(np.mean(np.abs(defect) ** 2, axis=(1, 2)))
@@ -511,6 +500,11 @@ def loop_recognition_residual(basis, coefficients):
     return float(np.sqrt(np.mean(np.abs(b1 - b0) ** 2)) / scale)
 
 
+def cosh_weight(eigenvalues, r):
+    """The pairing weight cosh(x ln r)^2 at each x = p - s_j."""
+    return np.cosh(np.asarray(eigenvalues) * np.log(r)) ** 2
+
+
 def cos_inner_product(a, b, data, r):
     """Weighted pairing sum_{p,j} cosh((p - s_j) ln r)^2 conj(a_{p,j}) b_{p,j}."""
     if r <= 1.0:
@@ -524,8 +518,7 @@ def cos_inner_product(a, b, data, r):
         raise ValueError("coefficient length does not match the exponent count")
     mode_bound = (ca.size // n - 1) // 2
     p_col, s_col = _mode_pairs(mode_bound, data.exponents)
-    weights = np.cosh((p_col - s_col) * np.log(r)) ** 2
-    return complex(np.sum(weights * ca.conj() * cb))
+    return complex(np.sum(cosh_weight(p_col - s_col, r) * ca.conj() * cb))
 
 
 def cos_gram(basis, r, coefficients=None):
@@ -535,14 +528,14 @@ def cos_gram(basis, r, coefficients=None):
     """
     if r <= 1.0:
         raise ValueError("annulus parameter must exceed 1")
-    weights = np.cosh((basis.pairs[:, 0] - basis.pairs[:, 1]) * np.log(r)) ** 2
+    weights = cosh_weight(basis.pairs[:, 0] - basis.pairs[:, 1], r)
     if coefficients is None:
         coefficients = np.eye(basis.count, dtype=complex)
     coefficients = np.asarray(coefficients, dtype=complex)
     return (coefficients.conj() * weights[None, :]) @ coefficients.T
 
 
-def trig_interpolate(values, new_ts, block=512):
+def trig_interpolate(values, new_ts):
     """Evaluate the trigonometric interpolant of periodic samples at new times.
 
     Only Fourier modes whose largest coefficient (over all channels) exceeds
@@ -559,8 +552,8 @@ def trig_interpolate(values, new_ts, block=512):
     coeffs, freqs = coeffs[keep], freqs[keep]
     new_ts = np.asarray(new_ts, dtype=float)
     out = np.empty((new_ts.size,) + values.shape[1:], dtype=complex)
-    for start in range(0, new_ts.size, block):
-        chunk = new_ts[start : start + block]
+    for start in range(0, new_ts.size, 512):
+        chunk = new_ts[start : start + 512]
         phases = np.exp(2j * np.pi * np.outer(chunk, freqs))
         out[start : start + chunk.size] = (phases @ coeffs).reshape((chunk.size,) + values.shape[1:])
     return out
@@ -574,9 +567,8 @@ def condiff_residual(model, loop, rep, values):
         raise ValueError("reparametrisation must be orientation-preserving and monotone")
     sig = rep.sigma(ts)
     pulled = trig_interpolate(values, np.mod(sig, 1.0))
-    coeff_sigma = dsig[:, None, None] * model.coefficients(loop, sig)
-    lhs = _fd4(pulled, ts.size) - np.einsum("tij,tj->ti", coeff_sigma, pulled)
-    d_alpha = covariant_derivative(model, loop, np.asarray(values, dtype=complex))
+    lhs = covariant_derivative(model, loop.with_reparam(rep), pulled)
+    d_alpha = covariant_derivative(model, loop, values)
     rhs = trig_interpolate(d_alpha, np.mod(sig, 1.0)) * dsig[:, None]
     scale = max(np.sqrt(np.mean(np.abs(values) ** 2)), 1e-300)
     return float(np.sqrt(np.mean(np.abs(lhs - rhs) ** 2)) / scale)
@@ -623,24 +615,24 @@ def reparam_actions(basis, rep):
     }
 
 
-def subbundle_counterexample(gamma, beta, grid=4096, guard=4):
+def subbundle_counterexample(gamma, beta):
     """Residual report for the phase-twisted loop t -> e^{2 pi i gamma(t)} beta(t).
 
     gamma is a callable lift with integer winding; beta a scalar loop.  The
     twist of a polynomial loop stays polynomial exactly when gamma is linear;
     the report flags a counterexample when the residual at degree
-    deg(beta) + guard exceeds 1e-3.
+    deg(beta) + 4 + |winding|, sampled on 4096 points, exceeds 1e-3.
     """
     if beta.dim != 1:
         raise ValueError("the demonstration uses scalar loops")
     wind = gamma(1.0) - gamma(0.0)
     if abs(wind - round(wind)) > 1e-8:
         raise ValueError("gamma(t+1) - gamma(t) must be an integer")
-    ts = np.arange(grid) / grid
+    ts = np.arange(4096) / 4096
     gvals = np.asarray([gamma(t) for t in ts], dtype=float)
     beta_vals = laurent_eval(beta, ts)[:, 0, 0]
     vals = np.exp(2j * np.pi * gvals) * beta_vals
-    degree = beta.degree + guard + abs(int(round(wind)))
+    degree = beta.degree + 4 + abs(int(round(wind)))
     residual = polynomiality_residual(SampledLoop(values=vals[:, None]), degree)
     return {
         "residual": float(residual),
@@ -687,11 +679,12 @@ def _span_containment(inner, outer):
     return float(np.max(num / den))
 
 
-def direct_sum_union_residual(theta=np.pi / 3, mode_bound=4, grid=2048):
+def direct_sum_union_residual():
     """Check that the fibre basis of a block-diagonal connection is the union
     of the blockwise bases: cross-Gram terms and mutual span containment."""
+    mode_bound, grid = 4, 2048
     tor_model, tor_loop = torus_model(grid=grid)
-    sph_model, sph_loop = sphere_model(theta, grid=grid)
+    sph_model, sph_loop = sphere_model(np.pi / 3, grid=grid)
     combo_model = _DirectSumModel((tor_model, tor_loop), (sph_model, sph_loop))
     combo_loop = BaseLoop(grid=grid)
     data = monodromy(combo_model, combo_loop, steps=grid)
@@ -713,14 +706,14 @@ def direct_sum_union_residual(theta=np.pi / 3, mode_bound=4, grid=2048):
     return {"cross_gram_max": float(np.abs(cross).max()), "span_gap": span_gap}
 
 
-def complexification_residual(theta=np.pi / 6, mode_bound=4, grid=2048):
+def complexification_residual():
     """Check that the complex basis and its realification span the same space.
 
     Realifying and re-complexifying adjoins the conjugated sections; for the
     symmetric mode window both spans agree.
     """
-    model, loop = sphere_model(theta, grid=grid)
-    basis = eigen_sections(model, loop, monodromy(model, loop, steps=grid), mode_bound)
+    model, loop = sphere_model(np.pi / 6, grid=2048)
+    basis = eigen_sections(model, loop, monodromy(model, loop, steps=2048), 4)
     flat = basis.values.reshape(basis.count, -1)
     conj = flat.conj()
     return max(_span_containment(conj, flat), _span_containment(flat, conj))

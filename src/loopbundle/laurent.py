@@ -181,11 +181,13 @@ def group_residual(a, group, samples=256):
     """
     if group not in ("U", "SU", "SO"):
         raise ValueError(f"unknown group {group!r}")
-    ts = np.arange(samples) / samples
-    vals = laurent_eval(a, ts)
-    eye = np.eye(a.dim)
+    return sampled_group_residual(laurent_eval(a, np.arange(samples) / samples), group)
+
+
+def sampled_group_residual(vals, group):
+    """The `group_residual` measure over given samples vals of shape (samples, n, n)."""
     gram = np.einsum("mji,mjk->mik", vals.conj(), vals)
-    res = np.linalg.norm(gram - eye, axis=(1, 2))
+    res = np.linalg.norm(gram - np.eye(vals.shape[1]), axis=(1, 2))
     if group in ("SU", "SO"):
         res = res + np.abs(np.linalg.det(vals) - 1.0)
     if group == "SO":
@@ -218,7 +220,7 @@ def fourier_coefficients(values, max_mode):
     return window, tail, total
 
 
-def fourier_project(s, max_mode, coeff_floor=1e-14):
+def fourier_project(s, max_mode):
     """Project a sampled matrix loop onto modes |k| <= max_mode.
 
     Returns (MatrixLoop, residual) where residual is the l2 mass outside the
@@ -228,7 +230,7 @@ def fourier_project(s, max_mode, coeff_floor=1e-14):
     if s.values.ndim != 3:
         raise ValueError("fourier_project expects matrix samples")
     window, tail, total = fourier_coefficients(s.values, max_mode)
-    floor = coeff_floor * max(total, 1.0)
+    floor = 1e-14 * max(total, 1.0)
     coeffs = {}
     for i, k in enumerate(range(-max_mode, max_mode + 1)):
         if np.max(np.abs(window[i])) > floor:

@@ -683,7 +683,7 @@ def _so_log(rng, trials):
 # sections
 
 
-def sweep_sections(group, dims, trials, rng, branch=0.0, split=0.0, samples=128, cert_grid=1024):
+def sweep_sections(group, dims, trials, rng, branch=0.0, split=0.0):
     """Randomized section sweep; returns the CLI-facing report dictionary.
 
     branch is the imaginary part of the branch point for U/SU sections; split
@@ -719,11 +719,11 @@ def sweep_sections(group, dims, trials, rng, branch=0.0, split=0.0, samples=128,
             continue
         completed += 1
         endpoint = float(np.linalg.norm(project_path(element) - target))
-        gres = path_group_residual(element, samples=samples)
-        _, poly, _ = fiber_certificate(element, grid=cert_grid)
+        gres = path_group_residual(element, samples=128)
+        _, poly, _ = fiber_certificate(element)
         entry = {"trial": trial, "dim": dim, "endpoint": endpoint, "group": gres, "poly": poly}
         if group == "SU":
-            vals = element.eval(np.arange(samples) / samples)
+            vals = element.eval(np.arange(128) / 128)
             entry["det"] = float(np.max(np.abs(np.linalg.det(vals) - 1.0)))
             maxima["det"] = max(maxima["det"], entry["det"])
         maxima["endpoint"] = max(maxima["endpoint"], endpoint)
@@ -914,10 +914,10 @@ def _transport_orthogonality(rng, trials):
     return transport_identity_sweep(rng, _default(trials, 4))["orthogonality"]
 
 
-def latitude_report(theta, winding=1, steps=4096):
+def latitude_report(theta, winding=1):
     """Holonomy angle of a latitude circle against 2 pi w (1 - cos theta)."""
     model, loop = geo.sphere_model(theta, winding=winding)
-    g = geo.holonomy(model, loop, steps=steps)
+    g = geo.holonomy(model, loop)
     angle = float(np.arctan2(g[1, 0], g[0, 0]))
     expected = 2.0 * np.pi * winding * (1.0 - np.cos(theta))
     angle_error = float(2.0 * np.pi * np.abs(geo._window((angle - expected) / (2.0 * np.pi))))

@@ -31,14 +31,15 @@ from .laurent import (
     fourier_project,
     laurent_eval,
     polynomiality_residual,
+    sampled_group_residual,
 )
 from .spectral import (
+    _canonical_order,
     block_structure,
     central_log,
     check_skew,
     check_unitary,
     clustered_eig,
-    exp_skew,
     log_branch,
     one_parameter_path,
     so_log,
@@ -53,7 +54,7 @@ CERT_GUARD = 4
 class PathElement:
     """Product of one-parameter exponential factors and an optional loop part."""
 
-    def __init__(self, factors, loop=None, group="U", dim=None, check=True):
+    def __init__(self, factors, loop=None, group="U", dim=None):
         factors = [check_skew(f) for f in factors]
         if dim is None:
             if factors:
@@ -73,10 +74,9 @@ class PathElement:
         self.group = group
         self.factors = factors
         self.loop = loop
-        if check:
-            err = self.periodicity_defect()
-            if err > PERIODICITY_TOL:
-                raise ValueError(f"path is not quasi-periodic (defect {err:.3e})")
+        err = self.periodicity_defect()
+        if err > PERIODICITY_TOL:
+            raise ValueError(f"path is not quasi-periodic (defect {err:.3e})")
 
     def eval(self, ts):
         """Values alpha(t) at scalar or array times."""
@@ -89,16 +89,12 @@ class PathElement:
             out = np.einsum("tij,tjk->tik", out, laurent_eval(self.loop, ts))
         return out[0] if scalar else out
 
-    def periodicity_defect(self, points=16):
-        ts = np.arange(points) / points
+    def periodicity_defect(self):
+        ts = np.arange(16) / 16
         low = self.eval(ts)
         high = self.eval(ts + 1.0)
         const = high[0] @ np.linalg.inv(low[0])
         return float(np.max(np.linalg.norm(high - np.einsum("ij,tjk->tik", const, low), axis=(1, 2))))
-
-
-def eval_path(p, t):
-    return p.eval(t)
 
 
 def project_path(p):
@@ -129,23 +125,26 @@ def act_group(p, g, conjugate=False):
 
 def path_group_residual(p, samples=256):
     """Max distance of path values from the tagged group over a sample grid."""
-    vals = p.eval(np.arange(samples) / samples)
-    eye = np.eye(p.dim)
-    res = np.linalg.norm(np.einsum("tji,tjk->tik", vals.conj(), vals) - eye, axis=(1, 2))
-    if p.group in ("SU", "SO"):
-        res = res + np.abs(np.linalg.det(vals) - 1.0)
-    if p.group == "SO":
-        res = res + np.linalg.norm(vals.imag, axis=(1, 2))
-    return float(res.max())
+    return sampled_group_residual(p.eval(np.arange(samples) / samples), p.group)
 
 
-def _grid_for_degree(degree, grid):
+def _certify(radius, loops, quotient):
+    """(projection, polynomiality residual, degree) of the sampled path t -> quotient(t).
+
+    degree = ceil(radius / 2 pi) + CERT_GUARD + the loop parts' degrees; the
+    grid doubles from 1024 until it exceeds four times the degree.
+    """
+    degree = int(np.ceil(radius / (2.0 * np.pi))) + CERT_GUARD
+    degree += sum(loop.degree for loop in loops if loop is not None)
+    grid = 1024
     while degree >= grid // 4:
         grid *= 2
-    return grid
+    sampled = SampledLoop(values=quotient(np.arange(grid) / grid))
+    projected, _ = fourier_project(sampled, degree)
+    return projected, polynomiality_residual(sampled, degree), degree
 
 
-def fiber_certificate(p, grid=1024):
+def fiber_certificate(p):
     """Polynomiality certificate for a path element.
 
     Divides the path by the central-log path of its projection and measures
@@ -153,19 +152,11 @@ def fiber_certificate(p, grid=1024):
     predicted degree.  Returns (quotient MatrixLoop, residual, degree).
     """
     zeta = central_log(project_path(p))
-    radii = [spectral_radius(zeta)] + [spectral_radius(f) for f in p.factors]
-    degree = int(np.ceil(max(radii) / (2.0 * np.pi))) + CERT_GUARD
-    if p.loop is not None:
-        degree += p.loop.degree
-    grid = _grid_for_degree(degree, grid)
-    ts = np.arange(grid) / grid
-    vals = np.einsum("tij,tjk->tik", one_parameter_path(-zeta, ts), p.eval(ts))
-    sampled = SampledLoop(values=vals)
-    quotient, _ = fourier_project(sampled, degree)
-    return quotient, polynomiality_residual(sampled, degree), degree
+    radius = max([spectral_radius(zeta)] + [spectral_radius(f) for f in p.factors])
+    return _certify(radius, [p.loop], lambda ts: np.einsum("tij,tjk->tik", one_parameter_path(-zeta, ts), p.eval(ts)))
 
 
-def path_fiber_quotient(a, b, grid=1024):
+def path_fiber_quotient(a, b):
     """Quotient loop t -> a(t)^{-1} b(t) of two paths in a common fibre.
 
     Requires matching projections (tolerance 1e-9).  Returns the Fourier
@@ -175,23 +166,15 @@ def path_fiber_quotient(a, b, grid=1024):
     gap = np.linalg.norm(project_path(a) - project_path(b))
     if gap > PERIODICITY_TOL:
         raise ValueError(f"paths project to different group elements (gap {gap:.3e})")
-    radii = [spectral_radius(f) for f in a.factors] + [spectral_radius(f) for f in b.factors]
-    degree = int(np.ceil(sum(radii) / (2.0 * np.pi))) + CERT_GUARD
-    for part in (a.loop, b.loop):
-        if part is not None:
-            degree += part.degree
-    grid = _grid_for_degree(degree, grid)
-    ts = np.arange(grid) / grid
-    vals = np.linalg.solve(a.eval(ts), b.eval(ts))
-    sampled = SampledLoop(values=vals)
-    quotient, _ = fourier_project(sampled, degree)
-    return quotient, polynomiality_residual(sampled, degree)
+    radius = sum(spectral_radius(f) for f in a.factors + b.factors)
+    quotient, residual, _ = _certify(radius, [a.loop, b.loop], lambda ts: np.linalg.solve(a.eval(ts), b.eval(ts)))
+    return quotient, residual
 
 
-def _smoothstep(x, plateau=0.05):
-    """C-infinity step: 0 for x <= plateau, 1 for x >= 1 - plateau."""
+def _smoothstep(x):
+    """C-infinity step: 0 for x <= 0.05, 1 for x >= 0.95."""
     x = np.asarray(x, dtype=float)
-    u = np.clip((x - plateau) / (1.0 - 2.0 * plateau), 0.0, 1.0)
+    u = np.clip((x - 0.05) / 0.9, 0.0, 1.0)
 
     def bump(v):
         out = np.zeros_like(v)
@@ -302,10 +285,7 @@ def so_spectral_split(h, r):
     if np.min(np.abs(decomp.values.real - r)) <= 1e-8:
         raise ValueError("an eigenvalue has real part at the split abscissa")
     n = arr.shape[0]
-    low = np.zeros((n, n), dtype=complex)
-    for cluster in decomp.clusters:
-        if decomp.cluster_value(cluster).real < r:
-            low += decomp.projector(cluster)
+    low = decomp.compose(decomp.cluster_values.real < r)
     if np.max(np.abs(low.imag)) > 1e-9:
         raise ValueError("low projector failed to be real")
     low = low.real
@@ -321,12 +301,10 @@ def _range_basis(projector):
     cols = u[:, sing > 0.5]
     if cols.shape[1] == 0:
         return cols
-    from .spectral import _canonical_order
-
     return _canonical_order(cols)
 
 
-def so_section(r, g, h, return_structure=False):
+def so_section(r, g, h):
     """Two-factor section of the special orthogonal group around the base point g.
 
     The unitary structure on the low block of h is the polar transport of the
@@ -352,13 +330,7 @@ def so_section(r, g, h, return_structure=False):
         frame_h = u @ vt  # polar orthonormalisation of the transported frame
         j_h = frame_h @ block_structure(np.eye(rank_g)) @ frame_h.T
     eps = h @ (np.eye(n) - 2.0 * low_h)
-    eps_decomp = clustered_eig(eps)
-    if np.min(np.abs(eps_decomp.values + 1.0)) <= 1e-8:
-        raise ValueError("eps(h) has eigenvalue -1; unitary-structure transport failed")
-    principal = log_branch(eps, 0.0)
+    principal = log_branch(eps, 0.0)  # rejects eps(h) with eigenvalue -1, the chart boundary
     if np.max(np.abs(principal.imag)) > 1e-9:
         raise ValueError("principal log of eps(h) failed to be real")
-    element = PathElement([principal.real.astype(complex), np.pi * j_h], group="SO")
-    if return_structure:
-        return element, j_h
-    return element
+    return PathElement([principal.real.astype(complex), np.pi * j_h], group="SO")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 import scipy.linalg
 
-from .laurent import MatrixLoop, SampledLoop, fourier_project, DEFAULT_GRID
+from .laurent import SampledLoop, fourier_project, DEFAULT_GRID
 
 CLUSTER_TOL = 1e-7
 SKEW_TOL = 1e-10
@@ -31,31 +31,34 @@ CUT_TOL = 1e-8
 NEG_ONE_SNAP = 1e-9
 
 
-def check_skew(xi, real=False, tol=SKEW_TOL):
+def check_skew(xi, real=False):
     """Validate xi* = -xi (and realness if asked); returns xi as complex array."""
     arr = np.asarray(xi, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("skew matrix must be square")
     scale = max(1.0, float(np.linalg.norm(arr)))
-    if np.linalg.norm(arr + arr.conj().T) > tol * scale:
+    if np.linalg.norm(arr + arr.conj().T) > SKEW_TOL * scale:
         raise ValueError("matrix is not skew-hermitian to tolerance")
-    if real and np.max(np.abs(arr.imag)) > tol * scale:
+    if real and np.max(np.abs(arr.imag)) > SKEW_TOL * scale:
         raise ValueError("matrix is not real to tolerance")
     return arr
 
 
-def check_unitary(g, tol=UNITARY_TOL):
+def check_unitary(g):
     arr = np.asarray(g, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("matrix must be square")
-    if np.linalg.norm(arr.conj().T @ arr - np.eye(arr.shape[0])) > tol:
+    if np.linalg.norm(arr.conj().T @ arr - np.eye(arr.shape[0])) > UNITARY_TOL:
         raise ValueError("matrix is not unitary to tolerance")
     return arr
 
 
 @dataclass(frozen=True)
 class EigenDecomp:
-    """Orthonormal eigendecomposition with eigenvalues grouped into clusters."""
+    """Orthonormal eigendecomposition with eigenvalues grouped into clusters.
+
+    Spectral functions f(g) = sum_c f_c P_c are one `compose` of per-cluster values.
+    """
 
     values: np.ndarray = dataclass_field(repr=False)
     vectors: np.ndarray = dataclass_field(repr=False)
@@ -65,14 +68,21 @@ class EigenDecomp:
         cols = self.vectors[:, list(cluster)]
         return cols @ cols.conj().T
 
-    def cluster_value(self, cluster):
-        """Representative eigenvalue of a cluster, renormalised to |value| = 1."""
-        mean = np.mean(self.values[list(cluster)])
-        mod = abs(mean)
-        return mean / mod if mod > 0 else mean
+    @property
+    def cluster_values(self):
+        """One eigenvalue per cluster: its mean, renormalised to |value| = 1 (unitary input)."""
+        means = np.array([np.mean(self.values[list(cluster)]) for cluster in self.clusters])
+        return means / np.abs(means)
+
+    def compose(self, per_cluster):
+        """V diag(f) V* with f constant on each cluster, i.e. sum_c f_c P_c."""
+        diag = np.empty(len(self.values), dtype=complex)
+        for value, cluster in zip(per_cluster, self.clusters):
+            diag[list(cluster)] = value
+        return (self.vectors * diag[None, :]) @ self.vectors.conj().T
 
 
-def _cluster_indices(values, tol):
+def _cluster_indices(values):
     n = len(values)
     parent = list(range(n))
 
@@ -84,7 +94,7 @@ def _cluster_indices(values, tol):
 
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(values[i] - values[j]) < tol:
+            if abs(values[i] - values[j]) < CLUSTER_TOL:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[ri] = rj
@@ -94,11 +104,11 @@ def _cluster_indices(values, tol):
     return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: g[0]))
 
 
-def clustered_eig(g, tol=CLUSTER_TOL):
+def clustered_eig(g):
     """Eigendecomposition of a normal matrix via complex Schur form.
 
     The Schur vectors of a normal matrix are orthonormal eigenvectors up to
-    round-off; eigenvalues closer than tol are grouped into one cluster.
+    round-off; eigenvalues closer than CLUSTER_TOL are grouped into one cluster.
     """
     arr = np.asarray(g, dtype=complex)
     t_mat, z_mat = scipy.linalg.schur(arr, output="complex")
@@ -107,7 +117,7 @@ def clustered_eig(g, tol=CLUSTER_TOL):
     recon = (z_mat * values[None, :]) @ z_mat.conj().T
     if np.linalg.norm(recon - arr) > 1e-10 * scale:
         raise ValueError("input is not normal enough for a spectral decomposition")
-    return EigenDecomp(values=values, vectors=z_mat, clusters=_cluster_indices(values, tol))
+    return EigenDecomp(values=values, vectors=z_mat, clusters=_cluster_indices(values))
 
 
 def spectral_radius(xi):
@@ -153,13 +163,8 @@ def log_branch(g, s=0.0):
     if np.min(gaps) <= CUT_TOL:
         bad = decomp.values[int(np.argmin(gaps))]
         raise ValueError(f"eigenvalue {bad} lies on the branch cut at {cut}")
-    logs = np.empty(len(decomp.values), dtype=complex)
-    for cluster in decomp.clusters:
-        lam = decomp.cluster_value(cluster)
-        theta = np.angle(lam)
-        theta = sigma + (np.mod(theta - sigma + np.pi, 2.0 * np.pi) - np.pi)
-        logs[list(cluster)] = 1j * theta
-    return (decomp.vectors * logs[None, :]) @ decomp.vectors.conj().T
+    theta = np.angle(decomp.cluster_values)
+    return decomp.compose(1j * (sigma + (np.mod(theta - sigma + np.pi, 2.0 * np.pi) - np.pi)))
 
 
 def central_log(g):
@@ -170,13 +175,9 @@ def central_log(g):
     """
     arr = check_unitary(g)
     decomp = clustered_eig(arr)
-    logs = np.empty(len(decomp.values), dtype=complex)
-    for cluster in decomp.clusters:
-        theta = np.angle(decomp.cluster_value(cluster))
-        if theta >= np.pi:  # np.angle returns (-pi, pi]; fold +pi to -pi
-            theta = -np.pi
-        logs[list(cluster)] = 1j * theta
-    return (decomp.vectors * logs[None, :]) @ decomp.vectors.conj().T
+    theta = np.angle(decomp.cluster_values)
+    theta[theta >= np.pi] = -np.pi  # np.angle returns (-pi, pi]; fold +pi to -pi
+    return decomp.compose(1j * theta)
 
 
 def _canonical_order(columns):
@@ -214,19 +215,19 @@ def block_structure(columns):
     return j
 
 
-def real_eigenspace(g, value, tol=1e-7):
+def real_eigenspace(g, value):
     """Real orthonormal basis (canonically ordered) of ker(g - value) for real value."""
     arr = np.asarray(g, dtype=float)
     n = arr.shape[0]
     _, sing, vt = np.linalg.svd(arr - value * np.eye(n))
-    keep = sing < tol
+    keep = sing < 1e-7
     basis = vt[keep].T
     if basis.shape[1] == 0:
         return basis
     return _canonical_order(basis)
 
 
-def exp_pair_loop(xi_1, xi_2, degree=None, grid=DEFAULT_GRID):
+def exp_pair_loop(xi_1, xi_2, degree=None):
     """Fourier data of the loop t -> exp(-t xi_1) exp(t xi_2).
 
     The two skew matrices must exponentiate to the same group element (checked
@@ -242,7 +243,7 @@ def exp_pair_loop(xi_1, xi_2, degree=None, grid=DEFAULT_GRID):
         raise ValueError("exp(xi_1) != exp(xi_2); the pair does not define a loop")
     if degree is None:
         degree = int(np.ceil((spectral_radius(a) + spectral_radius(b)) / (2.0 * np.pi))) + 4
-    ts = np.arange(grid) / grid
+    ts = np.arange(DEFAULT_GRID) / DEFAULT_GRID
     vals = np.einsum("tij,tjk->tik", one_parameter_path(-a, ts), one_parameter_path(b, ts))
     return fourier_project(SampledLoop(values=vals), degree)
 
@@ -260,10 +261,7 @@ def torus_path_factor(g, angles):
     angles = np.asarray(angles, dtype=float)
     if angles.size != len(decomp.clusters):
         raise ValueError("need exactly one angle per eigenvalue cluster")
-    xi = np.zeros(arr.shape, dtype=complex)
-    for angle, cluster in zip(angles, decomp.clusters):
-        xi += 1j * angle * decomp.projector(cluster)
-    return xi
+    return decomp.compose(1j * angles)
 
 
 def centralizer_element(g, rng):
@@ -303,7 +301,32 @@ def unitary_structure(xi):
     return j.real
 
 
-def log0_decompose(g, snap=NEG_ONE_SNAP):
+def _orthogonal_log(arr):
+    """(xi, J, decomp) for real orthogonal arr: xi = sum_c i theta_c P_c, J = sum_c i sign(theta_c) P_c.
+
+    The -1 eigenspace gets the canonical block structure (times pi in xi).  xi
+    is real; J is real only without eigenvalue 1, where sign(+-0) adds +-i P_1.
+    """
+    check_unitary(arr)
+    decomp = clustered_eig(arr)
+    lam = decomp.cluster_values
+    neg_one = np.abs(lam + 1.0) <= NEG_ONE_SNAP
+    theta = np.where(neg_one, 0.0, np.angle(lam))
+    xi = decomp.compose(1j * theta)
+    j = decomp.compose(1j * np.sign(theta))
+    if neg_one.any():
+        basis = real_eigenspace(arr, -1.0)
+        if basis.shape[1] % 2 != 0:
+            raise ValueError("odd-dimensional -1 eigenspace; input is not special orthogonal")
+        j_f = block_structure(basis)
+        xi += np.pi * j_f
+        j += j_f
+    if np.max(np.abs(xi.imag)) > 1e-9:
+        raise ValueError("conjugate symmetry failed; input is not real orthogonal")
+    return xi.real, j, decomp
+
+
+def log0_decompose(g):
     """Split special orthogonal g (1 not in spec) as g = exp(xi), J = J_xi.
 
     Returns (xi, J) with exp(xi) = g, J the unitary structure of xi (extended
@@ -315,34 +338,12 @@ def log0_decompose(g, snap=NEG_ONE_SNAP):
     arr = np.asarray(g)
     if np.max(np.abs(np.asarray(arr, dtype=complex).imag)) > 1e-10:
         raise ValueError("log0_decompose expects a real matrix")
-    arr = np.asarray(arr, dtype=float)
-    check_unitary(arr)
-    decomp = clustered_eig(arr)
+    xi, j, decomp = _orthogonal_log(np.asarray(arr, dtype=float))
     if np.min(np.abs(decomp.values - 1.0)) <= CUT_TOL:
         raise ValueError("eigenvalue 1 present; decomposition undefined")
-    n = arr.shape[0]
-    xi = np.zeros((n, n), dtype=complex)
-    j = np.zeros((n, n), dtype=complex)
-    has_neg_one = False
-    for cluster in decomp.clusters:
-        lam = decomp.cluster_value(cluster)
-        if abs(lam + 1.0) <= snap:
-            has_neg_one = True
-            continue
-        theta = np.angle(lam)
-        proj = decomp.projector(cluster)
-        xi += 1j * theta * proj
-        j += 1j * np.sign(theta) * proj
-    if has_neg_one:
-        basis = real_eigenspace(arr, -1.0)
-        if basis.shape[1] % 2 != 0:
-            raise ValueError("odd-dimensional -1 eigenspace; input is not special orthogonal")
-        j_f = block_structure(basis)
-        xi += np.pi * j_f
-        j += j_f
-    if max(np.max(np.abs(xi.imag)), np.max(np.abs(j.imag))) > 1e-9:
+    if np.max(np.abs(j.imag)) > 1e-9:
         raise ValueError("conjugate symmetry failed; input is not real orthogonal")
-    return xi.real, j.real
+    return xi, j.real
 
 
 def so_log(g):
@@ -351,23 +352,4 @@ def so_log(g):
     Uses the principal eigenvalue logs on conjugate pairs and the canonical
     block structure (times pi) on the -1 eigenspace.
     """
-    arr = np.asarray(g, dtype=float)
-    check_unitary(arr)
-    decomp = clustered_eig(arr)
-    n = arr.shape[0]
-    xi = np.zeros((n, n), dtype=complex)
-    has_neg_one = False
-    for cluster in decomp.clusters:
-        lam = decomp.cluster_value(cluster)
-        if abs(lam + 1.0) <= NEG_ONE_SNAP:
-            has_neg_one = True
-            continue
-        xi += 1j * np.angle(lam) * decomp.projector(cluster)
-    if has_neg_one:
-        basis = real_eigenspace(arr, -1.0)
-        if basis.shape[1] % 2 != 0:
-            raise ValueError("odd -1 eigenspace; not special orthogonal")
-        xi += np.pi * block_structure(basis)
-    if np.max(np.abs(xi.imag)) > 1e-9:
-        raise ValueError("conjugate symmetry failed; input is not real orthogonal")
-    return xi.real
+    return _orthogonal_log(np.asarray(g, dtype=float))[0]

@@ -239,3 +239,39 @@ def test_section_with_no_completed_trial_fails(monkeypatch, capsys):
 def test_holonomy_grid_must_be_power_of_two(grid, capsys):
     assert cli.main(["holonomy", "--model", "torus", "--grid", grid]) == 2
     assert "power of two" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--model", "su2", "--winding", "3", "--grid", "256"],
+        ["--theta", "3.14159", "--grid", "64"],
+        ["--model", "torus", "--grid", "256"],
+        ["--modes", "100", "--grid", "256"],
+    ],
+)
+def test_holonomy_passes_on_coarse_grids(argv, capsys):
+    # the basis sections are trigonometric polynomials well below the Nyquist
+    # mode, so the eigenvalue residual must hold however coarse the grid
+    assert cli.main(["holonomy"] + argv) == 0
+    assert capsys.readouterr().out.endswith("PASS\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["section", "--r", "nan"],
+        ["section", "--r", "inf"],
+        ["holonomy", "--r", "nan"],
+        ["holonomy", "--r", "inf"],
+        ["holonomy", "--modes", "600", "--grid", "2048"],
+        ["holonomy", "--modes", "200", "--grid", "256"],
+        ["holonomy", "--model", "torus", "--winding", "1,2,3"],
+        ["holonomy", "--model", "sphere", "--winding", "2,5"],
+        ["holonomy", "--model", "su2", "--winding", "2,5"],
+    ],
+)
+def test_malformed_numeric_flags_are_config_errors(argv, capsys):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")

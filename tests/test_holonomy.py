@@ -30,7 +30,7 @@ from loopbundle import (
     transport_defect,
     transport_frame,
 )
-from loopbundle.holonomy import _DirectSumModel, trig_interpolate
+from loopbundle.holonomy import _DirectSumModel, covariant_derivative, trig_interpolate
 
 TRANSPORT_TOL = 1e-8
 GRAM_TOL = 1e-8
@@ -170,6 +170,24 @@ def test_trig_interpolate_matches_dense_reference():
         dense = _dense_trig_reference(values, new_ts)
         fast = trig_interpolate(values, new_ts)
         assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_covariant_derivative_is_exact_on_trigonometric_polynomials():
+    rng = np.random.default_rng(7)
+    grid = 64
+    model, loop = sphere_model(np.pi / 3, grid=grid)
+    ts = np.arange(grid) / grid
+    modes = np.arange(-31, 32)  # every mode below the Nyquist mode 32
+    coeffs = rng.standard_normal((3, modes.size, 2)) + 1j * rng.standard_normal((3, modes.size, 2))
+    phases = np.exp(2j * np.pi * np.outer(ts, modes))
+    values = np.einsum("tk,bkj->btj", phases, coeffs)
+    deriv = np.einsum("tk,bkj->btj", phases * (2j * np.pi * modes), coeffs)
+    expected = deriv - np.einsum("ij,btj->bti", model.base_coefficient(loop), values)
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(covariant_derivative(model, loop, values) - expected)) <= 1e-12 * scale
+    for batch in range(3):
+        single = covariant_derivative(model, loop, values[batch])
+        assert np.max(np.abs(single - expected[batch])) <= 1e-12 * scale
 
 
 def test_su2_holonomy_powers():

@@ -7,7 +7,6 @@ from loopbundle import (
     PathElement,
     act_group,
     central_log,
-    eval_path,
     exp_skew,
     fiber_certificate,
     identity_loop,
@@ -40,18 +39,18 @@ def rotation(phi):
 def test_trivial_path_is_identity():
     p = PathElement([np.zeros((2, 2))])
     for t in (0.0, 0.3, 1.0):
-        assert np.max(np.abs(eval_path(p, t) - np.eye(2))) < 1e-12
+        assert np.max(np.abs(p.eval(t) - np.eye(2))) < 1e-12
     assert np.max(np.abs(project_path(p) - np.eye(2))) < 1e-12
 
 
 def test_full_turn_factor_at_half():
     p = PathElement([2j * np.pi * np.eye(1)])
-    assert abs(eval_path(p, 0.5)[0, 0] + 1.0) < 1e-12
+    assert abs(p.eval(0.5)[0, 0] + 1.0) < 1e-12
 
 
 def test_pi_structure_factor_reaches_minus_identity():
     p = PathElement([np.pi * J0], loop=identity_loop(2))
-    assert np.max(np.abs(eval_path(p, 1.0) + np.eye(2))) < 1e-12
+    assert np.max(np.abs(p.eval(1.0) + np.eye(2))) < 1e-12
 
 
 def test_projection_of_one_factor_path_is_exponential():
@@ -110,7 +109,7 @@ def test_su_section_winding_one_example():
     k = np.trace(p.factors[0]) / (2j * np.pi)
     assert abs(k - 1.0) < 1e-9
     ts = np.linspace(0.0, 1.0, 33)
-    dets = np.array([np.linalg.det(eval_path(p, t)) for t in ts])
+    dets = np.array([np.linalg.det(p.eval(t)) for t in ts])
     assert np.max(np.abs(dets - 1.0)) < 1e-10
     assert np.max(np.abs(project_path(p) - g)) < ENDPOINT_TOL
 
@@ -128,7 +127,7 @@ def test_su_section_determinant_on_grid():
         except ValueError:
             continue
         done += 1
-        dets = np.array([np.linalg.det(eval_path(p, t)) for t in ts])
+        dets = np.array([np.linalg.det(p.eval(t)) for t in ts])
         assert np.max(np.abs(dets - 1.0)) < 1e-10
         assert np.max(np.abs(project_path(p) - g)) < ENDPOINT_TOL
 
