@@ -57,7 +57,6 @@ from .spectral import (
     torus_path_factor,
     centralizer_element,
     block_structure,
-    real_eigenspace,
 )
 from .sections import (
     PathElement,

@@ -8,6 +8,8 @@ checks passed, 1 at least one check failed (or a sweep completed no trial),
 
 A flat key=value config file can pre-set any flag (seed=3, group=SU,
 tol.dhat-eigenvalue-residual=1e-5, ...); explicit flags win over the file.
+One file may serve every subcommand: a key need only be a flag of some
+subcommand (or a tol.* key), and each subcommand reads the keys it knows.
 """
 
 import argparse
@@ -28,7 +30,6 @@ DEMO_PROPERTIES = {
     "condiff": ["condiff-identity", "condiff-rotation", "condiff-generic"],
     "reparam": ["reparam-rotation-preserves", "reparam-generic-breaks", "reparam-transport-carries"],
     "counterexample": ["subbundle-counterexample", "subbundle-linear-phase"],
-    "subbundle": ["subbundle-counterexample", "subbundle-linear-phase"],
 }
 
 HOLONOMY_CHECK_THRESHOLDS = {"gram": 1e-8, "dhat": 1e-6, "periodicity": 1e-8}
@@ -62,6 +63,16 @@ def load_config(path):
             raise ConfigError(f"{path}:{lineno}: empty key or value")
         table[key] = value
     return table
+
+
+def _check_config_keys(parser, config):
+    """Reject a key that is no flag of any subcommand and not tol.*, e.g. a misspelling."""
+    subcommands = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    flags = {action.dest for sub in subcommands.choices.values() for action in sub._actions if action.option_strings}
+    flags.discard("help")
+    for key in config:
+        if not key.startswith("tol.") and key not in flags:
+            raise ConfigError(f"unknown config key {key!r}: it is no flag of any subcommand")
 
 
 def _setting(args, config, key, parse, default):
@@ -279,6 +290,11 @@ def _build_model(config):
         raise ConfigError(f"--grid must be a power of two, not {grid}")
     if 2 * config["modes"] + 1 > grid:
         raise ConfigError(f"--modes {config['modes']} needs 2 * modes + 1 <= --grid {grid}, or the basis aliases")
+    if model_name not in ("torus", "sphere", "su2"):
+        raise ConfigError(f"model must be torus, sphere or su2, not {model_name!r}")
+    theta = config["theta"]
+    if theta is not None and model_name != "sphere":
+        raise ConfigError(f"theta is the sphere's colatitude; the {model_name} model has none")
     winding = config["winding"]
     if model_name == "torus":
         pair = winding if winding is not None else (1, 0)
@@ -287,15 +303,13 @@ def _build_model(config):
         if len(pair) == 1:
             pair = (pair[0], 0)
         return geo.torus_model(winding=tuple(pair), grid=grid)
-    if model_name not in ("sphere", "su2"):
-        raise ConfigError(f"model must be torus, sphere or su2, not {model_name!r}")
     if winding is not None and len(winding) != 1:
         raise ConfigError(f"the {model_name} model takes one winding integer, not {len(winding)}")
     w = winding[0] if winding else 1
     if model_name == "su2":
         return geo.su2_model(direction=(0.0, 0.0, 1.0), winding=w, grid=grid)
     try:
-        return geo.sphere_model(config["theta"], winding=w, grid=grid)
+        return geo.sphere_model(np.pi / 3 if theta is None else theta, winding=w, grid=grid)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -362,7 +376,7 @@ def cmd_demo(config):
     """Run one named demonstration and report residuals against thresholds."""
     name = config["name"]
     if name not in DEMO_PROPERTIES:
-        raise ConfigError(f"demo must be one of {sorted(set(DEMO_PROPERTIES))}, not {name!r}")
+        raise ConfigError(f"demo must be one of {sorted(DEMO_PROPERTIES)}, not {name!r}")
     seed = config["seed"]
     records = [props.run_property(prop, seed=seed) for prop in DEMO_PROPERTIES[name]]
     _print_records(records)
@@ -416,7 +430,7 @@ def build_parser():
 
     p_hol = sub.add_parser("holonomy", help="monodromy, Floquet exponents and fibre basis over one loop")
     p_hol.add_argument("--model", choices=("torus", "sphere", "su2"))
-    p_hol.add_argument("--theta", type=float, help="sphere colatitude in (0, pi)")
+    p_hol.add_argument("--theta", type=float, help="sphere colatitude in (0, pi), default pi/3; sphere only")
     p_hol.add_argument("--winding", type=_parse_winding, help="integer (or comma pair for the torus)")
     p_hol.add_argument("--r", type=float, help="annulus parameter for the weighted pairing, > 1")
     p_hol.add_argument("--modes", type=int, help="Fourier mode bound P of the fibre basis")
@@ -424,7 +438,7 @@ def build_parser():
     p_hol.add_argument("--out")
 
     p_demo = sub.add_parser("demo", help="named demonstration runs")
-    p_demo.add_argument("name", choices=sorted(set(DEMO_PROPERTIES)))
+    p_demo.add_argument("name", choices=sorted(DEMO_PROPERTIES))
     p_demo.add_argument("--seed", type=int)
     p_demo.add_argument("--out")
     return parser
@@ -440,8 +454,10 @@ def main(argv=None):
                 file_config = load_config(argv[i + 1])
             elif token.startswith("--config="):
                 file_config = load_config(token[len("--config=") :])
+        parser = build_parser()
+        _check_config_keys(parser, file_config)
         argv, tolerances = extract_tolerances(argv, file_config)
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
 
         config = {"tolerances": tolerances}
         config["seed"] = _setting(args, file_config, "seed", int, 0)
@@ -457,7 +473,7 @@ def main(argv=None):
             return cmd_section(config)
         if args.command == "holonomy":
             config["model"] = _setting(args, file_config, "model", str, "sphere")
-            config["theta"] = _setting(args, file_config, "theta", float, np.pi / 3)
+            config["theta"] = _setting(args, file_config, "theta", float, None)
             config["winding"] = _setting(args, file_config, "winding", _parse_winding, None)
             config["r"] = _finite(_setting(args, file_config, "r", float, 2.0), "--r")
             config["modes"] = _positive(_setting(args, file_config, "modes", int, 8), "--modes")

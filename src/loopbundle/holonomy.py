@@ -35,23 +35,13 @@ import numpy as np
 from dataclasses import dataclass
 
 from .laurent import SampledLoop, laurent_eval, polynomiality_residual
-from .spectral import clustered_eig, one_parameter_path
+from .spectral import clustered_eig, one_parameter_path, projector_basis
 
 MODEL_TAGS = ("flat-torus-T2", "round-sphere-S2", "group-SU2")
 # Fourier coefficients below this fraction of the largest one are round-off
 # and are left out of trigonometric interpolation
 TRIG_FLOOR = 1e-13
 J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
-
-# quaternion basis of the 2x2 skew-hermitian traceless matrices, orthonormal
-# for <a, b> = -tr(ab)/2; the commutator is twice the cross product
-SU2_BASIS = np.array(
-    [
-        [[0.0 + 0j, 1.0], [-1.0, 0.0]],
-        [[0.0, 1j], [1j, 0.0]],
-        [[1j, 0.0], [0.0, -1j]],
-    ]
-)
 
 
 def _cross_matrix(u):
@@ -134,9 +124,6 @@ class ConnectionModel:
     def __post_init__(self):
         if self.tag not in MODEL_TAGS:
             raise ValueError(f"unknown model tag {self.tag!r}")
-
-    def fibre_dim(self):
-        return 3 if self.tag == "group-SU2" else 2
 
     def base_coefficient(self, loop):
         """The constant connection matrix of the unreparametrised loop."""
@@ -292,35 +279,13 @@ def _window(x):
     return np.mod(np.asarray(x, dtype=float) + 0.5, 1.0) - 0.5
 
 
-def _projector_basis(proj, rank):
-    """Orthonormal basis of the range of a projector: Gram-Schmidt of P e_1, P e_2, ...
-
-    A column is kept when its remainder exceeds 1/(2 sqrt n).  One pass always
-    finds `rank` columns: the remainder projector left after the pass would
-    have a diagonal entry of at least 1/n, and that column's remainder could
-    only have been larger when it was visited.
-    """
-    n = proj.shape[0]
-    basis = np.zeros((n, 0), dtype=complex)
-    for k in range(n):
-        v = proj[:, k]
-        for _ in range(2):  # second pass restores orthogonality lost to round-off
-            v = v - basis @ (basis.conj().T @ v)
-        norm = np.linalg.norm(v)
-        if norm > 0.5 / np.sqrt(n):
-            basis = np.column_stack([basis, v / norm])
-            if basis.shape[1] == rank:
-                break
-    return basis
-
-
 def floquet(g, frame_path=None):
     """Floquet exponents s_j in [-1/2, 1/2) and eigenframe of a holonomy matrix.
 
     Eigenvalues are clustered as in the spectral helpers; columns are ordered
     by exponent.  Inside a multi-eigenvalue cluster the Schur vectors depend
     on the round-off in g, so the frame there is the deterministic basis of
-    the cluster's spectral projector from `_projector_basis` (for g = +-I the
+    the cluster's spectral projector from `projector_basis` (for g = +-I the
     standard basis).  Rejects matrices that are not unitary/orthogonal to 1e-8.
     """
     arr = np.asarray(g, dtype=complex)
@@ -333,7 +298,7 @@ def floquet(g, frame_path=None):
     for value, cluster in zip(decomp.cluster_values, decomp.clusters):
         exps[list(cluster)] = _window(np.angle(value) / (2.0 * np.pi))
         if len(cluster) > 1:
-            vectors[:, list(cluster)] = _projector_basis(decomp.projector(cluster), len(cluster))
+            vectors[:, list(cluster)] = projector_basis(decomp.projector(cluster))
     order = np.lexsort((np.arange(n), exps))
     return MonodromyData(
         holonomy=arr,
@@ -650,9 +615,6 @@ class _DirectSumModel:
         self.first = first
         self.second = second
         self.tag = "direct-sum"
-
-    def fibre_dim(self):
-        return self.first[0].fibre_dim() + self.second[0].fibre_dim()
 
     def _blockwise(self, method, *args):
         a = getattr(self.first[0], method)(self.first[1], *args)

@@ -122,10 +122,6 @@ class SampledLoop:
     def dim(self):
         return self.values.shape[1]
 
-    @property
-    def times(self):
-        return np.arange(self.grid) / self.grid
-
 
 def identity_loop(dim, field="real"):
     return MatrixLoop(dim=dim, coeffs={0: np.eye(dim)}, field=field)

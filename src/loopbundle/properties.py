@@ -35,6 +35,7 @@ from .laurent import (
     laurent_mul,
     polynomiality_residual,
     sample_loop,
+    sampled_group_residual,
 )
 from .modes import (
     LoopVector,
@@ -65,7 +66,6 @@ from .sections import (
     fiber_certificate,
     junction_mismatch,
     path_fiber_quotient,
-    path_group_residual,
     project_path,
     smooth_section,
     so_section,
@@ -718,12 +718,12 @@ def sweep_sections(group, dims, trials, rng, branch=0.0, split=0.0):
             rejections += 1
             continue
         completed += 1
+        vals = element.eval(np.arange(128) / 128)
         endpoint = float(np.linalg.norm(project_path(element) - target))
-        gres = path_group_residual(element, samples=128)
+        gres = sampled_group_residual(vals, group)
         _, poly, _ = fiber_certificate(element)
         entry = {"trial": trial, "dim": dim, "endpoint": endpoint, "group": gres, "poly": poly}
         if group == "SU":
-            vals = element.eval(np.arange(128) / 128)
             entry["det"] = float(np.max(np.abs(np.linalg.det(vals) - 1.0)))
             maxima["det"] = max(maxima["det"], entry["det"])
         maxima["endpoint"] = max(maxima["endpoint"], endpoint)

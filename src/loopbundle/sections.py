@@ -34,16 +34,15 @@ from .laurent import (
     sampled_group_residual,
 )
 from .spectral import (
-    _canonical_order,
+    SkewSpectrum,
     block_structure,
     central_log,
-    check_skew,
     check_unitary,
     clustered_eig,
     log_branch,
     one_parameter_path,
+    projector_basis,
     so_log,
-    spectral_radius,
 )
 
 PERIODICITY_TOL = 1e-9
@@ -52,19 +51,23 @@ CERT_GUARD = 4
 
 
 class PathElement:
-    """Product of one-parameter exponential factors and an optional loop part."""
+    """Product of one-parameter exponential factors and an optional loop part.
+
+    Each factor is decomposed once (`spectra`), and the projection
+    alpha(1) alpha(0)^{-1} is kept from the quasi-periodicity check.
+    """
 
     def __init__(self, factors, loop=None, group="U", dim=None):
-        factors = [check_skew(f) for f in factors]
+        spectra = [SkewSpectrum(f) for f in factors]
         if dim is None:
-            if factors:
-                dim = factors[0].shape[0]
+            if spectra:
+                dim = spectra[0].u.shape[0]
             elif loop is not None:
                 dim = loop.dim
             else:
                 raise ValueError("cannot infer dimension")
-        for f in factors:
-            if f.shape != (dim, dim):
+        for spectrum in spectra:
+            if spectrum.u.shape != (dim, dim):
                 raise ValueError("factor dimension mismatch")
         if loop is not None and loop.dim != dim:
             raise ValueError("loop part dimension mismatch")
@@ -72,36 +75,41 @@ class PathElement:
             raise ValueError(f"unknown group tag {group!r}")
         self.dim = dim
         self.group = group
-        self.factors = factors
+        self.factors = [np.asarray(f, dtype=complex) for f in factors]
+        self.spectra = spectra
         self.loop = loop
-        err = self.periodicity_defect()
-        if err > PERIODICITY_TOL:
-            raise ValueError(f"path is not quasi-periodic (defect {err:.3e})")
+        ts = np.arange(16) / 16
+        vals = self.eval(np.concatenate([ts, ts + 1.0]))
+        low, high = vals[:16], vals[16:]
+        self.projection = high[0] @ np.linalg.inv(low[0])
+        self._defect = float(np.max(np.linalg.norm(high - self.projection @ low, axis=(1, 2))))
+        if self._defect > PERIODICITY_TOL:
+            raise ValueError(f"path is not quasi-periodic (defect {self._defect:.3e})")
+
+    @property
+    def radii(self):
+        """Spectral radius of each factor."""
+        return [spectrum.radius for spectrum in self.spectra]
 
     def eval(self, ts):
         """Values alpha(t) at scalar or array times."""
-        scalar = np.isscalar(ts) or np.asarray(ts).ndim == 0
+        scalar = np.ndim(ts) == 0
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.broadcast_to(np.eye(self.dim, dtype=complex), (ts.size, self.dim, self.dim)).copy()
-        for f in self.factors:
-            out = np.einsum("tij,tjk->tik", out, one_parameter_path(f, ts))
+        out = np.tile(np.eye(self.dim, dtype=complex), (ts.size, 1, 1))
+        for spectrum in self.spectra:
+            out = out @ spectrum.exp(ts)
         if self.loop is not None:
-            out = np.einsum("tij,tjk->tik", out, laurent_eval(self.loop, ts))
+            out = out @ laurent_eval(self.loop, ts)
         return out[0] if scalar else out
 
     def periodicity_defect(self):
-        ts = np.arange(16) / 16
-        low = self.eval(ts)
-        high = self.eval(ts + 1.0)
-        const = high[0] @ np.linalg.inv(low[0])
-        return float(np.max(np.linalg.norm(high - np.einsum("ij,tjk->tik", const, low), axis=(1, 2))))
+        """Max of |alpha(t+1) - alpha(1) alpha(0)^{-1} alpha(t)| over 16 times, from construction."""
+        return self._defect
 
 
 def project_path(p):
     """alpha(1) alpha(0)^{-1}; equals the product of exp(xi_i) for loop parts."""
-    a0 = p.eval(0.0)
-    a1 = p.eval(1.0)
-    return a1 @ np.linalg.inv(a0)
+    return p.projection
 
 
 def act_group(p, g, conjugate=False):
@@ -151,9 +159,9 @@ def fiber_certificate(p):
     how far the quotient loop is from a trigonometric polynomial of the
     predicted degree.  Returns (quotient MatrixLoop, residual, degree).
     """
-    zeta = central_log(project_path(p))
-    radius = max([spectral_radius(zeta)] + [spectral_radius(f) for f in p.factors])
-    return _certify(radius, [p.loop], lambda ts: np.einsum("tij,tjk->tik", one_parameter_path(-zeta, ts), p.eval(ts)))
+    zeta = SkewSpectrum(central_log(p.projection))
+    radius = max([zeta.radius] + p.radii)
+    return _certify(radius, [p.loop], lambda ts: zeta.exp(-ts) @ p.eval(ts))
 
 
 def path_fiber_quotient(a, b):
@@ -163,11 +171,10 @@ def path_fiber_quotient(a, b):
     projection of the quotient and its normalized residual; a small residual
     certifies that the two paths differ by a polynomial loop.
     """
-    gap = np.linalg.norm(project_path(a) - project_path(b))
+    gap = np.linalg.norm(a.projection - b.projection)
     if gap > PERIODICITY_TOL:
         raise ValueError(f"paths project to different group elements (gap {gap:.3e})")
-    radius = sum(spectral_radius(f) for f in a.factors + b.factors)
-    quotient, residual, _ = _certify(radius, [a.loop, b.loop], lambda ts: np.linalg.solve(a.eval(ts), b.eval(ts)))
+    quotient, residual, _ = _certify(sum(a.radii + b.radii), [a.loop, b.loop], lambda ts: np.linalg.solve(a.eval(ts), b.eval(ts)))
     return quotient, residual
 
 
@@ -295,15 +302,6 @@ def so_spectral_split(h, r):
     return low, np.eye(n) - low
 
 
-def _range_basis(projector):
-    """Canonically ordered real orthonormal basis of the range of a projector."""
-    u, sing, _ = np.linalg.svd(projector)
-    cols = u[:, sing > 0.5]
-    if cols.shape[1] == 0:
-        return cols
-    return _canonical_order(cols)
-
-
 def so_section(r, g, h):
     """Two-factor section of the special orthogonal group around the base point g.
 
@@ -315,7 +313,7 @@ def so_section(r, g, h):
     h = np.asarray(h, dtype=float)
     low_g, _ = so_spectral_split(g, r)
     low_h, _ = so_spectral_split(h, r)
-    basis_g = _range_basis(low_g)
+    basis_g = projector_basis(low_g)
     rank_g, rank_h = basis_g.shape[1], int(round(np.trace(low_h)))
     if rank_g != rank_h:
         raise ValueError(f"low-block ranks differ ({rank_g} vs {rank_h}); h is outside the chart of g")

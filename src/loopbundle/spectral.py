@@ -120,11 +120,32 @@ def clustered_eig(g):
     return EigenDecomp(values=values, vectors=z_mat, clusters=_cluster_indices(values))
 
 
+class SkewSpectrum:
+    """The eigendecomposition xi = u diag(-i mu) u* of a skew-hermitian matrix, taken once.
+
+    mu are the (real) eigenvalues of the hermitian matrix i xi; every
+    exponential exp(t xi) below is (u e^{-i t mu}) u*.
+    """
+
+    def __init__(self, xi):
+        self.mu, self.u = np.linalg.eigh(1j * check_skew(xi))
+
+    @property
+    def radius(self):
+        """Largest |eigenvalue| of xi."""
+        return float(np.max(np.abs(self.mu), initial=0.0))
+
+    def exp(self, ts):
+        """Batched exp(t xi) for an array of times; shape (len(ts), n, n)."""
+        phases = np.exp(-1j * np.outer(np.asarray(ts, dtype=float), self.mu))
+        scaled = self.u * phases[:, None, :]  # u diag(e^{-i t mu}) for each t
+        # one (len(ts) n x n) by (n x n) product instead of len(ts) small ones
+        return (scaled.reshape(-1, self.mu.size) @ self.u.conj().T).reshape(scaled.shape)
+
+
 def spectral_radius(xi):
     """Largest |eigenvalue| of a skew-hermitian matrix."""
-    arr = check_skew(xi)
-    mu = np.linalg.eigvalsh(1j * arr)
-    return float(np.max(np.abs(mu), initial=0.0))
+    return SkewSpectrum(xi).radius
 
 
 def exp_skew(xi):
@@ -133,17 +154,12 @@ def exp_skew(xi):
     Exactly unitary up to round-off; cross-checked in the test suite against
     a scaling-and-squaring oracle.
     """
-    arr = check_skew(xi)
-    mu, u = np.linalg.eigh(1j * arr)
-    return (u * np.exp(-1j * mu)[None, :]) @ u.conj().T
+    return SkewSpectrum(xi).exp(1.0)[0]
 
 
 def one_parameter_path(xi, ts):
     """Batched exp(t xi) for an array of times; shape (len(ts), n, n)."""
-    arr = check_skew(xi)
-    mu, u = np.linalg.eigh(1j * arr)
-    phases = np.exp(-1j * np.outer(np.asarray(ts, dtype=float), mu))
-    return np.einsum("ij,tj,kj->tik", u, phases, u.conj())
+    return SkewSpectrum(xi).exp(ts)
 
 
 def log_branch(g, s=0.0):
@@ -180,22 +196,28 @@ def central_log(g):
     return decomp.compose(1j * theta)
 
 
-def _canonical_order(columns):
-    """Deterministic ordering/sign convention for a real orthonormal family.
+def projector_basis(proj):
+    """Orthonormal basis of the range of a projector: Gram-Schmidt of P e_1, P e_2, ...
 
-    Sorts columns by the index of their first significant entry (then by the
-    rounded entries themselves) and flips signs so that entry is positive.
+    A column is kept when its remainder exceeds 1/(2 sqrt n).  One pass always
+    finds rank = trace(P) columns: the remainder projector left after the pass
+    would have a diagonal entry of at least 1/n, and that column's remainder
+    could only have been larger when it was visited.  A real projector gets a
+    real basis.
     """
-    cols = []
-    for i in range(columns.shape[1]):
-        c = columns[:, i].copy()
-        sig = np.flatnonzero(np.abs(c) > 1e-8)
-        lead = int(sig[0]) if sig.size else 0
-        if c[lead] < 0:
-            c = -c
-        cols.append((lead, tuple(np.round(c, 6)), c))
-    cols.sort(key=lambda item: (item[0], item[1]))
-    return np.column_stack([c for _, _, c in cols])
+    n = proj.shape[0]
+    rank = int(round(np.trace(proj).real))
+    basis = np.zeros((n, 0), dtype=proj.dtype)
+    for k in range(n):
+        v = proj[:, k]
+        for _ in range(2):  # second pass restores orthogonality lost to round-off
+            v = v - basis @ (basis.conj().T @ v)
+        norm = np.linalg.norm(v)
+        if norm > 0.5 / np.sqrt(n):
+            basis = np.column_stack([basis, v / norm])
+            if basis.shape[1] == rank:
+                break
+    return basis
 
 
 def block_structure(columns):
@@ -215,18 +237,6 @@ def block_structure(columns):
     return j
 
 
-def real_eigenspace(g, value):
-    """Real orthonormal basis (canonically ordered) of ker(g - value) for real value."""
-    arr = np.asarray(g, dtype=float)
-    n = arr.shape[0]
-    _, sing, vt = np.linalg.svd(arr - value * np.eye(n))
-    keep = sing < 1e-7
-    basis = vt[keep].T
-    if basis.shape[1] == 0:
-        return basis
-    return _canonical_order(basis)
-
-
 def exp_pair_loop(xi_1, xi_2, degree=None):
     """Fourier data of the loop t -> exp(-t xi_1) exp(t xi_2).
 
@@ -235,17 +245,16 @@ def exp_pair_loop(xi_1, xi_2, degree=None):
     degree is bounded by the sum of the spectral radii over 2 pi.  Returns
     (MatrixLoop, residual) of the projection at the given (or default) degree.
     """
-    a = check_skew(xi_1)
-    b = check_skew(xi_2)
-    if a.shape != b.shape:
+    a = SkewSpectrum(xi_1)
+    b = SkewSpectrum(xi_2)
+    if a.u.shape != b.u.shape:
         raise ValueError("shape mismatch")
-    if np.linalg.norm(exp_skew(a) - exp_skew(b)) > 1e-9:
+    if np.linalg.norm(a.exp(1.0) - b.exp(1.0)) > 1e-9:
         raise ValueError("exp(xi_1) != exp(xi_2); the pair does not define a loop")
     if degree is None:
-        degree = int(np.ceil((spectral_radius(a) + spectral_radius(b)) / (2.0 * np.pi))) + 4
+        degree = int(np.ceil((a.radius + b.radius) / (2.0 * np.pi))) + 4
     ts = np.arange(DEFAULT_GRID) / DEFAULT_GRID
-    vals = np.einsum("tij,tjk->tik", one_parameter_path(-a, ts), one_parameter_path(b, ts))
-    return fourier_project(SampledLoop(values=vals), degree)
+    return fourier_project(SampledLoop(values=a.exp(-ts) @ b.exp(ts)), degree)
 
 
 def torus_path_factor(g, angles):
@@ -288,10 +297,10 @@ def unitary_structure(xi):
     n = arr.shape[0]
     if n % 2 != 0:
         raise ValueError("unitary structures need even dimension")
-    mu, u = np.linalg.eigh(1j * arr)  # xi eigenvalue is -i mu, positive part is mu < 0
-    if np.min(np.abs(mu)) <= 1e-8:
+    spectrum = SkewSpectrum(arr)  # xi eigenvalue is -i mu, positive part is mu < 0
+    if np.min(np.abs(spectrum.mu)) <= 1e-8:
         raise ValueError("skew matrix has a (near-)zero eigenvalue; J is undefined")
-    w_cols = u[:, mu < 0]
+    w_cols = spectrum.u[:, spectrum.mu < 0]
     if 2 * w_cols.shape[1] != n:
         raise ValueError("positive and negative spectra are unbalanced")
     proj = w_cols @ w_cols.conj().T
@@ -315,7 +324,7 @@ def _orthogonal_log(arr):
     xi = decomp.compose(1j * theta)
     j = decomp.compose(1j * np.sign(theta))
     if neg_one.any():
-        basis = real_eigenspace(arr, -1.0)
+        basis = projector_basis(decomp.compose(neg_one).real)
         if basis.shape[1] % 2 != 0:
             raise ValueError("odd-dimensional -1 eigenspace; input is not special orthogonal")
         j_f = block_structure(basis)

@@ -86,6 +86,35 @@ def test_config_supplies_values_and_flags_win(tmp_path):
     assert read_json(out_flag)["seed"] == 5
 
 
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        ("seeed=3\n", ["section", "--trials", "1"]),
+        ("config=other.cfg\n", ["verify"]),
+        ("theta=1.0\n", ["holonomy", "--model", "torus", "--grid", "64", "--modes", "1"]),
+    ],
+)
+def test_config_keys_that_set_nothing_are_config_errors(tmp_path, capsys, text, argv):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert cli.main(["--config", str(cfg)] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+
+
+@pytest.mark.parametrize("command", ["verify", "section", "holonomy", "demo"])
+def test_shared_config_file_is_valid_for_every_subcommand(tmp_path, monkeypatch, command):
+    seen = {}
+    for name in ("cmd_verify", "cmd_section", "cmd_holonomy", "cmd_demo"):
+        monkeypatch.setattr(cli, name, lambda config: seen.update(config) or 0)
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("seed=3\ngroup=SU\ntol.cosh-inequality=0.5\n")
+    argv = [command, "counterexample"] if command == "demo" else [command]
+    assert cli.main(["--config", str(cfg)] + argv) == 0
+    assert seen["seed"] == 3
+    assert seen["tolerances"] == {"cosh-inequality": 0.5}
+
+
 def test_config_can_force_failure_via_tolerance(tmp_path):
     cfg = tmp_path / "tol.cfg"
     cfg.write_text("tol.cosh-inequality=-1\ntrials=2\n")
@@ -269,6 +298,8 @@ def test_holonomy_passes_on_coarse_grids(argv, capsys):
         ["holonomy", "--model", "torus", "--winding", "1,2,3"],
         ["holonomy", "--model", "sphere", "--winding", "2,5"],
         ["holonomy", "--model", "su2", "--winding", "2,5"],
+        ["holonomy", "--model", "torus", "--theta", "1.0"],
+        ["holonomy", "--model", "su2", "--theta", "1.0"],
     ],
 )
 def test_malformed_numeric_flags_are_config_errors(argv, capsys):

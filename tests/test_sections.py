@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from loopbundle import (
     PathElement,
@@ -24,6 +25,7 @@ from loopbundle.rand import (
     random_skew,
     random_special_orthogonal,
     random_special_unitary,
+    random_unit_vector,
     random_unitary,
 )
 
@@ -284,3 +286,34 @@ def test_group_action_conjugates_projection():
     assert np.max(np.abs(project_path(conj) - g @ target @ g.conj().T)) < ENDPOINT_TOL
     left = act_group(p, g, conjugate=False)
     assert left.periodicity_defect() < ENDPOINT_TOL
+
+
+def _expm_product(factors, t):
+    out = np.eye(factors[0].shape[0], dtype=complex)
+    for xi in factors:
+        out = out @ expm(t * xi)
+    return out
+
+
+@pytest.mark.parametrize("group", ["U", "SU", "SO", "moved"])
+def test_eval_and_projection_match_expm_products(group):
+    rng = np.random.default_rng(80)
+    ts = np.array([0.0, 0.13, 0.5, 0.87, 1.0, 1.6])
+    for dim in (2, 3, 4, 5):
+        g = np.eye(dim)
+        if group == "SO":
+            base = random_special_orthogonal(rng, dim)
+            q = exp_skew(random_skew(rng, dim, real=True, scale=0.12)).real
+            p = so_section(0.0, base, q @ base @ q.T)
+        elif group == "SU":
+            p = su_section(0.0, random_special_unitary(rng, dim), random_unit_vector(rng, dim))
+        else:
+            p = un_section(0.0, random_unitary(rng, dim))
+        factors = p.factors
+        if group == "moved":
+            g = random_unitary(rng, dim)
+            p = act_group(p, g)
+        # alpha(t) = g prod_i exp(t xi_i), with the factors from before any move
+        expected = np.array([g @ _expm_product(factors, t) for t in ts])
+        assert np.max(np.abs(p.eval(ts) - expected)) < 1e-12
+        assert np.max(np.abs(project_path(p) - g @ _expm_product(factors, 1.0) @ g.conj().T)) < 1e-12

@@ -270,6 +270,22 @@ def test_log0_decompose_rejects_eigenvalue_one():
         log0_decompose(np.eye(2))
 
 
+@pytest.mark.parametrize("phi", [0.4, -2.7])
+def test_logs_on_conjugated_four_dimensional_minus_one_eigenspace(phi):
+    """g = q (-I_4 + R(phi)) q^T: the block structure needs a 4-dimensional -1 eigenspace basis."""
+    core = np.zeros((6, 6))
+    core[:4, :4] = -np.eye(4)
+    core[4:, 4:] = rotation(phi)
+    q = random_special_orthogonal(np.random.default_rng(62), 6)
+    g = q @ core @ q.T
+    xi, J = log0_decompose(g)
+    assert np.max(np.abs(J @ J + np.eye(6))) < 1e-9
+    for log in (xi, so_log(g)):
+        assert np.isrealobj(log)
+        assert np.max(np.abs(log + log.T)) < 1e-12
+        assert np.max(np.abs(exp_skew(log) - g)) < ROUNDTRIP_TOL
+
+
 def test_so_log_roundtrip():
     rng = np.random.default_rng(61)
     for dim in (3, 4, 5):
