@@ -45,7 +45,6 @@ from .modes import (
 from .spectral import (
     EigenDecomp,
     clustered_eig,
-    spectral_radius,
     exp_skew,
     one_parameter_path,
     log_branch,

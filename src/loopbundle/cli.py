@@ -4,15 +4,19 @@ Subcommands map onto the library's main entry points.  All randomness flows
 from --seed, so a repeated invocation produces byte-identical output files
 (reports carry no timestamps and are written atomically).  Exit codes: 0 all
 checks passed, 1 at least one check failed (or a sweep completed no trial),
-2 malformed configuration or arguments, found before any work starts.
+2 malformed configuration or arguments, found before any work starts and
+reported as one 'config error:' line on stderr.
 
-A flat key=value config file can pre-set any flag (seed=3, group=SU,
-tol.dhat-eigenvalue-residual=1e-5, ...); explicit flags win over the file.
-One file may serve every subcommand: a key need only be a flag of some
-subcommand (or a tol.* key), and each subcommand reads the keys it knows.
+One table, COMMANDS, declares each subcommand's flags (type, default, help,
+value check) and builds the parser.  A flat key=value config file (seed=3,
+group=SU, tol.cosh-inequality=0.5, ...) may serve every subcommand: each key
+must be a flag of some subcommand, and its value, converted once by that
+flag's type, becomes the flag's default, so explicit flags win.  Only verify
+and demo run properties, so only they take --tol.<name> X.
 """
 
 import argparse
+import collections
 import csv
 import io
 import json
@@ -32,7 +36,7 @@ DEMO_PROPERTIES = {
     "counterexample": ["subbundle-counterexample", "subbundle-linear-phase"],
 }
 
-HOLONOMY_CHECK_THRESHOLDS = {"gram": 1e-8, "dhat": 1e-6, "periodicity": 1e-8}
+HOLONOMY_CHECK_THRESHOLDS = {"gram": 1e-8, "dhat": 1e-6, "periodicity": 1e-8, "cos_gram": 1e-8}
 
 
 class ConfigError(Exception):
@@ -65,94 +69,110 @@ def load_config(path):
     return table
 
 
-def _check_config_keys(parser, config):
-    """Reject a key that is no flag of any subcommand and not tol.*, e.g. a misspelling."""
-    subcommands = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
-    flags = {action.dest for sub in subcommands.choices.values() for action in sub._actions if action.option_strings}
-    flags.discard("help")
-    for key in config:
-        if not key.startswith("tol.") and key not in flags:
-            raise ConfigError(f"unknown config key {key!r}: it is no flag of any subcommand")
-
-
-def _setting(args, config, key, parse, default):
-    """Flag value if given, else config value, else default."""
-    flag = getattr(args, key.replace(".", "_"), None)
-    if flag is not None:
-        return flag
-    if key in config:
-        try:
-            return parse(config[key])
-        except ValueError as exc:
-            raise ConfigError(f"config key {key}: {exc}") from exc
-    return default
-
-
-def extract_tolerances(argv, config):
-    """Pull --tol.<name> overrides out of argv and merge with config tol.* keys.
-
-    Returns (remaining argv, {property: threshold}).  Unknown property names
-    and unparsable values are config errors.
-    """
-    overrides = {}
-    remaining = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if token.startswith("--tol."):
-            if "=" in token:
-                name, value = token[len("--tol.") :].split("=", 1)
-            else:
-                name = token[len("--tol.") :]
-                i += 1
-                if i >= len(argv):
-                    raise ConfigError(f"--tol.{name} needs a value")
-                value = argv[i]
-            overrides[name] = value
-        else:
-            remaining.append(token)
-        i += 1
-    merged = {}
-    for key, value in config.items():
-        if key.startswith("tol."):
-            merged[key[len("tol.") :]] = value
-    merged.update(overrides)
-    known = set(props.property_names())
-    out = {}
-    for name, value in merged.items():
-        if name not in known:
-            raise ConfigError(f"unknown property in tolerance override: {name!r}")
-        try:
-            out[name] = float(value)
-        except ValueError as exc:
-            raise ConfigError(f"tolerance for {name} is not a number: {value!r}") from exc
-    return remaining, out
-
-
-def _positive(value, flag):
+def _positive(value, key):
     """Reject counts and sizes below one instead of silently replacing them."""
     if value is not None and value < 1:
-        raise ConfigError(f"{flag} must be a positive integer, not {value}")
-    return value
+        raise ConfigError(f"--{key} must be a positive integer, not {value}")
 
 
-def _finite(value, flag):
-    """Reject nan and infinite values, which argparse's float accepts."""
+def _finite(value, key):
+    """Reject nan and infinite values, which float() accepts."""
     if not np.isfinite(value):
-        raise ConfigError(f"{flag} must be a finite number, not {value}")
-    return value
+        raise ConfigError(f"--{key} must be a finite number, not {value}")
 
 
-def _output_path(out):
+def _output_path(out, key):
     """Check that --out names a file in an existing directory before any work runs."""
     if out is None:
-        return None
+        return
     if os.path.isdir(out):
-        raise ConfigError(f"--out {out} is a directory, not a file path")
+        raise ConfigError(f"--{key} {out} is a directory, not a file path")
     directory = os.path.dirname(os.path.abspath(out))
     if not os.path.isdir(directory):
-        raise ConfigError(f"--out directory {directory} does not exist")
-    return out
+        raise ConfigError(f"--{key} directory {directory} does not exist")
+
+
+def _parse_winding(text):
+    parts = str(text).split(",")
+    try:
+        return tuple(int(part) for part in parts)
+    except ValueError:
+        # argparse prints this message; for ValueError it would print the function's name
+        raise argparse.ArgumentTypeError(f"winding must be an integer or comma pair: {text!r}") from None
+
+
+# type converts the text of a flag or config value; check(value, key) raises ConfigError
+Flag = collections.namedtuple("Flag", "type default help check", defaults=(None,))
+
+SEED = Flag(int, 0, "root seed of every random draw")
+OUT = Flag(str, None, "write a JSON report here (verify and holonomy add a CSV beside it)", _output_path)
+TOLERANCES = {f"tol.{name}": Flag(float, None, argparse.SUPPRESS) for name in props.property_names()}
+TOL_HELP = "; --tol.<name> X overrides one property's threshold"
+
+COMMANDS = {
+    "verify": ("run every registered property check" + TOL_HELP, {
+        "seed": SEED,
+        "trials": Flag(int, None, "per-property trial count override", _positive),
+        "out": OUT,
+        **TOLERANCES,
+    }),
+    "section": ("random local-section sweep over one group", {
+        "group": Flag(str, "U", "U, SU or SO"),
+        "dim": Flag(int, None, "one matrix size instead of 2..6", _positive),
+        "trials": Flag(int, 50, "number of random sections", _positive),
+        "r": Flag(float, 0.0, "branch height (U/SU) or split abscissa in [-1,1] (SO)", _finite),
+        "seed": SEED,
+        "out": OUT,
+    }),
+    "holonomy": ("monodromy, Floquet exponents and fibre basis over one loop", {
+        "model": Flag(str, "sphere", "torus, sphere or su2"),
+        "theta": Flag(float, None, "sphere colatitude in (0, pi), default pi/3; sphere only"),
+        "winding": Flag(_parse_winding, None, "integer (or comma pair for the torus)"),
+        "r": Flag(float, 2.0, "annulus parameter for the weighted pairing, > 1", _finite),
+        "modes": Flag(int, 8, "Fourier mode bound P of the fibre basis", _positive),
+        "grid": Flag(int, 4096, "sample grid of the fibre basis (power of two)"),
+        "out": OUT,
+    }),
+    "demo": ("named demonstration runs" + TOL_HELP, {"seed": SEED, "out": OUT, **TOLERANCES}),
+}
+
+
+def _file_defaults(table):
+    """Convert each config value by the type of the flag it names; a key naming no flag is an error."""
+    types = {key: flag.type for _, flags in COMMANDS.values() for key, flag in flags.items()}
+    defaults = {}
+    for key, text in table.items():
+        if key not in types:
+            raise ConfigError(f"unknown config key {key!r}: it is no flag of any subcommand")
+        try:
+            defaults[key] = types[key](text)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ConfigError(f"config key {key}: {exc}") from exc
+    return defaults
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument error is one 'config error:' line on stderr and exit status 2."""
+
+    def error(self, message):
+        print(f"config error: {message}", file=sys.stderr)
+        raise SystemExit(2)
+
+
+def build_parser(defaults):
+    """The parser of COMMANDS, with converted config values (by key) replacing the table's defaults."""
+    description = "Polynomial loop bundles: verification suites, sections, holonomy reports."
+    parser = _Parser(prog="loopbundle", description=description, allow_abbrev=False)
+    parser.add_argument("--config", help="flat key=value config file; flags override it")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (summary, flags) in COMMANDS.items():
+        p_command = sub.add_parser(command, help=summary, description=summary, allow_abbrev=False)
+        if command == "demo":
+            p_command.add_argument("name", choices=sorted(DEMO_PROPERTIES))
+        for key, flag in flags.items():
+            default = defaults.get(key, flag.default)
+            p_command.add_argument(f"--{key}", dest=key, type=flag.type, default=default, help=flag.help)
+    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +226,16 @@ def _sibling_csv(out, suffix):
     return f"{base}-{suffix}.csv"
 
 
-def _print_records(records):
+def _run_properties(config, names, trials=None):
+    """Run and print the named properties under the tolerance overrides; return (failures, shared report)."""
+    tolerances = config["tolerances"]
+    records = [props.run_property(name, config["seed"], trials, tolerances.get(name)) for name in names]
     for rec in records:
         tag = "PASS" if rec.passed else "FAIL"
         print(f"{tag} {rec.name}: observed={rec.observed:.6e} threshold={rec.threshold:.3e} ({rec.comparator})")
+    failures = [rec.name for rec in records if not rec.passed]
+    properties = [rec.to_json_dict() for rec in records]
+    return failures, {"schema": 1, "seed": config["seed"], "properties": properties, "all_passed": not failures}
 
 
 # ---------------------------------------------------------------------------
@@ -218,26 +244,13 @@ def _print_records(records):
 
 def cmd_verify(config):
     """Run every registered property; exit 0 iff all pass."""
-    seed = config["seed"]
-    trials = config["trials"]
-    tolerances = config["tolerances"]
-    records = props.run_all(seed=seed, trials=trials, thresholds=tolerances)
-    _print_records(records)
-    failures = [rec.name for rec in records if not rec.passed]
-    print(f"{len(records) - len(failures)}/{len(records)} properties passed (seed={seed})")
-    out = config["out"]
+    seed, trials, out = config["seed"], config["trials"], config["out"]
+    names = props.property_names()
+    failures, report = _run_properties(config, names, trials)
+    print(f"{len(names) - len(failures)}/{len(names)} properties passed (seed={seed})")
     if out:
-        payload = {
-            "schema": 1,
-            "command": "verify",
-            "seed": seed,
-            "trials": trials,
-            "tolerance_overrides": tolerances,
-            "properties": [rec.to_json_dict() for rec in records],
-            "failures": failures,
-            "all_passed": not failures,
-        }
-        write_json(out, payload)
+        report.update(command="verify", trials=trials, tolerance_overrides=config["tolerances"], failures=failures)
+        write_json(out, report)
         rows = props.hs_diagnostic_rows(props.child_rng(seed, "cli-hs-diagnostics"))
         write_csv(_sibling_csv(out, "hs"), ["degree", "dim", "hs_norm", "oracle_norm", "abs_err"], rows)
     return 0 if not failures else 1
@@ -314,6 +327,23 @@ def _build_model(config):
         raise ConfigError(str(exc)) from exc
 
 
+def _cos_gram_positive(basis, r):
+    """Is the weighted pairing positive definite on the sections recovered from their samples?
+
+    Coefficients at or below TRIG_FLOOR of a row's largest are projection
+    round-off, which cosh^2 weights up to 1e60 (P = 100, r = 2) would inflate.
+    The weighted Gram scaled by its diagonal must keep its smallest eigenvalue
+    above the cos_gram floor; a repeated or vanishing section makes it singular.
+    """
+    rows = np.array([basis.project(values) for values in basis.values])
+    rows[np.abs(rows) <= geo.TRIG_FLOOR * np.abs(rows).max(axis=1, keepdims=True)] = 0.0
+    gram = geo.cos_gram(basis, r, rows)
+    scale = np.sqrt(np.diag(gram).real)
+    if not np.all(scale > 0.0):
+        return False
+    return bool(np.linalg.eigvalsh(gram / np.outer(scale, scale))[0] > HOLONOMY_CHECK_THRESHOLDS["cos_gram"])
+
+
 def cmd_holonomy(config):
     """Monodromy/Floquet pipeline over one model loop; JSON report + spectra CSV."""
     model, loop = _build_model(config)
@@ -330,12 +360,11 @@ def cmd_holonomy(config):
     gram_error = float(np.max(np.abs(basis.gram() - np.eye(basis.count))))
     dhat_max = float(np.max(geo.dhat_residuals(basis)))
     periodicity = basis.periodicity_residual()
-    cos_eigs = np.linalg.eigvalsh(geo.cos_gram(basis, r))
     checks = {
         "gram_orthonormal": gram_error < HOLONOMY_CHECK_THRESHOLDS["gram"],
         "dhat_within_tolerance": dhat_max < HOLONOMY_CHECK_THRESHOLDS["dhat"],
         "periodicity_within_tolerance": periodicity < HOLONOMY_CHECK_THRESHOLDS["periodicity"],
-        "cos_gram_positive": bool(np.min(cos_eigs) > 0.0),
+        "cos_gram_positive": _cos_gram_positive(basis, r),
     }
     payload = {
         "schema": 1,
@@ -374,113 +403,43 @@ def cmd_holonomy(config):
 
 def cmd_demo(config):
     """Run one named demonstration and report residuals against thresholds."""
-    name = config["name"]
-    if name not in DEMO_PROPERTIES:
-        raise ConfigError(f"demo must be one of {sorted(DEMO_PROPERTIES)}, not {name!r}")
-    seed = config["seed"]
-    records = [props.run_property(prop, seed=seed) for prop in DEMO_PROPERTIES[name]]
-    _print_records(records)
-    failures = [rec.name for rec in records if not rec.passed]
-    out = config["out"]
-    if out:
-        payload = {
-            "schema": 1,
-            "command": "demo",
-            "name": name,
-            "seed": seed,
-            "properties": [rec.to_json_dict() for rec in records],
-            "all_passed": not failures,
-        }
-        write_json(out, payload)
+    failures, report = _run_properties(config, DEMO_PROPERTIES[config["name"]])
+    if config["out"]:
+        report.update(command="demo", name=config["name"])
+        write_json(config["out"], report)
     return 0 if not failures else 1
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
-
-
-def _parse_winding(text):
-    parts = str(text).split(",")
-    try:
-        return tuple(int(part) for part in parts)
-    except ValueError:
-        raise ValueError(f"winding must be an integer or comma pair: {text!r}") from None
-
-
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="loopbundle",
-        description="Polynomial loop bundles: verification suites, sections, holonomy reports.",
-    )
-    parser.add_argument("--config", help="flat key=value config file; flags override it")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="run every registered property check")
-    p_verify.add_argument("--seed", type=int)
-    p_verify.add_argument("--trials", type=int, help="per-property trial count override")
-    p_verify.add_argument("--out", help="write a JSON report (plus HS diagnostics CSV) here")
-
-    p_section = sub.add_parser("section", help="random local-section sweep over one group")
-    p_section.add_argument("--group", choices=("U", "SU", "SO"))
-    p_section.add_argument("--dim", type=int)
-    p_section.add_argument("--trials", type=int)
-    p_section.add_argument("--r", type=float, help="branch height (U/SU) or split abscissa in [-1,1] (SO)")
-    p_section.add_argument("--seed", type=int)
-    p_section.add_argument("--out")
-
-    p_hol = sub.add_parser("holonomy", help="monodromy, Floquet exponents and fibre basis over one loop")
-    p_hol.add_argument("--model", choices=("torus", "sphere", "su2"))
-    p_hol.add_argument("--theta", type=float, help="sphere colatitude in (0, pi), default pi/3; sphere only")
-    p_hol.add_argument("--winding", type=_parse_winding, help="integer (or comma pair for the torus)")
-    p_hol.add_argument("--r", type=float, help="annulus parameter for the weighted pairing, > 1")
-    p_hol.add_argument("--modes", type=int, help="Fourier mode bound P of the fibre basis")
-    p_hol.add_argument("--grid", type=int, help="sample grid of the fibre basis (power of two)")
-    p_hol.add_argument("--out")
-
-    p_demo = sub.add_parser("demo", help="named demonstration runs")
-    p_demo.add_argument("name", choices=sorted(DEMO_PROPERTIES))
-    p_demo.add_argument("--seed", type=int)
-    p_demo.add_argument("--out")
-    return parser
+# entry point
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        # --config must be known before --tol validation, so peek at it first
-        file_config = {}
-        for i, token in enumerate(argv):
-            if token == "--config" and i + 1 < len(argv):
-                file_config = load_config(argv[i + 1])
-            elif token.startswith("--config="):
-                file_config = load_config(token[len("--config=") :])
-        parser = build_parser()
-        _check_config_keys(parser, file_config)
-        argv, tolerances = extract_tolerances(argv, file_config)
-        args = parser.parse_args(argv)
-
-        config = {"tolerances": tolerances}
-        config["seed"] = _setting(args, file_config, "seed", int, 0)
-        config["out"] = _output_path(_setting(args, file_config, "out", str, None))
-        if args.command == "verify":
-            config["trials"] = _positive(_setting(args, file_config, "trials", int, None), "--trials")
-            return cmd_verify(config)
-        if args.command == "section":
-            config["group"] = _setting(args, file_config, "group", str, "U")
-            config["dim"] = _positive(_setting(args, file_config, "dim", int, None), "--dim")
-            config["trials"] = _positive(_setting(args, file_config, "trials", int, 50), "--trials")
-            config["r"] = _finite(_setting(args, file_config, "r", float, 0.0), "--r")
-            return cmd_section(config)
-        if args.command == "holonomy":
-            config["model"] = _setting(args, file_config, "model", str, "sphere")
-            config["theta"] = _setting(args, file_config, "theta", float, None)
-            config["winding"] = _setting(args, file_config, "winding", _parse_winding, None)
-            config["r"] = _finite(_setting(args, file_config, "r", float, 2.0), "--r")
-            config["modes"] = _positive(_setting(args, file_config, "modes", int, 8), "--modes")
-            config["grid"] = _setting(args, file_config, "grid", int, 4096)
-            return cmd_holonomy(config)
-        config["name"] = args.name
-        return cmd_demo(config)
+        pre = _Parser(add_help=False, allow_abbrev=False)
+        pre.add_argument("--config")
+        path = pre.parse_known_args(argv)[0].config
+        file_defaults = _file_defaults(load_config(path)) if path else {}
+        parser = build_parser(file_defaults)
+        args, extra = parser.parse_known_args(argv)
+        flags = COMMANDS[args.command][1]
+        tol = next((token.split("=", 1)[0] for token in extra if token.startswith("--tol.")), None)
+        if tol:
+            why = "no such property" if TOLERANCES.keys() <= flags.keys() else f"{args.command} runs no property checks"
+            raise ConfigError(f"{tol}: {why}")
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        config = vars(args)
+        for key, flag in flags.items():
+            if flag.check:
+                flag.check(config[key], key)
+        config.setdefault("seed", file_defaults.get("seed", SEED.default))  # holonomy takes no --seed
+        merged = {**file_defaults, **config}  # section and holonomy read tol.* keys from the file alone
+        tolerances = ((key.removeprefix("tol."), value) for key, value in merged.items() if key.startswith("tol."))
+        config["tolerances"] = {name: value for name, value in tolerances if value is not None}
+        command = {"verify": cmd_verify, "section": cmd_section, "holonomy": cmd_holonomy, "demo": cmd_demo}
+        return command[args.command](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

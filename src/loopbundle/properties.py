@@ -154,11 +154,6 @@ def run_property(name, seed=0, trials=None, threshold=None):
     return PropertyRecord(name, observed, bound, prop.comparator, passed)
 
 
-def run_all(seed=0, trials=None, thresholds=None):
-    thresholds = thresholds or {}
-    return [run_property(name, seed, trials, thresholds.get(name)) for name in _REGISTRY]
-
-
 def _default(trials, value):
     return value if trials is None else max(1, int(trials))
 

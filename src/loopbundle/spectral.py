@@ -143,11 +143,6 @@ class SkewSpectrum:
         return (scaled.reshape(-1, self.mu.size) @ self.u.conj().T).reshape(scaled.shape)
 
 
-def spectral_radius(xi):
-    """Largest |eigenvalue| of a skew-hermitian matrix."""
-    return SkewSpectrum(xi).radius
-
-
 def exp_skew(xi):
     """exp(xi) for skew-hermitian xi, via the hermitian eigenproblem of i xi.
 

@@ -1,10 +1,16 @@
 """Exit codes, report files and determinism of the command line driver."""
 
+import contextlib
 import csv
+import dataclasses
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopbundle import cli
 
@@ -306,3 +312,136 @@ def test_malformed_numeric_flags_are_config_errors(argv, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("config error:")
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_demo_applies_tolerance_overrides(tmp_path, capsys, via_config):
+    argv = ["demo", "condiff"]
+    if via_config:
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text("tol.condiff-generic=1e-30\n")
+        argv = ["--config", str(cfg)] + argv
+    else:
+        argv += ["--tol.condiff-generic", "1e-30"]
+    assert cli.main(argv) == 1
+    assert "FAIL condiff-generic" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["section", "--dim", "2", "--trials", "1", "--tol.cosh-inequality", "0.5"],
+        ["holonomy", "--grid", "64", "--modes", "1", "--tol.cosh-inequality=0.5"],
+    ],
+)
+def test_tolerance_flag_on_a_command_without_properties_is_config_error(argv, capsys):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:") and "runs no property checks" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--seed", "abc"],
+        ["section", "--trials"],
+        ["holonomy", "--winding", "1,x"],
+        ["demo", "warp-drive"],
+        ["demo", "counterexample", "extra"],
+        [],
+    ],
+)
+def test_argument_errors_are_one_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+
+
+def test_cos_gram_positive_reads_false_for_a_repeated_section(tmp_path, monkeypatch):
+    eigen_sections = cli.geo.eigen_sections
+
+    def repeat_first(*args):
+        basis = eigen_sections(*args)
+        values = basis.values.copy()
+        values[1] = values[0]
+        return dataclasses.replace(basis, values=values)
+
+    monkeypatch.setattr(cli.geo, "eigen_sections", repeat_first)
+    out = tmp_path / "repeated.json"
+    argv = ["holonomy", "--model", "torus", "--grid", "64", "--modes", "2", "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert read_json(out)["checks"]["cos_gram_positive"] is False
+
+
+# Bounded values for every flag except --out (a random --out would write files);
+# one value in six is drawn from JUNK, which most flags must reject.
+JUNK = st.sampled_from(["", "x", "nan", "inf", "-1", "0", "1e400", "1,,2", "-e"])
+FLAG_VALUES = {
+    "seed": st.integers(-3, 2**40).map(str),
+    "trials": st.integers(1, 3).map(str),
+    "group": st.sampled_from(["U", "SU", "SO", "Sp"]),
+    "dim": st.integers(1, 4).map(str),
+    "r": st.floats(-1.0, 6.0).map(repr),
+    "model": st.sampled_from(["torus", "sphere", "su2"]),
+    "theta": st.floats(0.0, 3.2).map(repr),
+    "winding": st.lists(st.integers(-5, 5), min_size=1, max_size=2).map(lambda ws: ",".join(map(str, ws))),
+    "modes": st.integers(1, 12).map(str),
+    "grid": st.sampled_from(["16", "64", "256", "1024"]),
+}
+REQUIRED = {"section": ("trials", "dim"), "holonomy": ("grid",), "demo": ()}
+OPTIONAL = {
+    "section": ("group", "r", "seed"),
+    "holonomy": ("model", "theta", "winding", "r", "modes"),
+    "demo": ("seed",),
+}
+TOL_KEYS = st.sampled_from(["tol.condiff-generic", "tol.subbundle-counterexample", "tol.not-a-property"])
+ODD_LINES = st.sampled_from(["seeed=3", "name=condiff", "config=x", "theta=1.0", "tol.condiff-generic=1e-30", "no value"])
+
+
+def flag_value(key):
+    return st.integers(0, 5).flatmap(lambda pick: JUNK if pick == 0 else FLAG_VALUES[key])
+
+
+@st.composite
+def cli_inputs(draw):
+    """An argv for section, holonomy or demo, and the text of a config file or None."""
+    command = draw(st.sampled_from(sorted(REQUIRED)))
+    argv = [command]
+    if command == "demo":
+        argv.append(draw(st.sampled_from(["condiff", "reparam", "counterexample", "warp"])))
+    optional = draw(st.lists(st.sampled_from(OPTIONAL[command]), unique=True))
+    for key in REQUIRED[command] + tuple(optional):
+        argv += [f"--{key}", draw(flag_value(key))]
+    if draw(st.integers(0, 3)) == 0:
+        argv += [f"--{draw(TOL_KEYS)}", draw(st.floats(-1.0, 1.0).map(repr) | JUNK)]
+    if draw(st.booleans()):
+        return argv, None
+    keys = draw(st.lists(st.sampled_from(sorted(FLAG_VALUES)), max_size=3, unique=True))
+    lines = [f"{key}={draw(flag_value(key))}" for key in keys]
+    if draw(st.integers(0, 3)) == 0:
+        lines.append(draw(ODD_LINES))
+    return argv, "\n".join(lines + ["# comment"]) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_inputs())
+def test_every_cli_input_runs_or_is_a_one_line_config_error(case):
+    argv, config_text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if config_text is not None:
+            path = os.path.join(tmp, "run.cfg")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(config_text)
+            argv = ["--config", path] + argv
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2
+                code = 2
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("config error:")
