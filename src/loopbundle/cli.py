@@ -76,8 +76,8 @@ def _positive(value, key):
 
 
 def _finite(value, key):
-    """Reject nan and infinite values, which float() accepts."""
-    if not np.isfinite(value):
+    """Reject nan and infinite values, which float() accepts; unset (None) values pass."""
+    if value is not None and not np.isfinite(value):
         raise ConfigError(f"--{key} must be a finite number, not {value}")
 
 
@@ -106,7 +106,7 @@ Flag = collections.namedtuple("Flag", "type default help check", defaults=(None,
 
 SEED = Flag(int, 0, "root seed of every random draw")
 OUT = Flag(str, None, "write a JSON report here (verify and holonomy add a CSV beside it)", _output_path)
-TOLERANCES = {f"tol.{name}": Flag(float, None, argparse.SUPPRESS) for name in props.property_names()}
+TOLERANCES = {f"tol.{name}": Flag(float, None, argparse.SUPPRESS, _finite) for name in props.property_names()}
 TOL_HELP = "; --tol.<name> X overrides one property's threshold"
 
 COMMANDS = {
@@ -327,21 +327,22 @@ def _build_model(config):
         raise ConfigError(str(exc)) from exc
 
 
-def _cos_gram_positive(basis, r):
-    """Is the weighted pairing positive definite on the sections recovered from their samples?
+def _cos_gram_positive(basis, r, gram):
+    """Is the weighted pairing positive definite on the basis sections projected back onto the basis?
 
+    Projecting section l gives column l of the basis Gram matrix `gram`.
     Coefficients at or below TRIG_FLOOR of a row's largest are projection
     round-off, which cosh^2 weights up to 1e60 (P = 100, r = 2) would inflate.
     The weighted Gram scaled by its diagonal must keep its smallest eigenvalue
     above the cos_gram floor; a repeated or vanishing section makes it singular.
     """
-    rows = np.array([basis.project(values) for values in basis.values])
+    rows = gram.T.copy()
     rows[np.abs(rows) <= geo.TRIG_FLOOR * np.abs(rows).max(axis=1, keepdims=True)] = 0.0
-    gram = geo.cos_gram(basis, r, rows)
-    scale = np.sqrt(np.diag(gram).real)
+    weighted = geo.cos_gram(basis, r, rows)
+    scale = np.sqrt(np.diag(weighted).real)
     if not np.all(scale > 0.0):
         return False
-    return bool(np.linalg.eigvalsh(gram / np.outer(scale, scale))[0] > HOLONOMY_CHECK_THRESHOLDS["cos_gram"])
+    return bool(np.linalg.eigvalsh(weighted / np.outer(scale, scale))[0] > HOLONOMY_CHECK_THRESHOLDS["cos_gram"])
 
 
 def cmd_holonomy(config):
@@ -357,14 +358,15 @@ def cmd_holonomy(config):
         raise ConfigError(f"pairing weight cosh((P + 1/2) ln r)^2 overflows at --modes {mode_bound} --r {r}")
     data = geo.monodromy(model, loop)
     basis = geo.eigen_sections(model, loop, data, mode_bound)
-    gram_error = float(np.max(np.abs(basis.gram() - np.eye(basis.count))))
+    gram = basis.gram()
+    gram_error = float(np.max(np.abs(gram - np.eye(basis.count))))
     dhat_max = float(np.max(geo.dhat_residuals(basis)))
     periodicity = basis.periodicity_residual()
     checks = {
         "gram_orthonormal": gram_error < HOLONOMY_CHECK_THRESHOLDS["gram"],
         "dhat_within_tolerance": dhat_max < HOLONOMY_CHECK_THRESHOLDS["dhat"],
         "periodicity_within_tolerance": periodicity < HOLONOMY_CHECK_THRESHOLDS["periodicity"],
-        "cos_gram_positive": _cos_gram_positive(basis, r),
+        "cos_gram_positive": _cos_gram_positive(basis, r, gram),
     }
     payload = {
         "schema": 1,

@@ -27,12 +27,19 @@ with exponents s_j in [-1/2, 1/2), the sections
     phi_{p,j}(t) = e^{2 pi i p t} Phi(t) e^{-2 pi i s_j t} w_j
 
 are periodic and diagonalise the normalised operator (1/2 pi) D with
-eigenvalues i (p - s_j).  The weighted pairing sums
+eigenvalues i (p - s_j).  Each is the Fourier shift e^{2 pi i p t} c_j(t) of
+one core vector c_j(t) = e^{-2 pi i s_j t} Phi(t) w_j, so a `FiberBasis`
+stores the core, (grid, n, n), rather than (2P+1) n sampled sections: the
+Gram matrix, projections and sections each cost one FFT of the core, and
+`dhat_residuals` equals the per-section check on the samples, bin for bin,
+by correcting the few FFT bins where a shifted section's derivative wraps
+past the Nyquist mode.  The weighted pairing sums
 cosh((p - s_j) ln r)^2 conj(a) b over coefficients.
 """
 
 import numpy as np
 from dataclasses import dataclass
+from functools import cached_property
 
 from .laurent import SampledLoop, laurent_eval, polynomiality_residual
 from .spectral import clustered_eig, one_parameter_path, projector_basis
@@ -327,43 +334,68 @@ def _mode_pairs(mode_bound, exponents):
 
 @dataclass(frozen=True)
 class FiberBasis:
-    """Sampled eigen-section basis phi_{p,j} over one loop.
+    """Eigen-section basis phi_{p,j}(t) = e^{2 pi i p t} c_j(t) over one loop, stored factorised.
 
-    values has shape (count, grid, n) with index (p + P) * n + j; pairs holds
-    the matching (p, s_j) rows.
+    core has shape (grid, n, n) with core[t, j] = c_j(t) = e^{-2 pi i s_j t}
+    Phi(t) w_j; pairs holds one (p, s_j) row per section, index
+    (p + P) * n + j.  Every section is a Fourier shift of one core vector, so
+    the Gram matrix, projections and sections each take one FFT of the core
+    instead of one pass over (2P+1) n sampled sections.  The samples
+    themselves, `values` of shape (count, grid, n), are built on first use.
     """
 
     model: ConnectionModel
     loop: BaseLoop
     data: MonodromyData
     mode_bound: int
-    values: np.ndarray
+    core: np.ndarray
     pairs: np.ndarray
 
     @property
     def grid(self):
-        return self.values.shape[1]
+        return self.core.shape[0]
 
     @property
     def count(self):
-        return self.values.shape[0]
+        return self.pairs.shape[0]
+
+    def _rows(self):
+        """Mode p and core index j of each section."""
+        return np.rint(self.pairs[:, 0]).astype(int), np.arange(self.count) % self.core.shape[1]
+
+    @cached_property
+    def values(self):
+        """The sampled sections, shape (count, grid, n); built on first use."""
+        modes, cores = self._rows()
+        phases = np.exp(2j * np.pi * np.outer(modes, np.arange(self.grid) / self.grid))
+        return phases[:, :, None] * self.core[:, cores, :].transpose(1, 0, 2)
 
     def gram(self):
-        flat = self.values.reshape(self.count, -1)
-        return flat.conj() @ flat.T / self.grid
+        """G[(p,j),(q,l)] = F[(p - q) mod grid]_{jl} with F the FFT of c(t)^H c(t) / grid."""
+        overlap = self.core.conj() @ self.core.transpose(0, 2, 1)
+        spectrum = np.fft.fft(overlap, axis=0) / self.grid
+        modes, cores = self._rows()
+        return spectrum[(modes[:, None] - modes[None, :]) % self.grid, cores[:, None], cores[None, :]]
 
     def section(self, coefficients):
         coefficients = np.asarray(coefficients, dtype=complex)
         if coefficients.shape != (self.count,):
             raise ValueError("coefficient vector has the wrong length")
-        vals = np.tensordot(coefficients, self.values, axes=(0, 0))
+        modes, cores = self._rows()
+        scattered = np.zeros((self.grid, self.core.shape[1]), dtype=complex)
+        np.add.at(scattered, (modes % self.grid, cores), coefficients)
+        weights = np.fft.ifft(scattered, axis=0) * self.grid  # (t, j) = sum_p c_{p,j} e^{2 pi i p t}
+        vals = (weights[:, None, :] @ self.core)[:, 0, :]
         return FiberSection(coefficients=coefficients, values=vals)
 
     def project(self, values):
         vals = np.asarray(values, dtype=complex)
-        if vals.shape != self.values.shape[1:]:
+        if vals.shape != (self.grid, self.core.shape[2]):
             raise ValueError("sampled section does not match the basis grid")
-        return np.einsum("mtk,tk->m", self.values.conj(), vals) / self.grid
+        overlap = (self.core.conj() @ vals[:, :, None])[:, :, 0]
+        spectrum = np.fft.fft(overlap, axis=0) / self.grid
+        modes, cores = self._rows()
+        return spectrum[modes % self.grid, cores]
 
     def periodicity_residual(self):
         """Defect of the exact period identity, g w_j = e^{2 pi i s_j} w_j."""
@@ -381,52 +413,83 @@ class FiberSection:
 
 
 def eigen_sections(model, loop, data, mode_bound):
-    """The basis phi_{p,j}(t) = e^{2 pi i p t} Phi(t) e^{-2 pi i s_j t} w_j, |p| <= P."""
+    """The basis phi_{p,j}(t) = e^{2 pi i p t} Phi(t) e^{-2 pi i s_j t} w_j, |p| <= P, as its core."""
     if data.frame_path is None:
         raise ValueError("monodromy data carries no transported frame")
     frame_path = np.asarray(data.frame_path)
     grid = frame_path.shape[0]
     n = data.exponents.size
     ts = np.arange(grid) / grid
-    mapped = np.einsum("tij,jk->tik", frame_path.astype(complex), data.frame)
+    mapped = (frame_path.reshape(grid * n, n) @ data.frame).reshape(grid, n, n)  # Phi(t) W
     drift = np.exp(-2j * np.pi * np.outer(ts, data.exponents))
-    core = mapped.transpose(0, 2, 1) * drift[:, :, None]
-    # core[t, j, :] = e^{-2 pi i s_j t} Phi(t) w_j
-    phases = np.exp(2j * np.pi * np.outer(np.arange(-mode_bound, mode_bound + 1), ts))
-    values = np.einsum("pt,tjk->pjtk", phases, core).reshape((2 * mode_bound + 1) * n, grid, n)
+    core = np.ascontiguousarray(mapped.transpose(0, 2, 1) * drift[:, :, None])
     p_col, s_col = _mode_pairs(mode_bound, data.exponents)
     return FiberBasis(
         model=model,
         loop=loop,
         data=data,
         mode_bound=mode_bound,
-        values=values,
+        core=core,
         pairs=np.stack([p_col.astype(float), s_col], axis=1),
     )
+
+
+def _derivative_freqs(grid):
+    """FFT mode numbers with the Nyquist mode, whose derivative the samples do not determine, zeroed."""
+    freqs = np.fft.fftfreq(grid, d=1.0 / grid)
+    freqs[freqs == -grid / 2] = 0.0
+    return freqs
 
 
 def covariant_derivative(model, loop, values):
     """D = d/dt - A(t) on sampled sections of shape (..., grid, n).
 
-    d/dt is exact on the trigonometric interpolant; the Nyquist mode, whose
-    derivative the samples do not determine, is zeroed.
+    d/dt is exact on the trigonometric interpolant, Nyquist mode zeroed;
+    A(t) = sigma'(t) A0 is applied as one matrix product and a per-sample scale.
     """
     values = np.asarray(values, dtype=complex)
     grid = values.shape[-2]
-    freqs = np.fft.fftfreq(grid, d=1.0 / grid)
-    freqs[freqs == -grid / 2] = 0.0
+    freqs = _derivative_freqs(grid)
     deriv = np.fft.ifft((2j * np.pi * freqs)[:, None] * np.fft.fft(values, axis=-2), axis=-2)
-    coeff = model.coefficients(loop, np.arange(grid) / grid)
-    return deriv - np.einsum("tij,...tj->...ti", coeff, values)
+    ts = np.arange(grid) / grid
+    scale = loop.reparam.dsigma(ts) if loop.reparam is not None else np.ones(grid)
+    return deriv - scale[:, None] * (values @ model.base_coefficient(loop).T)
 
 
 def dhat_residuals(basis):
-    """Relative defect of (1/2 pi) D phi = i (p - s_j) phi per basis section."""
-    dhat = covariant_derivative(basis.model, basis.loop, basis.values) / (2.0 * np.pi)
-    eigs = 1j * (basis.pairs[:, 0] - basis.pairs[:, 1])
-    defect = dhat - eigs[:, None, None] * basis.values
-    num = np.sqrt(np.mean(np.abs(defect) ** 2, axis=(1, 2)))
-    den = np.sqrt(np.mean(np.abs(basis.values) ** 2, axis=(1, 2)))
+    """Relative defect of (1/2 pi) D phi = i (p - s_j) phi per basis section.
+
+    Equal, up to round-off, to the check on each sampled section
+    phi_{p,j} = e^{2 pi i p t} c_j.  Multiplying by e^{2 pi i p t} shifts the
+    spectrum by p, so the defect of phi_{p,j} is the shifted spectrum of the
+    core defect b_j = (1/2 pi) D c_j + i s_j c_j, except on the bins g where
+    the sampled derivative of phi wraps: there its mode number
+    nu((g + p) mod grid) differs from nu(g) + p by delta_p(g), and the bin
+    carries B_j[g] + i delta_p(g) C_j[g] instead (B, C the spectra of b and c).
+    Those are at most |p| + 1 bins per p, and Parseval sums the rest at once.
+    An under-resolved basis thus keeps its large residual.
+    """
+    core = np.moveaxis(basis.core, 1, 0)  # (j, t, k)
+    grid = basis.grid
+    exponents = basis.data.exponents
+    defect = covariant_derivative(basis.model, basis.loop, core) / (2.0 * np.pi) + 1j * exponents[:, None, None] * core
+    spec_b = np.fft.fft(defect, axis=1)
+    spec_c = np.fft.fft(core, axis=1)
+    modes, cores = basis._rows()
+    # every bin where the derivative of the shifted core can wrap, row by row
+    length = np.minimum(np.abs(modes) + 1, grid)
+    row = np.repeat(np.arange(basis.count), length)
+    offset = np.arange(row.size) - np.repeat(np.cumsum(length) - length, length)
+    p, j = modes[row], cores[row]
+    bins = (grid // 2 - np.sign(p) * offset) % grid
+    freqs = _derivative_freqs(grid)
+    delta = freqs[(bins + p) % grid] - freqs[bins] - p
+    plain = spec_b[j, bins]
+    wrapped = plain + 1j * delta[:, None] * spec_c[j, bins]
+    change = np.sum(np.abs(wrapped) ** 2 - np.abs(plain) ** 2, axis=1)
+    power = np.sum(np.abs(spec_b) ** 2, axis=(1, 2))[cores] + np.bincount(row, weights=change, minlength=basis.count)
+    num = np.sqrt(np.maximum(power, 0.0) / (grid**2 * core.shape[2]))
+    den = np.sqrt(np.mean(np.abs(core) ** 2, axis=(1, 2)))[cores]
     return num / den
 
 

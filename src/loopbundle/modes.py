@@ -215,10 +215,12 @@ def hs_commutator_norm(a):
 def hs_commutator_norm_truncated(a, mode_bound=64):
     """Brute-force HS norm of [M_a, J] on the truncated mode window |p| <= bound.
 
-    Assembles the dense matrices of the multiplication operator and of the
-    polarization on the window and takes the Frobenius norm of their literal
-    commutator.  Exact once mode_bound exceeds deg(a), since every coupling
-    sits within |q| <= deg(a) of the sign boundary.
+    Assembles the dense matrix of the multiplication operator on the window
+    and takes the Frobenius norm of its literal commutator with the
+    polarization.  The polarization is diagonal, J = diag(d), so the
+    commutator M J - J M is M scaled entrywise by d_col - d_row.  Exact once
+    mode_bound exceeds deg(a), since every coupling sits within |q| <= deg(a)
+    of the sign boundary.
     """
     modes = np.arange(-mode_bound, mode_bound + 1)
     width = modes.size
@@ -228,8 +230,8 @@ def hs_commutator_norm_truncated(a, mode_bound=64):
         rows = modes[np.abs(modes - k) <= mode_bound]
         mult[rows + mode_bound, :, rows - k + mode_bound, :] = ak
     mult = mult.reshape(width * n, width * n)
-    pol = np.kron(np.diag(1j * np.where(modes >= 0, 1.0, -1.0)), np.eye(n))
-    comm = mult @ pol - pol @ mult
+    pol = np.repeat(1j * np.where(modes >= 0, 1.0, -1.0), n)
+    comm = mult * (pol[None, :] - pol[:, None])
     return float(np.linalg.norm(comm))
 
 

@@ -292,6 +292,31 @@ def test_holonomy_passes_on_coarse_grids(argv, capsys):
     assert capsys.readouterr().out.endswith("PASS\n")
 
 
+def test_holonomy_fails_an_aliased_basis(tmp_path, capsys):
+    # modes up to 63 shift the core's mode 1 onto the Nyquist mode of a 128-point grid
+    out = tmp_path / "aliased.json"
+    assert cli.main(["holonomy", "--modes", "63", "--grid", "128", "--out", str(out)]) == 1
+    assert capsys.readouterr().out.endswith("FAIL\n")
+    payload = read_json(out)
+    assert payload["dhat_max_residual"] > 1.0
+    assert payload["checks"]["dhat_within_tolerance"] is False
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("via_config", [False, True])
+def test_nonfinite_tolerance_is_config_error(tmp_path, capsys, via_config, value):
+    argv = ["verify", "--trials", "1"]
+    if via_config:
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text(f"tol.cosh-inequality={value}\n")
+        argv = ["--config", str(cfg)] + argv
+    else:
+        argv += ["--tol.cosh-inequality", value]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:") and "tol.cosh-inequality" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -364,9 +389,9 @@ def test_cos_gram_positive_reads_false_for_a_repeated_section(tmp_path, monkeypa
 
     def repeat_first(*args):
         basis = eigen_sections(*args)
-        values = basis.values.copy()
-        values[1] = values[0]
-        return dataclasses.replace(basis, values=values)
+        core = basis.core.copy()
+        core[:, 1] = core[:, 0]  # section (p, 1) repeats section (p, 0) for every mode p
+        return dataclasses.replace(basis, core=core)
 
     monkeypatch.setattr(cli.geo, "eigen_sections", repeat_first)
     out = tmp_path / "repeated.json"

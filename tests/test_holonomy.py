@@ -282,6 +282,66 @@ def test_torus_basis_is_exactly_fourier():
     assert worst == 0.0
 
 
+def dense_sections(basis):
+    """The sampled sections e^{2 pi i (p - s_j) t} Phi(t) w_j, straight from the formula."""
+    data = basis.data
+    ts = np.arange(basis.grid) / basis.grid
+    frame = np.asarray(data.frame_path, dtype=complex) @ data.frame  # (t, k, j)
+    p, s = basis.pairs[:, 0], basis.pairs[:, 1]
+    j = np.arange(basis.count) % data.exponents.size
+    return np.exp(2j * np.pi * np.outer(p - s, ts))[:, :, None] * frame[:, :, j].transpose(2, 0, 1)
+
+
+def dense_dhat(basis, values):
+    """(1/2 pi) D phi - i (p - s_j) phi per sampled section, with A(t) taken sample by sample."""
+    grid = basis.grid
+    freqs = np.fft.fftfreq(grid, d=1.0 / grid)
+    freqs[freqs == -grid / 2] = 0.0
+    deriv = np.fft.ifft((2j * np.pi * freqs)[:, None] * np.fft.fft(values, axis=1), axis=1)
+    coeff = basis.model.coefficients(basis.loop, np.arange(grid) / grid)
+    dhat = (deriv - np.einsum("tij,mtj->mti", coeff, values)) / (2.0 * np.pi)
+    defect = dhat - 1j * (basis.pairs[:, 0] - basis.pairs[:, 1])[:, None, None] * values
+    return np.sqrt(np.mean(np.abs(defect) ** 2, axis=(1, 2)) / np.mean(np.abs(values) ** 2, axis=(1, 2)))
+
+
+DENSE_SETUPS = {
+    # generic colatitude: the holonomy is a rotation, so the Floquet frame W is not I
+    "sphere": lambda grid: sphere_model(1.0, winding=2, grid=grid),
+    "su2": lambda grid: su2_model(direction=(1.0, 2.0, 2.0), grid=grid, reparam=Reparam("sine", 0.3, 0.12)),
+    "torus": lambda grid: torus_model(winding=(1, 2), grid=grid),
+}
+
+
+@pytest.mark.parametrize("grid,mode_bound", [(4096, 8), (128, 63)])
+@pytest.mark.parametrize("setup", sorted(DENSE_SETUPS))
+def test_factorised_basis_matches_dense_sections(setup, grid, mode_bound):
+    model, loop = DENSE_SETUPS[setup](grid)
+    data = monodromy(model, loop)
+    basis = eigen_sections(model, loop, data, mode_bound)
+    rng = np.random.default_rng(11)
+    n = data.exponents.size
+    coeffs = rng.standard_normal(basis.count) + 1j * rng.standard_normal(basis.count)
+    sampled = rng.standard_normal((grid, n)) + 1j * rng.standard_normal((grid, n))
+    gram, projected, section = basis.gram(), basis.project(sampled), basis.section(coeffs).values
+    dhat = dhat_residuals(basis)
+    cos_gram(basis, 2.0)
+    basis.periodicity_residual()
+    assert "values" not in vars(basis)  # none of the above samples the sections
+
+    dense = dense_sections(basis)
+    flat = dense.reshape(basis.count, -1)
+    assert np.max(np.abs(basis.values - dense)) <= 1e-12
+    assert np.max(np.abs(gram - flat.conj() @ flat.T / grid)) <= 1e-12
+    assert np.max(np.abs(projected - np.einsum("mtk,tk->m", dense.conj(), sampled) / grid)) <= 1e-12
+    expected = np.tensordot(coeffs, dense, axes=(0, 0))
+    assert np.max(np.abs(section - expected)) <= 1e-12 * np.max(np.abs(expected))
+    oracle = dense_dhat(basis, dense)
+    assert np.all(np.abs(dhat - oracle) <= 1e-11 + 1e-9 * oracle)
+    if setup == "sphere" and mode_bound == 63:
+        # mode 63 of a core carrying mode 2 reaches past the Nyquist mode 64
+        assert oracle.max() > 1.0
+
+
 def test_dhat_residuals_small():
     model, loop = sphere_model(np.pi / 3)
     data = monodromy(model, loop)
