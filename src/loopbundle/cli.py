@@ -327,24 +327,6 @@ def _build_model(config):
         raise ConfigError(str(exc)) from exc
 
 
-def _cos_gram_positive(basis, r, gram):
-    """Is the weighted pairing positive definite on the basis sections projected back onto the basis?
-
-    Projecting section l gives column l of the basis Gram matrix `gram`.
-    Coefficients at or below TRIG_FLOOR of a row's largest are projection
-    round-off, which cosh^2 weights up to 1e60 (P = 100, r = 2) would inflate.
-    The weighted Gram scaled by its diagonal must keep its smallest eigenvalue
-    above the cos_gram floor; a repeated or vanishing section makes it singular.
-    """
-    rows = gram.T.copy()
-    rows[np.abs(rows) <= geo.TRIG_FLOOR * np.abs(rows).max(axis=1, keepdims=True)] = 0.0
-    weighted = geo.cos_gram(basis, r, rows)
-    scale = np.sqrt(np.diag(weighted).real)
-    if not np.all(scale > 0.0):
-        return False
-    return bool(np.linalg.eigvalsh(weighted / np.outer(scale, scale))[0] > HOLONOMY_CHECK_THRESHOLDS["cos_gram"])
-
-
 def cmd_holonomy(config):
     """Monodromy/Floquet pipeline over one model loop; JSON report + spectra CSV."""
     model, loop = _build_model(config)
@@ -366,7 +348,7 @@ def cmd_holonomy(config):
         "gram_orthonormal": gram_error < HOLONOMY_CHECK_THRESHOLDS["gram"],
         "dhat_within_tolerance": dhat_max < HOLONOMY_CHECK_THRESHOLDS["dhat"],
         "periodicity_within_tolerance": periodicity < HOLONOMY_CHECK_THRESHOLDS["periodicity"],
-        "cos_gram_positive": _cos_gram_positive(basis, r, gram),
+        "cos_gram_positive": geo.cos_gram_floor(basis, r, gram) > HOLONOMY_CHECK_THRESHOLDS["cos_gram"],
     }
     payload = {
         "schema": 1,

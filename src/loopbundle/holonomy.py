@@ -29,17 +29,16 @@ with exponents s_j in [-1/2, 1/2), the sections
 are periodic and diagonalise the normalised operator (1/2 pi) D with
 eigenvalues i (p - s_j).  Each is the Fourier shift e^{2 pi i p t} c_j(t) of
 one core vector c_j(t) = e^{-2 pi i s_j t} Phi(t) w_j, so a `FiberBasis`
-stores the core, (grid, n, n), rather than (2P+1) n sampled sections: the
-Gram matrix, projections and sections each cost one FFT of the core, and
-`dhat_residuals` equals the per-section check on the samples, bin for bin,
-by correcting the few FFT bins where a shifted section's derivative wraps
-past the Nyquist mode.  The weighted pairing sums
-cosh((p - s_j) ln r)^2 conj(a) b over coefficients.
+stores only the core, (grid, n, n), never (2P+1) n sampled sections: every
+check resamples or compares core vectors, the Gram matrix, projections and
+sections each cost one FFT of the core, and `dhat_residuals` equals the
+per-section check on the samples, bin for bin, by correcting the few FFT
+bins where a shifted section's derivative wraps past the Nyquist mode.  The
+weighted pairing sums cosh((p - s_j) ln r)^2 conj(a) b over coefficients.
 """
 
 import numpy as np
 from dataclasses import dataclass
-from functools import cached_property
 
 from .laurent import SampledLoop, laurent_eval, polynomiality_residual
 from .spectral import clustered_eig, one_parameter_path, projector_basis
@@ -340,8 +339,8 @@ class FiberBasis:
     Phi(t) w_j; pairs holds one (p, s_j) row per section, index
     (p + P) * n + j.  Every section is a Fourier shift of one core vector, so
     the Gram matrix, projections and sections each take one FFT of the core
-    instead of one pass over (2P+1) n sampled sections.  The samples
-    themselves, `values` of shape (count, grid, n), are built on first use.
+    instead of one pass over (2P+1) n sampled sections; `section` samples
+    one combination of them at a time.
     """
 
     model: ConnectionModel
@@ -362,13 +361,6 @@ class FiberBasis:
     def _rows(self):
         """Mode p and core index j of each section."""
         return np.rint(self.pairs[:, 0]).astype(int), np.arange(self.count) % self.core.shape[1]
-
-    @cached_property
-    def values(self):
-        """The sampled sections, shape (count, grid, n); built on first use."""
-        modes, cores = self._rows()
-        phases = np.exp(2j * np.pi * np.outer(modes, np.arange(self.grid) / self.grid))
-        return phases[:, :, None] * self.core[:, cores, :].transpose(1, 0, 2)
 
     def gram(self):
         """G[(p,j),(q,l)] = F[(p - q) mod grid]_{jl} with F the FFT of c(t)^H c(t) / grid."""
@@ -563,6 +555,22 @@ def cos_gram(basis, r, coefficients=None):
     return (coefficients.conj() * weights[None, :]) @ coefficients.T
 
 
+def cos_gram_floor(basis, r, gram):
+    """Smallest eigenvalue of the unit-diagonal weighted Gram of the basis sections projected back (-1 if one vanishes).
+
+    Projecting section l gives column l of the basis Gram `gram`; entries at
+    or below TRIG_FLOOR of a row's largest are round-off that cosh^2 weights
+    up to 1e60 (P = 100, r = 2) would inflate.  A repeated section reads 0.
+    """
+    rows = gram.T.copy()
+    rows[np.abs(rows) <= TRIG_FLOOR * np.abs(rows).max(axis=1, keepdims=True)] = 0.0
+    weighted = cos_gram(basis, r, rows)
+    scale = np.sqrt(np.diag(weighted).real)
+    if not np.all(scale > 0.0):
+        return -1.0
+    return float(np.linalg.eigvalsh(weighted / np.outer(scale, scale))[0])
+
+
 def trig_interpolate(values, new_ts):
     """Evaluate the trigonometric interpolant of periodic samples at new times.
 
@@ -610,36 +618,33 @@ def reparam_actions(basis, rep):
     degree; rotations and reflections preserve polynomiality, generic maps
     break it.  The transport action carries the coefficients unchanged to the
     basis over the reparametrised loop and only needs a periodicity check.
+    The pullback of section e^{2 pi i p t} c_j is e^{2 pi i p sigma} c_j o sigma,
+    so the core is resampled once and a section's degree is its core's band shifted by p.
     """
-    grid, count = basis.grid, basis.count
-    ts = np.arange(grid) / grid
-    sig = np.mod(rep.sigma(ts), 1.0)
-    stacked = np.moveaxis(basis.values, 0, 1)  # (grid, count, n)
-    pulled = trig_interpolate(stacked, sig)
-    # one FFT gives each section's degree (largest mode above 1e-10 of its
-    # mass) and the mass of its pullback beyond that degree
-    spectrum = np.fft.fft(np.concatenate([stacked, pulled], axis=1), axis=0) / grid
-    mass = np.sqrt(np.sum(np.abs(spectrum) ** 2, axis=2))  # (mode, section)
-    own, moved_mass = mass[:, :count], mass[:, count:]
+    grid = basis.grid
+    sig = np.mod(rep.sigma(np.arange(grid) / grid), 1.0)
+    modes, cores = basis._rows()
+    pulled_core = trig_interpolate(basis.core, sig)
+    pulled = np.exp(2j * np.pi * np.outer(sig, modes))[:, :, None] * pulled_core[:, cores, :]
+    moved_mass = np.linalg.norm(np.fft.fft(pulled, axis=0), axis=2)  # (mode, section)
+    core_mass = np.linalg.norm(np.fft.fft(basis.core, axis=0), axis=2)  # (mode, j)
+    carried = core_mass > 1e-10 * np.linalg.norm(core_mass, axis=0)
+    # section (p, j) carries mode g exactly where c_j carries mode g - p
+    shifted = carried[(np.arange(grid)[:, None] - modes[None, :]) % grid, cores[None, :]]
     freqs = np.abs(np.fft.fftfreq(grid, d=1.0 / grid))[:, None]
-    degrees = np.where(own > 1e-10 * np.linalg.norm(own, axis=0), freqs, 0.0).max(axis=0).astype(int)
+    degrees = np.where(shifted, freqs, 0.0).max(axis=0).astype(int)
     if degrees.max() >= grid // 4:
         raise ValueError(f"section degree {degrees.max()} must be < grid/4 = {grid // 4}")
     total = np.linalg.norm(moved_mass, axis=0)
     residuals = np.linalg.norm(np.where(freqs > degrees, moved_mass, 0.0), axis=0) / np.where(total > 0, total, 1.0)
     moved = basis.loop.with_reparam(rep)
-    data2 = monodromy(basis.model, moved, steps=basis.grid)
-    basis2 = eigen_sections(basis.model, moved, data2, basis.mode_bound)
-    transport_report = {
-        "coefficient_drift": 0.0,
-        "periodicity_residual": basis2.periodicity_residual(),
-    }
+    basis2 = eigen_sections(basis.model, moved, monodromy(basis.model, moved, steps=grid), basis.mode_bound)
     return {
         "standard_residuals": residuals,
         "degrees": degrees,
         "standard_max": float(residuals.max()),
         "standard_min": float(residuals.min()),
-        "transport": transport_report,
+        "transport": {"periodicity_residual": basis2.periodicity_residual()},
     }
 
 
@@ -696,49 +701,42 @@ class _DirectSumModel:
 
 
 def _span_containment(inner, outer):
-    """Max relative distance of the rows of `inner` from the row span of `outer`."""
+    """Max relative distance of the core vectors inner[:, j] from the span of the outer[:, l]."""
+    inner, outer = (c.transpose(1, 0, 2).reshape(c.shape[1], -1) for c in (inner, outer))
     q, _ = np.linalg.qr(outer.T)
     proj = inner @ q.conj() @ q.T
     num = np.linalg.norm(inner - proj, axis=1)
     den = np.linalg.norm(inner, axis=1)
-    return float(np.max(num / den))
+    return float(np.max(num / den, initial=0.0))
 
 
 def direct_sum_union_residual():
-    """Check that the fibre basis of a block-diagonal connection is the union
-    of the blockwise bases: cross-Gram terms and mutual span containment."""
-    mode_bound, grid = 4, 2048
-    tor_model, tor_loop = torus_model(grid=grid)
-    sph_model, sph_loop = sphere_model(np.pi / 3, grid=grid)
-    combo_model = _DirectSumModel((tor_model, tor_loop), (sph_model, sph_loop))
-    combo_loop = BaseLoop(grid=grid)
-    data = monodromy(combo_model, combo_loop, steps=grid)
-    full = eigen_sections(combo_model, combo_loop, data, mode_bound)
+    """Span gap between the fibre basis of a block-diagonal connection and the union of the blockwise bases.
 
-    basis_a = eigen_sections(tor_model, tor_loop, monodromy(tor_model, tor_loop, steps=grid), mode_bound)
-    basis_b = eigen_sections(sph_model, sph_loop, monodromy(sph_model, sph_loop, steps=grid), mode_bound)
-    na, nb = basis_a.values.shape[2], basis_b.values.shape[2]
-    emb_a = np.zeros((basis_a.count, grid, na + nb), dtype=complex)
-    emb_a[:, :, :na] = basis_a.values
-    emb_b = np.zeros((basis_b.count, grid, na + nb), dtype=complex)
-    emb_b[:, :, na:] = basis_b.values
-    union = np.concatenate([emb_a, emb_b]).reshape(basis_a.count + basis_b.count, -1)
-    cross = emb_a.reshape(basis_a.count, -1).conj() @ emb_b.reshape(basis_b.count, -1).T / grid
-    span_gap = max(
-        _span_containment(full.values.reshape(full.count, -1), union),
-        _span_containment(union, full.values.reshape(full.count, -1)),
-    )
-    return {"cross_gram_max": float(np.abs(cross).max()), "span_gap": span_gap}
+    Both shift their core vectors by the same modes |p| <= P, so they agree when, exponent by
+    exponent, the full and the embedded block core vectors span the same space.
+    """
+    grid = 2048
+    blocks = (torus_model(grid=grid), sphere_model(np.pi / 3, grid=grid))
+    combo = (_DirectSumModel(*blocks), BaseLoop(grid=grid))
+    full, *parts = (eigen_sections(m, loop, monodromy(m, loop, steps=grid), 4) for m, loop in (combo,) + blocks)
+    split = parts[0].core.shape[1]
+    embedded = np.zeros_like(full.core)
+    embedded[:, :split, :split], embedded[:, split:, split:] = (part.core for part in parts)
+    exponents = (full.data.exponents, np.concatenate([part.data.exponents for part in parts]))
+    gap = 0.0
+    for s in np.unique(np.concatenate(exponents)):
+        a, b = (core[:, np.abs(_window(e - s)) < 1e-8] for core, e in zip((full.core, embedded), exponents))
+        gap = max(gap, _span_containment(a, b), _span_containment(b, a))
+    return gap
 
 
 def complexification_residual():
     """Check that the complex basis and its realification span the same space.
 
-    Realifying and re-complexifying adjoins the conjugated sections; for the
-    symmetric mode window both spans agree.
+    Realifying adjoins the conjugates e^{-2 pi i p t} conj(c_j); for the symmetric
+    mode window both spans agree when c_j and conj(c_j) span the same space.
     """
     model, loop = sphere_model(np.pi / 6, grid=2048)
-    basis = eigen_sections(model, loop, monodromy(model, loop, steps=2048), 4)
-    flat = basis.values.reshape(basis.count, -1)
-    conj = flat.conj()
-    return max(_span_containment(conj, flat), _span_containment(flat, conj))
+    core = eigen_sections(model, loop, monodromy(model, loop, steps=2048), 4).core
+    return max(_span_containment(core.conj(), core), _span_containment(core, core.conj()))

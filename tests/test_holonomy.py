@@ -1,5 +1,8 @@
 """Parallel transport, Floquet data, fibre bases, weighted pairings, reparametrisations."""
 
+import dataclasses
+import importlib
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -30,7 +33,11 @@ from loopbundle import (
     transport_defect,
     transport_frame,
 )
+from loopbundle import properties
 from loopbundle.holonomy import _DirectSumModel, covariant_derivative, trig_interpolate
+
+# the package re-exports a function called `holonomy`, which shadows the submodule
+geo = importlib.import_module("loopbundle.holonomy")
 
 TRANSPORT_TOL = 1e-8
 GRAM_TOL = 1e-8
@@ -269,16 +276,10 @@ def test_basis_count_and_gram():
 def test_torus_basis_is_exactly_fourier():
     """On the flat torus the fibre basis must reproduce plain Fourier modes bit for bit."""
     _, _, data, basis = torus_basis()
-    grid = basis.grid
-    ts = np.arange(grid) / grid
-    phases = np.exp(2j * np.pi * np.outer(np.arange(-3, 4), ts))
-    worst = 0.0
-    for row, (p, s) in enumerate(basis.pairs):
-        assert s == 0.0
-        j = row % 2
-        expected = np.zeros((grid, 2), dtype=complex)
-        expected[:, j] = phases[int(p) + 3]
-        worst = max(worst, float(np.max(np.abs(basis.values[row] - expected))))
+    assert np.all(basis.pairs[:, 1] == 0.0)
+    assert basis.pairs[:, 0].tolist() == np.repeat(np.arange(-3, 4), 2).tolist()
+    # each section e^{2 pi i p t} c_j is a pure Fourier mode when c_j(t) = e_j exactly
+    worst = float(np.max(np.abs(basis.core - np.eye(2))))
     assert worst == 0.0
 
 
@@ -290,6 +291,18 @@ def dense_sections(basis):
     p, s = basis.pairs[:, 0], basis.pairs[:, 1]
     j = np.arange(basis.count) % data.exponents.size
     return np.exp(2j * np.pi * np.outer(p - s, ts))[:, :, None] * frame[:, :, j].transpose(2, 0, 1)
+
+
+def dense_reparam(dense, rep):
+    """Degrees and pullback residuals of sampled sections, each section resampled on its own."""
+    grid = dense.shape[1]
+    pulled = trig_interpolate(np.moveaxis(dense, 0, 1), np.mod(rep.sigma(np.arange(grid) / grid), 1.0))
+    own = np.linalg.norm(np.fft.fft(dense, axis=1), axis=2)  # (section, mode)
+    moved = np.linalg.norm(np.fft.fft(pulled, axis=0), axis=2).T
+    freqs = np.abs(np.fft.fftfreq(grid, d=1.0 / grid))
+    degrees = np.where(own > 1e-10 * np.linalg.norm(own, axis=1, keepdims=True), freqs, 0.0).max(axis=1)
+    tail = np.linalg.norm(np.where(freqs > degrees[:, None], moved, 0.0), axis=1)
+    return degrees.astype(int), tail / np.linalg.norm(moved, axis=1)
 
 
 def dense_dhat(basis, values):
@@ -324,13 +337,11 @@ def test_factorised_basis_matches_dense_sections(setup, grid, mode_bound):
     sampled = rng.standard_normal((grid, n)) + 1j * rng.standard_normal((grid, n))
     gram, projected, section = basis.gram(), basis.project(sampled), basis.section(coeffs).values
     dhat = dhat_residuals(basis)
-    cos_gram(basis, 2.0)
-    basis.periodicity_residual()
-    assert "values" not in vars(basis)  # none of the above samples the sections
+    assert not hasattr(basis, "values")  # the core is the only stored form
 
     dense = dense_sections(basis)
     flat = dense.reshape(basis.count, -1)
-    assert np.max(np.abs(basis.values - dense)) <= 1e-12
+    assert np.max(np.abs(basis.core.transpose(1, 0, 2) - dense[basis.pairs[:, 0] == 0])) <= 1e-12
     assert np.max(np.abs(gram - flat.conj() @ flat.T / grid)) <= 1e-12
     assert np.max(np.abs(projected - np.einsum("mtk,tk->m", dense.conj(), sampled) / grid)) <= 1e-12
     expected = np.tensordot(coeffs, dense, axes=(0, 0))
@@ -340,6 +351,16 @@ def test_factorised_basis_matches_dense_sections(setup, grid, mode_bound):
     if setup == "sphere" and mode_bound == 63:
         # mode 63 of a core carrying mode 2 reaches past the Nyquist mode 64
         assert oracle.max() > 1.0
+
+    rep = Reparam("sine", 0.1, 0.08)
+    degrees, residuals = dense_reparam(dense, rep)
+    if degrees.max() >= grid // 4:
+        with pytest.raises(ValueError):
+            reparam_actions(basis, rep)
+    else:
+        report = reparam_actions(basis, rep)
+        assert report["degrees"].tolist() == degrees.tolist()
+        assert np.max(np.abs(report["standard_residuals"] - residuals)) <= 1e-12
 
 
 def test_dhat_residuals_small():
@@ -445,7 +466,7 @@ def test_condiff_residuals():
     model, loop = sphere_model(np.pi / 3)
     data = monodromy(model, loop)
     basis = eigen_sections(model, loop, data, 4)
-    values = basis.values[basis.count // 2]
+    values = basis.core[:, 1]  # section (p = 0, j = 1)
     assert condiff_residual(model, loop, Reparam("identity"), values) < 1e-10
     assert condiff_residual(model, loop, Reparam("rotation", shift=0.37), values) < 1e-6
     assert condiff_residual(model, loop, Reparam("sine", amplitude=0.1), values) < 1e-4
@@ -456,7 +477,7 @@ def test_condiff_rejects_orientation_reversal():
     data = monodromy(model, loop)
     basis = eigen_sections(model, loop, data, 2)
     with pytest.raises(ValueError):
-        condiff_residual(model, loop, Reparam("reflection"), basis.values[0])
+        condiff_residual(model, loop, Reparam("reflection"), basis.core[:, 0])
 
 
 def test_rotation_preserves_polynomial_basis():
@@ -465,7 +486,6 @@ def test_rotation_preserves_polynomial_basis():
     basis = eigen_sections(model, loop, data, 4)
     report = reparam_actions(basis, Reparam("rotation", shift=0.3))
     assert report["standard_max"] < 1e-8
-    assert report["transport"]["coefficient_drift"] == 0.0
 
 
 def test_generic_reparam_breaks_polynomial_basis():
@@ -475,7 +495,6 @@ def test_generic_reparam_breaks_polynomial_basis():
     report = reparam_actions(basis, Reparam("sine", amplitude=0.1))
     assert report["standard_min"] > 1e-3
     # the transport action still carries the basis along exactly
-    assert report["transport"]["coefficient_drift"] == 0.0
     assert report["transport"]["periodicity_residual"] < 1e-8
 
 
@@ -536,10 +555,32 @@ def test_counterexample_requires_integer_winding():
 
 
 def test_direct_sum_union_is_consistent():
-    report = direct_sum_union_residual()
-    assert report["cross_gram_max"] < 1e-8
-    assert report["span_gap"] < 1e-8
+    assert direct_sum_union_residual() < 1e-8
 
 
 def test_complexification_spans_the_same_space():
     assert complexification_residual() < 1e-8
+
+
+def test_conjugated_transport_fails_the_span_checks(monkeypatch):
+    """Transporting with W Phi(t) W^-1 (W the Floquet frame) breaks both span records."""
+
+    def conjugated(model, loop, data, mode_bound):
+        path = data.frame @ np.asarray(data.frame_path) @ np.linalg.inv(data.frame)
+        return eigen_sections(model, loop, dataclasses.replace(data, frame_path=path), mode_bound)
+
+    monkeypatch.setattr(geo, "eigen_sections", conjugated)
+    monkeypatch.setattr(properties, "_BASIS_CACHE", {})
+    for name in ("direct-sum-union", "complexification-span"):
+        assert not properties.run_property(name, seed=0).passed, name
+
+
+def test_cos_gram_positive_fails_for_a_repeated_core_vector(monkeypatch):
+    repeated = []
+    for name, basis in properties.standard_bases():
+        core = basis.core.copy()
+        core[:, 1] = core[:, 0]  # section (p, 1) repeats section (p, 0) for every mode p
+        repeated.append((name, dataclasses.replace(basis, core=core)))
+    monkeypatch.setattr(properties, "_BASIS_CACHE", {(8, 4096): repeated})
+    record = properties.run_property("cos-gram-positive", seed=0)
+    assert not record.passed and record.threshold == 1e-8
