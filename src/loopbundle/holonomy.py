@@ -47,6 +47,9 @@ MODEL_TAGS = ("flat-torus-T2", "round-sphere-S2", "group-SU2")
 # Fourier coefficients below this fraction of the largest one are round-off
 # and are left out of trigonometric interpolation
 TRIG_FLOOR = 1e-13
+# a cluster of holonomy eigenvalues counts as one degenerate eigenvalue only
+# while its mean eigenvalue moves the cluster's frame by at most this much
+DEGENERATE_TOL = 1e-10
 J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
@@ -289,10 +292,13 @@ def floquet(g, frame_path=None):
     """Floquet exponents s_j in [-1/2, 1/2) and eigenframe of a holonomy matrix.
 
     Eigenvalues are clustered as in the spectral helpers; columns are ordered
-    by exponent.  Inside a multi-eigenvalue cluster the Schur vectors depend
-    on the round-off in g, so the frame there is the deterministic basis of
-    the cluster's spectral projector from `projector_basis` (for g = +-I the
-    standard basis).  Rejects matrices that are not unitary/orthogonal to 1e-8.
+    by exponent.  Inside a degenerate cluster the Schur vectors depend on the
+    round-off in g, so the frame there is the deterministic basis of the
+    cluster's spectral projector from `projector_basis` (for g = +-I the
+    standard basis) with the cluster's mean exponent.  A cluster that g does
+    not act on as that mean to DEGENERATE_TOL (a rotation by 3e-8 rad, say)
+    is resolved: its Schur vectors are eigenvectors to round-off and keep
+    their own exponents.  Rejects matrices that are not unitary/orthogonal to 1e-8.
     """
     arr = np.asarray(g, dtype=complex)
     if np.linalg.norm(arr.conj().T @ arr - np.eye(arr.shape[0])) > 1e-8:
@@ -302,9 +308,14 @@ def floquet(g, frame_path=None):
     exps = np.empty(n)
     vectors = decomp.vectors.copy()
     for value, cluster in zip(decomp.cluster_values, decomp.clusters):
-        exps[list(cluster)] = _window(np.angle(value) / (2.0 * np.pi))
+        cols = list(cluster)
+        exps[cols] = _window(np.angle(value) / (2.0 * np.pi))
         if len(cluster) > 1:
-            vectors[:, list(cluster)] = projector_basis(decomp.projector(cluster))
+            basis = projector_basis(decomp.projector(cluster))
+            if np.linalg.norm(arr @ basis - value * basis) <= DEGENERATE_TOL:
+                vectors[:, cols] = basis
+            else:
+                exps[cols] = _window(np.angle(decomp.values[cols]) / (2.0 * np.pi))
     order = np.lexsort((np.arange(n), exps))
     return MonodromyData(
         holonomy=arr,

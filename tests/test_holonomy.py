@@ -158,6 +158,30 @@ def test_degenerate_holonomy_frame_is_canonical(eye):
     assert np.max(np.abs(frames[0] - np.eye(n))) < 1e-9
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_near_degenerate_holonomy_keeps_its_exponents(sign):
+    """A rotation by 3e-8 rad clusters its eigenvalues but is not +-I: the frame must stay an eigenframe."""
+    angle = 3e-8
+    g = sign * np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    data = floquet(g)
+    defect = g @ data.frame - data.frame * np.exp(2j * np.pi * data.exponents)[None, :]
+    assert np.linalg.norm(defect) < 1e-14
+    turn = angle / (2.0 * np.pi) + (0.5 if sign < 0 else 0.0)
+    expected = np.sort(np.mod(np.array([turn, -turn]) + 0.5, 1.0) - 0.5)
+    assert np.max(np.abs(data.exponents - expected)) < 1e-15
+
+
+def test_monodromy_of_a_nearly_trivial_latitude():
+    """theta = 1e-4 gives a holonomy rotation of about 3e-8 rad, inside one eigenvalue cluster."""
+    model, loop = sphere_model(1e-4, grid=64)
+    data = monodromy(model, loop)
+    turn = 1.0 - np.cos(1e-4)
+    assert np.max(np.abs(np.sort(data.exponents) - np.array([-turn, turn]))) < 1e-15
+    basis = eigen_sections(model, loop, data, 4)
+    assert basis.periodicity_residual() < 1e-14
+    assert np.max(np.abs(basis.gram() - np.eye(basis.count))) < 1e-12
+
+
 def _dense_trig_reference(values, new_ts):
     n = values.shape[0]
     coeffs = np.fft.fft(values, axis=0) / n
