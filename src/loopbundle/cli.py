@@ -228,8 +228,7 @@ def _sibling_csv(out, suffix):
 
 def _run_properties(config, names, trials=None):
     """Run and print the named properties under the tolerance overrides; return (failures, shared report)."""
-    tolerances = config["tolerances"]
-    records = [props.run_property(name, config["seed"], trials, tolerances.get(name)) for name in names]
+    records = props.run_properties(names, config["seed"], trials, config["tolerances"])
     for rec in records:
         tag = "PASS" if rec.passed else "FAIL"
         print(f"{tag} {rec.name}: observed={rec.observed:.6e} threshold={rec.threshold:.3e} ({rec.comparator})")

@@ -156,13 +156,11 @@ class ConnectionModel:
     def transport_matrices(self, loop, t0, ts):
         """Closed-form transport exp((sigma(t) - sigma(t0)) A0) from t0 to each t.
 
-        A vanishing A0 (the torus) gives the identity bit for bit.
+        A vanishing A0 (the torus) gives the identity bit for bit: eigh of the
+        zero matrix returns u = I and mu = 0.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         base = self.base_coefficient(loop)
-        n = base.shape[0]
-        if not base.any():
-            return np.broadcast_to(np.eye(n), (ts.size, n, n)).copy()
         sigma = loop.reparam.sigma if loop.reparam is not None else np.asarray
         return one_parameter_path(base, sigma(ts) - sigma(float(t0))).real
 

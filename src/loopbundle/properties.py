@@ -3,9 +3,12 @@
 Every check is registered under a stable name together with a threshold and a
 comparison direction ("<" means the observed value must stay below the
 threshold, ">" that it must exceed it -- some checks exist precisely to show
-that a construction *breaks* in a controlled way).  Runners draw all their
-randomness from a child generator derived from the global seed and the
-property name, so reports are reproducible and independent of registry order.
+that a construction *breaks* in a controlled way).  One runner may own
+several records that read one computation, such as the four transport
+identities over one set of loops; `run_properties` calls each runner at most
+once per batch.  A runner draws all its randomness from a child generator
+derived from the global seed and the name of its first record, so reports are
+reproducible and independent of registry order.
 
 A structural sub-check that fails outright (a missing exception, a wrong tag)
 adds a unit penalty to the observed value instead of raising, so a broken
@@ -16,7 +19,9 @@ The heavyweight sweep helpers (`sweep_sections`, `cosr_isomorphism_sweep`,
 rerun them at full advertised sizes.
 """
 
+import functools
 import importlib
+import operator
 import zlib
 from dataclasses import dataclass
 
@@ -88,6 +93,8 @@ from .spectral import (
 
 _REGISTRY = {}
 
+_COMPARATORS = {"<": operator.lt, "<=": operator.le, ">": operator.gt}
+
 SECTION_THRESHOLDS = {"endpoint": 1e-9, "group": 1e-9, "poly": 1e-8, "det": 1e-10}
 
 
@@ -111,22 +118,30 @@ class PropertyRecord:
         }
 
 
+@dataclass(frozen=True)
 class _Property:
-    def __init__(self, name, threshold, comparator, runner):
-        self.name = name
-        self.threshold = threshold
-        self.comparator = comparator
-        self.runner = runner
+    threshold: float
+    comparator: str
+    runner: object  # (rng, trials) -> {record name: observed} over the whole group
+    group: tuple  # the records the runner returns; the first names its generator
 
 
-def _register(name, threshold, comparator="<"):
-    if comparator not in ("<", "<=", ">"):
-        raise ValueError(f"unsupported comparator {comparator!r}")
+def _register(name, threshold=None, comparator="<"):
+    """Register a runner for one record, or for several given as {name: (threshold, comparator)}.
+
+    A runner of one record returns its observed value, a runner of several a
+    mapping from each of its record names to its observed value.
+    """
+    table = name if isinstance(name, dict) else {name: (threshold, comparator)}
 
     def deco(fn):
-        if name in _REGISTRY:
-            raise ValueError(f"duplicate property name {name!r}")
-        _REGISTRY[name] = _Property(name, threshold, comparator, fn)
+        runner = fn if isinstance(name, dict) else lambda rng, trials: {name: fn(rng, trials)}
+        for record, (bound, comp) in table.items():
+            if comp not in _COMPARATORS:
+                raise ValueError(f"unsupported comparator {comp!r}")
+            if record in _REGISTRY:
+                raise ValueError(f"duplicate property name {record!r}")
+            _REGISTRY[record] = _Property(bound, comp, runner, tuple(table))
         return fn
 
     return deco
@@ -141,17 +156,27 @@ def child_rng(seed, name):
     return np.random.default_rng((int(seed) % (2**32), zlib.crc32(name.encode("ascii"))))
 
 
+def run_properties(names, seed=0, trials=None, thresholds=None):
+    """Records for `names` in that order; each runner runs once, however many of its records are named.
+
+    thresholds maps a record name to a bound that replaces its registered threshold.
+    """
+    thresholds = thresholds or {}
+    observed = {}
+    records = []
+    for name in names:
+        prop = _REGISTRY[name]
+        if name not in observed:
+            observed.update(prop.runner(child_rng(seed, prop.group[0]), trials))
+        value = float(observed[name])
+        bound = float(thresholds.get(name, prop.threshold))
+        passed = _COMPARATORS[prop.comparator](value, bound)
+        records.append(PropertyRecord(name, value, bound, prop.comparator, passed))
+    return records
+
+
 def run_property(name, seed=0, trials=None, threshold=None):
-    prop = _REGISTRY[name]
-    observed = float(prop.runner(child_rng(seed, name), trials))
-    bound = prop.threshold if threshold is None else float(threshold)
-    if prop.comparator == "<":
-        passed = observed < bound
-    elif prop.comparator == "<=":
-        passed = observed <= bound
-    else:
-        passed = observed > bound
-    return PropertyRecord(name, observed, bound, prop.comparator, passed)
+    return run_properties([name], seed, trials, None if threshold is None else {name: threshold})[0]
 
 
 def _default(trials, value):
@@ -305,18 +330,14 @@ def _fourier_roundtrip(rng, trials):
     return worst
 
 
-@_register("polynomiality-detects", 1e-4, ">")
-def _polynomiality_detects(rng, trials):
+@_register({"polynomiality-detects": (1e-4, ">"), "polynomiality-accepts": (1e-6, "<")})
+def _polynomiality(rng, trials):
     ts = np.arange(1024) / 1024
-    vals = np.exp(0.2 * np.sin(2.0 * np.pi * ts))[:, None, None].astype(complex)
-    return polynomiality_residual(SampledLoop(values=vals), 2)
-
-
-@_register("polynomiality-accepts", 1e-6)
-def _polynomiality_accepts(rng, trials):
-    ts = np.arange(1024) / 1024
-    vals = np.exp(0.2 * np.sin(2.0 * np.pi * ts))[:, None, None].astype(complex)
-    return polynomiality_residual(SampledLoop(values=vals), 4)
+    samples = SampledLoop(values=np.exp(0.2 * np.sin(2.0 * np.pi * ts))[:, None, None].astype(complex))
+    return {
+        "polynomiality-detects": polynomiality_residual(samples, 2),
+        "polynomiality-accepts": polynomiality_residual(samples, 4),
+    }
 
 
 @_register("group-residual-unitary-loops", 1e-9)
@@ -761,19 +782,17 @@ def section_sweep_ratio(report):
     return ratio
 
 
-@_register("section-sweep-unitary", 1.0)
-def _section_sweep_u(rng, trials):
-    return section_sweep_ratio(sweep_sections("U", (2, 3, 4, 5, 6), _default(trials, 25), rng))
+def _section_sweep(group, rng, trials):
+    return section_sweep_ratio(sweep_sections(group, (2, 3, 4, 5, 6), _default(trials, 25), rng))
 
 
-@_register("section-sweep-special-unitary", 1.0)
-def _section_sweep_su(rng, trials):
-    return section_sweep_ratio(sweep_sections("SU", (2, 3, 4, 5, 6), _default(trials, 25), rng))
-
-
-@_register("section-sweep-special-orthogonal", 1.0)
-def _section_sweep_so(rng, trials):
-    return section_sweep_ratio(sweep_sections("SO", (2, 3, 4, 5, 6), _default(trials, 25), rng))
+# one runner per group, each a record of its own with its own generator
+for _name, _group in (
+    ("section-sweep-unitary", "U"),
+    ("section-sweep-special-unitary", "SU"),
+    ("section-sweep-special-orthogonal", "SO"),
+):
+    _register(_name, 1.0)(functools.partial(_section_sweep, _group))
 
 
 @_register("section-group-actions", 1e-9)
@@ -889,24 +908,18 @@ def transport_identity_sweep(rng, per_model, steps=2048):
     return worst
 
 
-@_register("transport-composition", 1e-8)
-def _transport_composition(rng, trials):
-    return transport_identity_sweep(rng, _default(trials, 4))["composition"]
+_TRANSPORT_RECORDS = {
+    "composition": "transport-composition",
+    "period": "transport-period-shift",
+    "doubling": "transport-step-doubling",
+    "orthogonality": "transport-orthogonality",
+}
 
 
-@_register("transport-period-shift", 1e-8)
-def _transport_period(rng, trials):
-    return transport_identity_sweep(rng, _default(trials, 4))["period"]
-
-
-@_register("transport-step-doubling", 1e-8)
-def _transport_doubling(rng, trials):
-    return transport_identity_sweep(rng, _default(trials, 4))["doubling"]
-
-
-@_register("transport-orthogonality", 1e-8)
-def _transport_orthogonality(rng, trials):
-    return transport_identity_sweep(rng, _default(trials, 4))["orthogonality"]
+@_register({record: (1e-8, "<") for record in _TRANSPORT_RECORDS.values()})
+def _transport_identities(rng, trials):
+    worst = transport_identity_sweep(rng, _default(trials, 4))
+    return {record: worst[key] for key, record in _TRANSPORT_RECORDS.items()}
 
 
 def latitude_report(theta, winding=1):
@@ -1093,59 +1106,37 @@ def _cos_gram_positive(rng, trials):
     return min(floors)
 
 
-def _random_section_values(rng, basis):
+@_register({"condiff-identity": (1e-10, "<"), "condiff-rotation": (1e-6, "<"), "condiff-generic": (1e-4, "<")})
+def _condiff(rng, trials):
+    _, basis = standard_bases(mode_bound=4, grid=4096)[1]
     decay = np.exp(-0.5 * np.abs(basis.pairs[:, 0]))
-    c = (rng.standard_normal(basis.count) + 1j * rng.standard_normal(basis.count)) * decay
-    return basis.section(c).values
+    values = basis.section((rng.standard_normal(basis.count) + 1j * rng.standard_normal(basis.count)) * decay).values
+    reparams = {
+        "condiff-identity": geo.Reparam("identity"),
+        "condiff-rotation": geo.Reparam("rotation", shift=0.3),
+        "condiff-generic": geo.Reparam("sine", shift=0.1, amplitude=0.1),
+    }
+    return {name: geo.condiff_residual(basis.model, basis.loop, rep, values) for name, rep in reparams.items()}
 
 
-@_register("condiff-identity", 1e-10)
-def _condiff_identity(rng, trials):
-    _, basis = standard_bases(mode_bound=4, grid=4096)[1]
-    values = _random_section_values(rng, basis)
-    return geo.condiff_residual(basis.model, basis.loop, geo.Reparam("identity"), values)
-
-
-@_register("condiff-rotation", 1e-6)
-def _condiff_rotation(rng, trials):
-    _, basis = standard_bases(mode_bound=4, grid=4096)[1]
-    values = _random_section_values(rng, basis)
-    return geo.condiff_residual(basis.model, basis.loop, geo.Reparam("rotation", shift=0.3), values)
-
-
-@_register("condiff-generic", 1e-4)
-def _condiff_generic(rng, trials):
-    _, basis = standard_bases(mode_bound=4, grid=4096)[1]
-    values = _random_section_values(rng, basis)
-    rep = geo.Reparam("sine", shift=0.1, amplitude=0.1)
-    return geo.condiff_residual(basis.model, basis.loop, rep, values)
-
-
-@_register("reparam-rotation-preserves", 1e-8)
-def _reparam_rotation(rng, trials):
+@_register(
+    {
+        "reparam-rotation-preserves": (1e-8, "<"),
+        "reparam-generic-breaks": (1e-3, ">"),
+        "reparam-transport-carries": (1e-8, "<"),
+    }
+)
+def _reparam(rng, trials):
     _, basis = standard_bases(mode_bound=4, grid=2048)[1]
-    worst = 0.0
-    for rep in (geo.Reparam("rotation", shift=0.3), geo.Reparam("reflection", shift=0.0)):
-        report = geo.reparam_actions(basis, rep)
-        worst = max(worst, report["standard_max"])
-    return worst
-
-
-@_register("reparam-generic-breaks", 1e-3, ">")
-def _reparam_generic(rng, trials):
-    _, basis = standard_bases(mode_bound=4, grid=2048)[1]
-    report = geo.reparam_actions(basis, geo.Reparam("sine", amplitude=0.1))
-    return report["standard_max"]
-
-
-@_register("reparam-transport-carries", 1e-8)
-def _reparam_transport(rng, trials):
-    _, basis = standard_bases(mode_bound=4, grid=2048)[1]
-    worst = 0.0
-    for rep in (geo.Reparam("rotation", shift=0.4), geo.Reparam("sine", amplitude=0.08)):
-        report = geo.reparam_actions(basis, rep)
-        worst = max(worst, report["transport"]["periodicity_residual"])
-    return worst
+    preserving = (geo.Reparam("rotation", shift=0.3), geo.Reparam("reflection", shift=0.0))
+    carried = (geo.Reparam("rotation", shift=0.4), geo.Reparam("sine", amplitude=0.08))
+    return {
+        "reparam-rotation-preserves": max(geo.reparam_actions(basis, rep)["standard_max"] for rep in preserving),
+        "reparam-generic-breaks": geo.reparam_actions(basis, geo.Reparam("sine", amplitude=0.1))["standard_max"],
+        "reparam-transport-carries": max(
+            geo.reparam_actions(basis, rep)["transport"]["periodicity_residual"] for rep in carried
+        ),
+    }
 
 
 @_register("subbundle-counterexample", 1e-3, ">")

@@ -1,4 +1,4 @@
-"""The names and parameters that perfbench/tracer.py wraps must exist in the package."""
+"""What perfbench relies on: the names and parameters its tracer wraps, and the verify record count."""
 
 import importlib
 import importlib.util
@@ -7,14 +7,20 @@ from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from loopbundle.properties import property_names
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def traced_names():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.TRACED
+    return perfbench_module("tracer").TRACED
 
 
 @pytest.mark.parametrize("short,names", sorted(traced_names().items()))
@@ -36,3 +42,7 @@ def test_traced_names_are_module_level_callables(short, names):
 def test_counted_parameters_exist(name, params):
     fn = getattr(importlib.import_module("loopbundle.holonomy"), name)
     assert set(params) <= set(inspect.signature(fn).parameters)
+
+
+def test_verify_workload_expects_every_registered_property():
+    assert perfbench_module("workloads").VERIFY_PROPERTIES == len(property_names())

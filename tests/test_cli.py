@@ -70,6 +70,20 @@ def test_verify_forced_failure_exits_one(tmp_path, capsys):
     assert payload["tolerance_overrides"] == {"dhat-eigenvalue-residual": 1e-16}
 
 
+def test_tolerance_override_applies_to_one_record_of_a_group(capsys):
+    # at one trial the record can read exactly 0.0, so only a negative bound is sure to fail it
+    assert cli.main(["verify", "--trials", "1", "--tol.transport-period-shift", "-1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == ["FAIL transport-period-shift"]
+    assert any(line.startswith("PASS transport-composition:") for line in lines)
+
+
+def test_demo_properties_are_registered():
+    names = set(cli.props.property_names())
+    for demo, records in cli.DEMO_PROPERTIES.items():
+        assert set(records) <= names, demo
+
+
 def test_unknown_tolerance_name_is_config_error():
     assert cli.main(["verify", "--tol.not-a-property", "1.0"]) == 2
 

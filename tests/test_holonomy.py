@@ -62,6 +62,18 @@ def test_torus_transport_is_exactly_flat():
     assert np.max(np.abs(frame - np.eye(2))) == 0.0
 
 
+@pytest.mark.parametrize("reparam", [None, Reparam("sine", shift=0.2, amplitude=0.1)])
+def test_torus_closed_form_is_exactly_the_identity(reparam):
+    """A0 = 0 takes the general closed form, which must give I bit for bit: eigh(0) has u = I, mu = 0."""
+    model, loop = torus_model(winding=(1, 2), grid=512, reparam=reparam)
+    eye = np.eye(2)
+    assert np.array_equal(transport(model, loop, 0.3, 1.7), eye)
+    frame = transport_frame(model, loop)
+    assert np.array_equal(frame, np.broadcast_to(eye, frame.shape))
+    core = eigen_sections(model, loop, monodromy(model, loop), 3).core
+    assert np.array_equal(core, np.broadcast_to(eye, core.shape))
+
+
 def test_transport_is_orthogonal():
     model, loop = sphere_model(0.8)
     g = transport(model, loop)

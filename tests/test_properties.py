@@ -1,0 +1,57 @@
+"""The property registry: a runner may own several records and runs once per batch."""
+
+import collections
+import dataclasses
+
+import pytest
+
+from loopbundle import cli
+from loopbundle import properties as props
+
+
+def test_batch_equals_per_name_records():
+    names = props.property_names()
+    batch = props.run_properties(names, seed=3, trials=1)
+    assert batch == [props.run_property(name, seed=3, trials=1) for name in names]
+
+
+@pytest.fixture
+def runner_calls(monkeypatch):
+    """Count calls per runner and check that each returns exactly the records registered with it."""
+    calls = collections.Counter()
+    wrapped = {}
+    for name in props.property_names():
+        prop = props._REGISTRY[name]
+        if prop.runner not in wrapped:
+
+            def counted(rng, trials, runner=prop.runner, group=prop.group):
+                calls[group] += 1
+                out = runner(rng, trials)
+                assert sorted(out) == sorted(group)
+                return out
+
+            wrapped[prop.runner] = counted
+        monkeypatch.setitem(props._REGISTRY, name, dataclasses.replace(prop, runner=wrapped[prop.runner]))
+    return calls
+
+
+def test_each_runner_runs_once_per_verify(runner_calls, capsys):
+    assert cli.main(["verify", "--seed", "3", "--trials", "1"]) == 0
+    groups = {props._REGISTRY[name].group for name in props.property_names()}
+    assert runner_calls == {group: 1 for group in groups}
+    assert any(len(group) > 1 for group in groups)
+
+
+@pytest.mark.parametrize("demo", sorted(cli.DEMO_PROPERTIES))
+def test_each_runner_runs_once_per_demo(runner_calls, capsys, demo):
+    assert cli.main(["demo", demo]) == 0
+    groups = {props._REGISTRY[name].group for name in cli.DEMO_PROPERTIES[demo]}
+    assert runner_calls == {group: 1 for group in groups}
+
+
+def test_a_group_draws_from_the_generator_of_its_first_record():
+    worst = props.transport_identity_sweep(props.child_rng(3, "transport-composition"), 1)
+    names = ["transport-orthogonality", "transport-period-shift", "transport-step-doubling", "transport-composition"]
+    records = props.run_properties(names, seed=3, trials=1)
+    assert [rec.name for rec in records] == names
+    assert [rec.observed for rec in records] == [worst[key] for key in ("orthogonality", "period", "doubling", "composition")]
