@@ -3,7 +3,7 @@
 The package is organised in five layers:
 
 * laurent: matrix-valued trigonometric (Laurent) polynomials, sampling,
-  Fourier projection and polynomiality residuals;
+  Fourier projection, polynomiality residuals and certificates;
 * modes: weighted sequence models of loop vectors, the mode derivative,
   cosh weights, the polarization and Hilbert-Schmidt diagnostics;
 * spectral: branch/central logarithms, skew exponentials, unitary
@@ -24,6 +24,7 @@ from .laurent import (
     group_residual,
     fourier_coefficients,
     fourier_project,
+    certify,
     polynomiality_residual,
 )
 from .modes import (

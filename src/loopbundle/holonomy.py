@@ -40,7 +40,7 @@ weighted pairing sums cosh((p - s_j) ln r)^2 conj(a) b over coefficients.
 import numpy as np
 from dataclasses import dataclass
 
-from .laurent import SampledLoop, laurent_eval, polynomiality_residual
+from .laurent import CERT_GUARD, certify, laurent_eval
 from .spectral import clustered_eig, one_parameter_path, projector_basis
 
 MODEL_TAGS = ("flat-torus-T2", "round-sphere-S2", "group-SU2")
@@ -660,22 +660,23 @@ def reparam_actions(basis, rep):
 def subbundle_counterexample(gamma, beta):
     """Residual report for the phase-twisted loop t -> e^{2 pi i gamma(t)} beta(t).
 
-    gamma is a callable lift with integer winding; beta a scalar loop.  The
-    twist of a polynomial loop stays polynomial exactly when gamma is linear;
-    the report flags a counterexample when the residual at degree
-    deg(beta) + 4 + |winding|, sampled on 4096 points, exceeds 1e-3.
+    gamma is a callable lift with integer winding, called point by point; beta
+    a scalar loop.  The twist of a polynomial loop stays polynomial exactly
+    when gamma is linear; the report flags a counterexample when the
+    `certify` residual at degree deg(beta) + CERT_GUARD + |winding| exceeds 1e-3.
     """
     if beta.dim != 1:
         raise ValueError("the demonstration uses scalar loops")
     wind = gamma(1.0) - gamma(0.0)
     if abs(wind - round(wind)) > 1e-8:
         raise ValueError("gamma(t+1) - gamma(t) must be an integer")
-    ts = np.arange(4096) / 4096
-    gvals = np.asarray([gamma(t) for t in ts], dtype=float)
-    beta_vals = laurent_eval(beta, ts)[:, 0, 0]
-    vals = np.exp(2j * np.pi * gvals) * beta_vals
-    degree = beta.degree + 4 + abs(int(round(wind)))
-    residual = polynomiality_residual(SampledLoop(values=vals[:, None]), degree)
+
+    def twisted(ts):
+        gvals = np.asarray([gamma(t) for t in ts], dtype=float)
+        return np.exp(2j * np.pi * gvals)[:, None, None] * laurent_eval(beta, ts)
+
+    degree = beta.degree + CERT_GUARD + abs(int(round(wind)))
+    _, residual = certify(twisted, degree)
     return {
         "residual": float(residual),
         "degree": int(degree),

@@ -7,9 +7,9 @@ the form
 
 i.e. a Laurent polynomial in z = exp(2 pi i t) with matrix coefficients.  This
 module holds the coefficient arithmetic (convolution product, pointwise
-evaluation), membership residuals for the classical groups, and the FFT
-projection used throughout the package to certify that a sampled loop is such
-a trigonometric polynomial.
+evaluation), membership residuals for the classical groups, the FFT
+projection, and `certify`, the package's one test that a loop is such a
+trigonometric polynomial: one sample grid, one FFT, one relative residual.
 
 Conventions: mode indices are integers k, the sample grid has a power-of-two
 size N_s, and samples live at t_i = i / N_s.  A loop tagged as real satisfies
@@ -23,6 +23,8 @@ import numpy as np
 
 REAL_TAG_TOL = 1e-12
 DEFAULT_GRID = 1024
+# modes a certificate keeps beyond the degree its path predicts
+CERT_GUARD = 4
 
 
 def _as_coeff(dim, value):
@@ -219,9 +221,10 @@ def fourier_coefficients(values, max_mode):
 def fourier_project(s, max_mode):
     """Project a sampled matrix loop onto modes |k| <= max_mode.
 
-    Returns (MatrixLoop, residual) where residual is the l2 mass outside the
-    window.  Exact (to round-off) for trigonometric polynomials of degree
-    below half the grid size.
+    Returns (MatrixLoop, residual), residual the relative l2 mass outside the
+    window (tail/total, as `polynomiality_residual`; 0.0 for the zero loop).
+    Exact (to round-off) for trigonometric polynomials of degree below half
+    the grid size.
     """
     if s.values.ndim != 3:
         raise ValueError("fourier_project expects matrix samples")
@@ -239,7 +242,20 @@ def fourier_project(s, max_mode):
             mate = coeffs.get(-k, np.zeros_like(value))
             sym[k] = 0.5 * (value + mate.conj())
         coeffs = sym
-    return MatrixLoop(dim=s.dim, coeffs=coeffs, field=tag), tail
+    return MatrixLoop(dim=s.dim, coeffs=coeffs, field=tag), (tail / total if total else 0.0)
+
+
+def certify(path, degree):
+    """Polynomiality certificate of the matrix loop t -> path(t) at the given degree.
+
+    Samples path (times -> (len, n, n) values) once, on the grid that doubles
+    from DEFAULT_GRID until degree < grid/4, and returns `fourier_project` of
+    the samples: (MatrixLoop, relative residual), from one FFT.
+    """
+    grid = DEFAULT_GRID
+    while degree >= grid // 4:
+        grid *= 2
+    return fourier_project(SampledLoop(values=path(np.arange(grid) / grid)), degree)
 
 
 def polynomiality_residual(s, max_mode):
@@ -254,6 +270,4 @@ def polynomiality_residual(s, max_mode):
     if max_mode >= n_s // 4:
         raise ValueError(f"mode bound {max_mode} must be < grid/4 = {n_s // 4}")
     _, tail, total = fourier_coefficients(arr, max_mode)
-    if total == 0.0:
-        return 0.0
-    return tail / total
+    return tail / total if total else 0.0

@@ -25,14 +25,7 @@ trigonometric polynomial of the predicted degree.
 
 import numpy as np
 
-from .laurent import (
-    MatrixLoop,
-    SampledLoop,
-    fourier_project,
-    laurent_eval,
-    polynomiality_residual,
-    sampled_group_residual,
-)
+from .laurent import CERT_GUARD, MatrixLoop, SampledLoop, certify, laurent_eval, sampled_group_residual
 from .spectral import (
     SkewSpectrum,
     block_structure,
@@ -47,7 +40,6 @@ from .spectral import (
 
 PERIODICITY_TOL = 1e-9
 CONDITION_BOUND = 1e6
-CERT_GUARD = 4
 
 
 class PathElement:
@@ -136,20 +128,10 @@ def path_group_residual(p, samples=256):
     return sampled_group_residual(p.eval(np.arange(samples) / samples), p.group)
 
 
-def _certify(radius, loops, quotient):
-    """(projection, polynomiality residual, degree) of the sampled path t -> quotient(t).
-
-    degree = ceil(radius / 2 pi) + CERT_GUARD + the loop parts' degrees; the
-    grid doubles from 1024 until it exceeds four times the degree.
-    """
+def _degree(radius, loops):
+    """Predicted quotient degree: ceil(radius / 2 pi) + CERT_GUARD + the loop parts' degrees."""
     degree = int(np.ceil(radius / (2.0 * np.pi))) + CERT_GUARD
-    degree += sum(loop.degree for loop in loops if loop is not None)
-    grid = 1024
-    while degree >= grid // 4:
-        grid *= 2
-    sampled = SampledLoop(values=quotient(np.arange(grid) / grid))
-    projected, _ = fourier_project(sampled, degree)
-    return projected, polynomiality_residual(sampled, degree), degree
+    return degree + sum(loop.degree for loop in loops if loop is not None)
 
 
 def fiber_certificate(p):
@@ -157,25 +139,26 @@ def fiber_certificate(p):
 
     Divides the path by the central-log path of its projection and measures
     how far the quotient loop is from a trigonometric polynomial of the
-    predicted degree.  Returns (quotient MatrixLoop, residual, degree).
+    predicted degree.  Returns (quotient MatrixLoop, relative residual, degree).
     """
     zeta = SkewSpectrum(central_log(p.projection))
-    radius = max([zeta.radius] + p.radii)
-    return _certify(radius, [p.loop], lambda ts: zeta.exp(-ts) @ p.eval(ts))
+    degree = _degree(max([zeta.radius] + p.radii), [p.loop])
+    quotient, residual = certify(lambda ts: zeta.exp(-ts) @ p.eval(ts), degree)
+    return quotient, residual, degree
 
 
 def path_fiber_quotient(a, b):
     """Quotient loop t -> a(t)^{-1} b(t) of two paths in a common fibre.
 
     Requires matching projections (tolerance 1e-9).  Returns the Fourier
-    projection of the quotient and its normalized residual; a small residual
-    certifies that the two paths differ by a polynomial loop.
+    projection of the quotient and its relative residual (`laurent.certify`);
+    a small residual certifies that the two paths differ by a polynomial loop.
     """
     gap = np.linalg.norm(a.projection - b.projection)
     if gap > PERIODICITY_TOL:
         raise ValueError(f"paths project to different group elements (gap {gap:.3e})")
-    quotient, residual, _ = _certify(sum(a.radii + b.radii), [a.loop, b.loop], lambda ts: np.linalg.solve(a.eval(ts), b.eval(ts)))
-    return quotient, residual
+    degree = _degree(sum(a.radii + b.radii), [a.loop, b.loop])
+    return certify(lambda ts: np.linalg.solve(a.eval(ts), b.eval(ts)), degree)
 
 
 def _smoothstep(x):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 import scipy.linalg
 
-from .laurent import SampledLoop, fourier_project, DEFAULT_GRID
+from .laurent import CERT_GUARD, certify
 
 CLUSTER_TOL = 1e-7
 SKEW_TOL = 1e-10
@@ -238,7 +238,8 @@ def exp_pair_loop(xi_1, xi_2, degree=None):
     The two skew matrices must exponentiate to the same group element (checked
     to 1e-9); the resulting loop is then a trigonometric polynomial whose
     degree is bounded by the sum of the spectral radii over 2 pi.  Returns
-    (MatrixLoop, residual) of the projection at the given (or default) degree.
+    `laurent.certify` of the loop at the given degree, by default that bound
+    plus CERT_GUARD: (MatrixLoop, relative residual).
     """
     a = SkewSpectrum(xi_1)
     b = SkewSpectrum(xi_2)
@@ -247,9 +248,8 @@ def exp_pair_loop(xi_1, xi_2, degree=None):
     if np.linalg.norm(a.exp(1.0) - b.exp(1.0)) > 1e-9:
         raise ValueError("exp(xi_1) != exp(xi_2); the pair does not define a loop")
     if degree is None:
-        degree = int(np.ceil((a.radius + b.radius) / (2.0 * np.pi))) + 4
-    ts = np.arange(DEFAULT_GRID) / DEFAULT_GRID
-    return fourier_project(SampledLoop(values=a.exp(-ts) @ b.exp(ts)), degree)
+        degree = int(np.ceil((a.radius + b.radius) / (2.0 * np.pi))) + CERT_GUARD
+    return certify(lambda ts: a.exp(-ts) @ b.exp(ts), degree)
 
 
 def torus_path_factor(g, angles):

@@ -156,6 +156,18 @@ def test_section_sweep_su(tmp_path):
     assert report["failures"] == []
 
 
+@pytest.mark.parametrize("group", ["U", "SU"])
+def test_section_at_a_huge_branch_height_completes(group, tmp_path):
+    # only e^{ir} sets the cut; at r = 1e17 the unreduced height swamps the
+    # eigenvalue angles of the branch log and every trial was rejected
+    out = tmp_path / "high.json"
+    assert cli.main(["section", "--group", group, "--trials", "5", "--r", "1e17", "--out", str(out)]) == 0
+    payload = read_json(out)
+    assert payload["r"] == 1e17
+    report = payload["report"]
+    assert (report["completed"], report["rejections"], report["failures"]) == (5, 0, [])
+
+
 def test_section_so_needs_split_in_range():
     assert cli.main(["section", "--group", "SO", "--r", "1.5"]) == 2
 

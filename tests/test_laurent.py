@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from loopbundle import (
     MatrixLoop,
     SampledLoop,
+    certify,
     fourier_coefficients,
     fourier_project,
     group_residual,
@@ -180,6 +181,36 @@ def test_fourier_project_rejects_aliasing_degree():
     s = sample_loop(a, 64)
     with pytest.raises(ValueError):
         fourier_project(s, 32)
+
+
+def test_fourier_project_residual_is_the_relative_tail():
+    rng = np.random.default_rng(19)
+    ts = np.arange(GRID) / GRID
+    weights = 3.0 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    s = SampledLoop(values=np.exp(0.2 * np.sin(2 * np.pi * ts))[:, None, None] * weights)
+    _, tail, total = fourier_coefficients(s.values, 2)
+    assert total > 2.0  # the absolute and relative tails differ
+    for max_mode in (2, 4):
+        assert fourier_project(s, max_mode)[1] == polynomiality_residual(s, max_mode)
+    assert fourier_project(s, 2)[1] == tail / total
+    assert fourier_project(SampledLoop(values=np.zeros((GRID, 2, 2))), 2)[1] == 0.0
+
+
+@pytest.mark.parametrize("degree, grid", [(0, 1024), (255, 1024), (256, 2048), (600, 4096)])
+def test_certify_samples_once_on_the_quarter_rule_grid(degree, grid):
+    seen = []
+
+    def path(ts):
+        seen.append(ts)
+        return np.exp(2j * np.pi * degree * ts)[:, None, None]
+
+    loop, residual = certify(path, degree)
+    assert [len(ts) for ts in seen] == [grid]
+    assert np.array_equal(seen[0], np.arange(grid) / grid)
+    assert residual < 1e-12
+    # modes other than the degree hold only the round-off of the phases
+    assert abs(loop.coeff(degree)[0, 0] - 1.0) < 1e-12
+    assert max((abs(loop.coeff(k)[0, 0]) for k in loop.coeffs if k != degree), default=0.0) < 1e-12
 
 
 def test_slow_tail_matches_bessel_expansion():

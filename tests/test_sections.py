@@ -8,6 +8,7 @@ from loopbundle import (
     PathElement,
     act_group,
     central_log,
+    exp_pair_loop,
     exp_skew,
     fiber_certificate,
     identity_loop,
@@ -248,6 +249,29 @@ def test_certificate_of_section_paths():
     quotient, residual, degree = fiber_certificate(un_section(0.0, g))
     assert residual < POLY_TOL
     assert degree >= quotient.degree
+
+
+@pytest.mark.parametrize("certificate", ["fiber_certificate", "path_fiber_quotient", "exp_pair_loop"])
+def test_each_certificate_takes_one_fft(certificate, monkeypatch):
+    rng = np.random.default_rng(28)
+    g = random_unitary(rng, 3)
+    section = un_section(0.0, g)
+    calls = {
+        "fiber_certificate": lambda: fiber_certificate(section),
+        "path_fiber_quotient": lambda: path_fiber_quotient(section, PathElement([central_log(g)])),
+        "exp_pair_loop": lambda: exp_pair_loop(section.factors[0], central_log(g)),
+    }
+    fft = np.fft.fft
+    count = []
+
+    def counted(*args, **kwargs):
+        count.append(1)
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counted)
+    residual = calls[certificate]()[1]
+    assert len(count) == 1
+    assert residual < POLY_TOL
 
 
 def test_smooth_section_through_base_point():

@@ -18,7 +18,9 @@ from loopbundle import (
     torus_path_factor,
     unitary_structure,
 )
+from loopbundle.laurent import DEFAULT_GRID, SampledLoop
 from loopbundle.rand import random_skew, random_special_orthogonal, random_unitary
+from loopbundle.spectral import SkewSpectrum
 
 J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
 ROUNDTRIP_TOL = 1e-9
@@ -169,6 +171,25 @@ def test_pair_loop_projection_shift():
     assert residual < 1e-8
     values = sample_loop(loop, 512)
     assert polynomiality_residual(values, loop.degree) < 1e-8
+
+
+def test_pair_loop_at_large_spectral_radius():
+    # degree 600 needs a grid of 4096; a fixed grid of 1024 cannot hold it
+    loop, residual = exp_pair_loop(2j * np.pi * np.diag([600.0, 0.0]), np.zeros((2, 2)))
+    assert residual < 1e-8
+    exact = {-600: np.diag([1.0, 0.0]), 0: np.diag([0.0, 1.0])}
+    for k in set(loop.coeffs) | set(exact):
+        assert np.max(np.abs(loop.coeff(k) - exact.get(k, 0.0))) < 1e-10
+
+
+def test_pair_loop_residual_is_the_relative_tail():
+    # diag(e^{-6 pi i t}, 1) at degree 1: tail 1, total sqrt 2
+    xi_1, xi_2 = 2j * np.pi * np.diag([3.0, 0.0]), np.zeros((2, 2))
+    _, residual = exp_pair_loop(xi_1, xi_2, degree=1)
+    ts = np.arange(DEFAULT_GRID) / DEFAULT_GRID
+    samples = SampledLoop(values=SkewSpectrum(xi_1).exp(-ts) @ SkewSpectrum(xi_2).exp(ts))
+    assert residual == polynomiality_residual(samples, 1)
+    assert residual == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-12)
 
 
 def test_pair_loop_requires_matched_exponentials():
