@@ -44,10 +44,12 @@ from .modes import (
     conjugated_hs_tail,
 )
 from .spectral import (
+    ChartError,
     EigenDecomp,
     clustered_eig,
     exp_skew,
     one_parameter_path,
+    exp_chain,
     log_branch,
     central_log,
     exp_pair_loop,

@@ -224,12 +224,14 @@ def fourier_project(s, max_mode):
     Returns (MatrixLoop, residual), residual the relative l2 mass outside the
     window (tail/total, as `polynomiality_residual`; 0.0 for the zero loop).
     Exact (to round-off) for trigonometric polynomials of degree below half
-    the grid size.
+    the grid size.  Coefficients no larger than 1e-14 max(total, 1) times
+    max(1, max_mode / 16) are dropped as round-off.
     """
     if s.values.ndim != 3:
         raise ValueError("fourier_project expects matrix samples")
     window, tail, total = fourier_coefficients(s.values, max_mode)
-    floor = 1e-14 * max(total, 1.0)
+    # the phase error of exp(2 pi i k t) grows like k eps, so the floor grows with the window
+    floor = 1e-14 * max(total, 1.0) * max(1.0, max_mode / 16)
     coeffs = {}
     for i, k in enumerate(range(-max_mode, max_mode + 1)):
         if np.max(np.abs(window[i])) > floor:

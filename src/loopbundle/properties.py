@@ -78,6 +78,7 @@ from .sections import (
     un_section,
 )
 from .spectral import (
+    ChartError,
     central_log,
     centralizer_element,
     clustered_eig,
@@ -548,7 +549,7 @@ def _log_branch_roundtrip(rng, trials):
                 g = random_unitary(rng, dim)
                 try:
                     xi = log_branch(g, 1j * sigma)
-                except ValueError:
+                except ChartError:
                     continue
                 worst = max(worst, float(np.linalg.norm(exp_skew(xi) - g)))
                 angles = np.linalg.eigvals(xi).imag
@@ -702,8 +703,8 @@ def sweep_sections(group, dims, trials, rng, branch=0.0, split=0.0):
     """Randomized section sweep; returns the CLI-facing report dictionary.
 
     branch is the imaginary part of the branch point for U/SU sections; split
-    the eigenvalue-real-part abscissa for SO.  Constructor rejections (branch
-    cuts, chart boundaries) are counted, not treated as failures.
+    the eigenvalue-real-part abscissa for SO.  Constructor rejections at chart
+    boundaries (`ChartError`) are counted; every other error propagates.
     """
     if group not in ("U", "SU", "SO"):
         raise ValueError(f"unknown group {group!r}")
@@ -730,7 +731,7 @@ def sweep_sections(group, dims, trials, rng, branch=0.0, split=0.0):
                     q = exp_skew(random_skew(rng, dim, real=True, scale=0.12)).real
                     target = q @ g @ q.T
                 element = so_section(split, g, target)
-        except ValueError:
+        except ChartError:
             rejections += 1
             continue
         completed += 1
@@ -804,7 +805,7 @@ def _section_actions(rng, trials):
         base = random_unitary(rng, dim)
         try:
             element = un_section(0.0, base)
-        except ValueError:
+        except ChartError:
             continue
         g = random_unitary(rng, dim)
         proj = project_path(element)
@@ -826,7 +827,7 @@ def _path_quotient(rng, trials):
         g = random_unitary(rng, dim)
         try:
             a = un_section(0.0, g)
-        except ValueError:
+        except ChartError:
             continue
         b = PathElement([_alternative_log(rng, g)])
         _, residual = path_fiber_quotient(a, b)

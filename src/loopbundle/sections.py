@@ -25,13 +25,15 @@ trigonometric polynomial of the predicted degree.
 
 import numpy as np
 
-from .laurent import CERT_GUARD, MatrixLoop, SampledLoop, certify, laurent_eval, sampled_group_residual
+from .laurent import CERT_GUARD, MatrixLoop, SampledLoop, certify, identity_loop, laurent_eval, sampled_group_residual
 from .spectral import (
+    ChartError,
     SkewSpectrum,
     block_structure,
     central_log,
     check_unitary,
     clustered_eig,
+    exp_chain,
     log_branch,
     one_parameter_path,
     projector_basis,
@@ -46,18 +48,18 @@ class PathElement:
     """Product of one-parameter exponential factors and an optional loop part.
 
     Each factor is decomposed once (`spectra`), and the projection
-    alpha(1) alpha(0)^{-1} is kept from the quasi-periodicity check.
+    alpha(1) alpha(0)^{-1} is kept from the quasi-periodicity check.  A path
+    with neither factors nor a loop part (dim given) gets the identity loop.
     """
 
     def __init__(self, factors, loop=None, group="U", dim=None):
         spectra = [SkewSpectrum(f) for f in factors]
-        if dim is None:
-            if spectra:
-                dim = spectra[0].u.shape[0]
-            elif loop is not None:
-                dim = loop.dim
-            else:
+        if not spectra and loop is None:
+            if dim is None:
                 raise ValueError("cannot infer dimension")
+            loop = identity_loop(dim)
+        if dim is None:
+            dim = spectra[0].u.shape[0] if spectra else loop.dim
         for spectrum in spectra:
             if spectrum.u.shape != (dim, dim):
                 raise ValueError("factor dimension mismatch")
@@ -84,19 +86,26 @@ class PathElement:
         return [spectrum.radius for spectrum in self.spectra]
 
     def eval(self, ts):
-        """Values alpha(t) at scalar or array times."""
+        """Values alpha(t) at scalar or array times.
+
+        The factors are one `spectral.exp_chain`; the loop part, if any, is
+        evaluated by `laurent_eval` and multiplied on the right.
+        """
         scalar = np.ndim(ts) == 0
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.tile(np.eye(self.dim, dtype=complex), (ts.size, 1, 1))
-        for spectrum in self.spectra:
-            out = out @ spectrum.exp(ts)
-        if self.loop is not None:
-            out = out @ laurent_eval(self.loop, ts)
+        out = _chain_values(self.spectra, self.loop, np.atleast_1d(np.asarray(ts, dtype=float)))
         return out[0] if scalar else out
 
     def periodicity_defect(self):
         """Max of |alpha(t+1) - alpha(1) alpha(0)^{-1} alpha(t)| over 16 times, from construction."""
         return self._defect
+
+
+def _chain_values(spectra, loop, ts):
+    """exp(t xi_1) ... exp(t xi_m) gamma(t) at array times; a factor-free path is its loop part."""
+    if not spectra:
+        return laurent_eval(loop, ts)
+    out = exp_chain(spectra, ts)
+    return out if loop is None else out @ laurent_eval(loop, ts)
 
 
 def project_path(p):
@@ -139,11 +148,13 @@ def fiber_certificate(p):
 
     Divides the path by the central-log path of its projection and measures
     how far the quotient loop is from a trigonometric polynomial of the
-    predicted degree.  Returns (quotient MatrixLoop, relative residual, degree).
+    predicted degree.  The quotient exp(-t zeta) alpha(t) is sampled as the
+    chain [-zeta, xi_1, ..., xi_m] times the loop part.  Returns (quotient
+    MatrixLoop, relative residual, degree).
     """
     zeta = SkewSpectrum(central_log(p.projection))
     degree = _degree(max([zeta.radius] + p.radii), [p.loop])
-    quotient, residual = certify(lambda ts: zeta.exp(-ts) @ p.eval(ts), degree)
+    quotient, residual = certify(lambda ts: _chain_values([-zeta] + p.spectra, p.loop, ts), degree)
     return quotient, residual, degree
 
 
@@ -273,7 +284,7 @@ def so_spectral_split(h, r):
         raise ValueError("split abscissa must lie in [-1, 1]")
     decomp = clustered_eig(arr)
     if np.min(np.abs(decomp.values.real - r)) <= 1e-8:
-        raise ValueError("an eigenvalue has real part at the split abscissa")
+        raise ChartError("an eigenvalue has real part at the split abscissa")
     n = arr.shape[0]
     low = decomp.compose(decomp.cluster_values.real < r)
     if np.max(np.abs(low.imag)) > 1e-9:
@@ -299,7 +310,7 @@ def so_section(r, g, h):
     basis_g = projector_basis(low_g)
     rank_g, rank_h = basis_g.shape[1], int(round(np.trace(low_h)))
     if rank_g != rank_h:
-        raise ValueError(f"low-block ranks differ ({rank_g} vs {rank_h}); h is outside the chart of g")
+        raise ChartError(f"low-block ranks differ ({rank_g} vs {rank_h}); h is outside the chart of g")
     n = g.shape[0]
     if rank_g == 0:
         j_h = np.zeros((n, n))
@@ -307,7 +318,7 @@ def so_section(r, g, h):
         mapped = low_h @ basis_g
         u, sing, vt = np.linalg.svd(mapped, full_matrices=False)
         if sing[-1] <= 0 or sing[0] / sing[-1] >= CONDITION_BOUND:
-            raise ValueError("projection between low blocks is not an isomorphism")
+            raise ChartError("projection between low blocks is not an isomorphism")
         frame_h = u @ vt  # polar orthonormalisation of the transported frame
         j_h = frame_h @ block_structure(np.eye(rank_g)) @ frame_h.T
     eps = h @ (np.eye(n) - 2.0 * low_h)

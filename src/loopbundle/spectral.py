@@ -9,7 +9,8 @@ projectors stay stable under degeneracy.  On top of it sit
 * the central logarithm, a log of g built from g's own spectral projections
   with eigenvalue logs in [-i pi, i pi); being a polynomial in g it commutes
   with every matrix commuting with g, in particular with every other log;
-* exponentials of skew matrices and batched one-parameter paths exp(t xi);
+* exponentials of skew matrices, batched one-parameter paths exp(t xi) and
+  batched products exp(t xi_1) ... exp(t xi_m), all one spectral chain;
 * the loop pairing: two skew logs of the same group element produce the loop
   t -> exp(-t xi_1) exp(t xi_2), which is always a trigonometric polynomial;
 * unitary structures J_xi of real skew matrices (the +i/-i splitting by the
@@ -29,6 +30,14 @@ SKEW_TOL = 1e-10
 UNITARY_TOL = 1e-8
 CUT_TOL = 1e-8
 NEG_ONE_SNAP = 1e-9
+
+
+class ChartError(ValueError):
+    """The input lies on the boundary of a chart: a branch cut, a split abscissa, a block mismatch.
+
+    Sweeps over random inputs count these as rejections; every other
+    ValueError is a fault.
+    """
 
 
 def check_skew(xi, real=False):
@@ -130,6 +139,12 @@ class SkewSpectrum:
     def __init__(self, xi):
         self.mu, self.u = np.linalg.eigh(1j * check_skew(xi))
 
+    def __neg__(self):
+        """The spectrum of -xi: the same eigenvectors with negated eigenvalues."""
+        out = object.__new__(SkewSpectrum)
+        out.mu, out.u = -self.mu, self.u
+        return out
+
     @property
     def radius(self):
         """Largest |eigenvalue| of xi."""
@@ -137,10 +152,25 @@ class SkewSpectrum:
 
     def exp(self, ts):
         """Batched exp(t xi) for an array of times; shape (len(ts), n, n)."""
-        phases = np.exp(-1j * np.outer(np.asarray(ts, dtype=float), self.mu))
-        scaled = self.u * phases[:, None, :]  # u diag(e^{-i t mu}) for each t
-        # one (len(ts) n x n) by (n x n) product instead of len(ts) small ones
-        return (scaled.reshape(-1, self.mu.size) @ self.u.conj().T).reshape(scaled.shape)
+        return exp_chain([self], ts)
+
+
+def exp_chain(spectra, ts):
+    """Batched product exp(t xi_1) ... exp(t xi_m) for an array of times; shape (len(ts), n, n).
+
+    With xi_i = u_i diag(-i mu_i) u_i* the product is
+    u_1 D_1(t) (u_1* u_2) D_2(t) ... D_m(t) u_m*, D_i(t) = diag(e^{-i t mu_i}):
+    start from u_1 scaled column-wise by D_1, then each link is one
+    (len(ts) n x n) by (n x n) product followed by a column scaling.
+    """
+    ts = np.asarray(ts, dtype=float)
+    first = spectra[0]
+    n = first.mu.size
+    out = first.u * np.exp(-1j * np.outer(ts, first.mu))[:, None, :]
+    for prev, spectrum in zip(spectra, spectra[1:]):
+        link = prev.u.conj().T @ spectrum.u
+        out = (out.reshape(-1, n) @ link).reshape(out.shape) * np.exp(-1j * np.outer(ts, spectrum.mu))[:, None, :]
+    return (out.reshape(-1, n) @ spectra[-1].u.conj().T).reshape(out.shape)
 
 
 def exp_skew(xi):
@@ -173,7 +203,7 @@ def log_branch(g, s=0.0):
     gaps = np.abs(decomp.values - cut)
     if np.min(gaps) <= CUT_TOL:
         bad = decomp.values[int(np.argmin(gaps))]
-        raise ValueError(f"eigenvalue {bad} lies on the branch cut at {cut}")
+        raise ChartError(f"eigenvalue {bad} lies on the branch cut at {cut}")
     theta = np.angle(decomp.cluster_values)
     return decomp.compose(1j * (sigma + (np.mod(theta - sigma + np.pi, 2.0 * np.pi) - np.pi)))
 
@@ -249,7 +279,7 @@ def exp_pair_loop(xi_1, xi_2, degree=None):
         raise ValueError("exp(xi_1) != exp(xi_2); the pair does not define a loop")
     if degree is None:
         degree = int(np.ceil((a.radius + b.radius) / (2.0 * np.pi))) + CERT_GUARD
-    return certify(lambda ts: a.exp(-ts) @ b.exp(ts), degree)
+    return certify(lambda ts: exp_chain([-a, b], ts), degree)
 
 
 def torus_path_factor(g, angles):
@@ -344,7 +374,7 @@ def log0_decompose(g):
         raise ValueError("log0_decompose expects a real matrix")
     xi, j, decomp = _orthogonal_log(np.asarray(arr, dtype=float))
     if np.min(np.abs(decomp.values - 1.0)) <= CUT_TOL:
-        raise ValueError("eigenvalue 1 present; decomposition undefined")
+        raise ChartError("eigenvalue 1 present; decomposition undefined")
     if np.max(np.abs(j.imag)) > 1e-9:
         raise ValueError("conjugate symmetry failed; input is not real orthogonal")
     return xi, j.real

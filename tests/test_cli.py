@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopbundle import cli
+from loopbundle import ChartError, cli
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -287,7 +287,7 @@ def test_nonpositive_counts_are_config_errors(argv, capsys):
 
 def test_section_with_no_completed_trial_fails(monkeypatch, capsys):
     def reject(*args, **kwargs):
-        raise ValueError("eigenvalue on the branch cut")
+        raise ChartError("eigenvalue on the branch cut")
 
     monkeypatch.setattr(cli.props, "un_section", reject)
     assert cli.main(["section", "--group", "U", "--dim", "2", "--trials", "2"]) == 1

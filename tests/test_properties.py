@@ -3,10 +3,12 @@
 import collections
 import dataclasses
 
+import numpy as np
 import pytest
 
-from loopbundle import cli
+from loopbundle import ChartError, cli
 from loopbundle import properties as props
+from loopbundle import sections
 
 
 def test_batch_equals_per_name_records():
@@ -55,3 +57,16 @@ def test_a_group_draws_from_the_generator_of_its_first_record():
     records = props.run_properties(names, seed=3, trials=1)
     assert [rec.name for rec in records] == names
     assert [rec.observed for rec in records] == [worst[key] for key in ("orthogonality", "period", "doubling", "composition")]
+
+
+def test_section_sweep_lets_non_chart_errors_through(monkeypatch):
+    chain = sections.exp_chain
+
+    def broken(spectra, ts):
+        # a chain whose values drift with t is not quasi-periodic
+        return chain(spectra, ts) * (1.0 + 0.01 * np.asarray(ts))[:, None, None]
+
+    monkeypatch.setattr(sections, "exp_chain", broken)
+    with pytest.raises(ValueError, match="not quasi-periodic") as info:
+        props.sweep_sections("U", 3, 2, np.random.default_rng(0))
+    assert not isinstance(info.value, ChartError)

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from loopbundle import (
+    ChartError,
     PathElement,
     act_group,
     central_log,
@@ -13,6 +14,7 @@ from loopbundle import (
     fiber_certificate,
     identity_loop,
     junction_mismatch,
+    laurent_eval,
     path_fiber_quotient,
     path_group_residual,
     project_path,
@@ -22,6 +24,8 @@ from loopbundle import (
     su_section,
     un_section,
 )
+from loopbundle import sections as sections_module
+from loopbundle.laurent import DEFAULT_GRID, certify
 from loopbundle.rand import (
     random_skew,
     random_special_orthogonal,
@@ -29,6 +33,7 @@ from loopbundle.rand import (
     random_unit_vector,
     random_unitary,
 )
+from loopbundle.spectral import SkewSpectrum
 
 J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
 ENDPOINT_TOL = 1e-9
@@ -94,7 +99,7 @@ def test_un_section_random_endpoints():
 
 
 def test_un_section_cut_rejection():
-    with pytest.raises(ValueError):
+    with pytest.raises(ChartError):
         un_section(0.0, -np.eye(3))
 
 
@@ -166,7 +171,7 @@ def test_split_two_rotation_blocks():
 
 
 def test_split_rejects_eigenvalue_on_abscissa():
-    with pytest.raises(ValueError):
+    with pytest.raises(ChartError):
         so_spectral_split(rotation(np.pi / 2), 0.0)
 
 
@@ -210,8 +215,26 @@ def test_so_section_rank_mismatch_rejected():
     h = np.zeros((4, 4))
     h[:2, :2] = rotation(2.9)
     h[2:, 2:] = rotation(0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ChartError):
         so_section(0.0, g, h)
+
+
+def test_so_section_rejects_orthogonal_low_blocks():
+    # equal ranks, but the low block of g (plane 1-2) projects to zero on that of h (plane 3-4)
+    g, h = np.eye(4), np.eye(4)
+    g[:2, :2] = rotation(2.5)
+    h[2:, 2:] = rotation(2.5)
+    with pytest.raises(ChartError, match="not an isomorphism"):
+        so_section(0.0, g, h)
+
+
+def test_input_errors_are_not_chart_errors():
+    with pytest.raises(ValueError) as info:
+        su_section(0.0, np.diag([1.0, 1j]), np.array([1.0, 0.0]))
+    assert not isinstance(info.value, ChartError)
+    with pytest.raises(ValueError) as info:
+        PathElement([np.array([[0.1, 0.0], [0.0, -0.1]])])
+    assert not isinstance(info.value, ChartError)
 
 
 def test_fiber_quotient_of_equal_paths():
@@ -317,6 +340,62 @@ def _expm_product(factors, t):
     for xi in factors:
         out = out @ expm(t * xi)
     return out
+
+
+def _chain_sections(rng, dim):
+    """A one-factor U path, an SU path with its rank-one twist, an SO two-factor path, and a moved path."""
+    base = random_special_orthogonal(rng, dim)
+    q = exp_skew(random_skew(rng, dim, real=True, scale=0.12)).real
+    unitary = un_section(0.0, random_unitary(rng, dim))
+    return [
+        unitary,
+        su_section(0.0, random_special_unitary(rng, dim), random_unit_vector(rng, dim)),
+        so_section(0.0, base, q @ base @ q.T),
+        act_group(unitary, random_unitary(rng, dim)),
+    ]
+
+
+@pytest.mark.parametrize("ts", [0.43, np.array([-0.6, 0.0, 0.21, 0.5, 0.9, 1.0, 1.7])])
+def test_eval_is_the_product_of_exponentials_and_the_loop(ts):
+    rng = np.random.default_rng(81)
+    for dim in (2, 3, 4, 5):
+        for p in _chain_sections(rng, dim):
+            values = np.atleast_1d(ts)
+            expected = np.empty((values.size, dim, dim), dtype=complex)
+            for i, t in enumerate(values):
+                expected[i] = np.eye(dim)
+                for xi in p.factors:
+                    expected[i] = expected[i] @ exp_skew(t * xi)
+                if p.loop is not None:
+                    expected[i] = expected[i] @ laurent_eval(p.loop, t)
+            got = p.eval(ts)
+            assert got.shape == np.shape(ts) + (dim, dim)
+            assert np.max(np.abs(got - expected.reshape(got.shape))) < 1e-13
+
+
+def test_factor_free_path_is_its_loop_part():
+    rng = np.random.default_rng(82)
+    loop = act_group(un_section(0.0, random_unitary(rng, 3)), random_unitary(rng, 3)).loop
+    ts = np.linspace(0.0, 2.0, 11)
+    assert np.array_equal(PathElement([], loop=loop).eval(ts), laurent_eval(loop, ts))
+    assert np.array_equal(PathElement([], dim=2).eval(ts), np.broadcast_to(np.eye(2), (11, 2, 2)))
+
+
+def test_certificate_samples_the_quotient(monkeypatch):
+    rng = np.random.default_rng(83)
+    sampled = []
+
+    def capture(path, degree):
+        sampled.append(path)
+        return certify(path, degree)
+
+    monkeypatch.setattr(sections_module, "certify", capture)
+    ts = np.arange(DEFAULT_GRID) / DEFAULT_GRID
+    for dim in (2, 3, 5):
+        for p in _chain_sections(rng, dim):
+            fiber_certificate(p)
+            zeta = SkewSpectrum(central_log(project_path(p)))
+            assert np.max(np.abs(sampled[-1](ts) - zeta.exp(-ts) @ p.eval(ts))) < 1e-13
 
 
 @pytest.mark.parametrize("group", ["U", "SU", "SO", "moved"])

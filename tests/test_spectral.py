@@ -5,9 +5,11 @@ import pytest
 from scipy.linalg import expm
 
 from loopbundle import (
+    ChartError,
     block_structure,
     central_log,
     clustered_eig,
+    exp_chain,
     exp_pair_loop,
     exp_skew,
     log0_decompose,
@@ -85,8 +87,46 @@ def test_log_branch_centred_at_pi():
     assert np.max(np.abs(xi - 1j * np.pi * np.eye(2))) < 1e-12
 
 
+def _old_exp(spectrum, ts):
+    """Reference one-factor exponential: u diag(e^{-i t mu}) u* as one scaled (len(ts) n x n) product."""
+    phases = np.exp(-1j * np.outer(np.asarray(ts, dtype=float), spectrum.mu))
+    scaled = spectrum.u * phases[:, None, :]
+    return (scaled.reshape(-1, spectrum.mu.size) @ spectrum.u.conj().T).reshape(scaled.shape)
+
+
+@pytest.mark.parametrize("ts", [0.37, 1.0, np.linspace(-1.5, 2.5, 41)])
+def test_one_factor_chain_is_the_old_exponential(ts):
+    rng = np.random.default_rng(90)
+    for dim in (1, 2, 3, 5):
+        spectrum = SkewSpectrum(random_skew(rng, dim, scale=2.0))
+        assert np.array_equal(exp_chain([spectrum], ts), _old_exp(spectrum, ts))
+        assert np.array_equal(spectrum.exp(ts), _old_exp(spectrum, ts))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("ts", [0.61, np.array([-0.7, 0.0, 0.25, 0.5, 1.0, 1.9])])
+def test_chain_matches_product_of_exponentials(count, ts):
+    rng = np.random.default_rng(91 + count)
+    for dim in (2, 3, 4):
+        factors = [random_skew(rng, dim, real=bool(k % 2), scale=3.0) for k in range(count)]
+        chain = exp_chain([SkewSpectrum(xi) for xi in factors], ts)
+        for t, value in zip(np.atleast_1d(ts), chain):
+            expected = np.eye(dim)
+            for xi in factors:
+                expected = expected @ exp_skew(t * xi)
+            assert np.max(np.abs(value - expected)) < 1e-13
+
+
+def test_negated_spectrum_is_the_spectrum_of_minus_xi():
+    rng = np.random.default_rng(94)
+    spectrum = SkewSpectrum(random_skew(rng, 4, scale=2.0))
+    ts = np.linspace(0.0, 1.0, 9)
+    assert np.array_equal((-spectrum).exp(ts), spectrum.exp(-ts))
+    assert (-spectrum).radius == spectrum.radius
+
+
 def test_log_branch_cut_rejection():
-    with pytest.raises(ValueError):
+    with pytest.raises(ChartError):
         log_branch(-np.eye(2), 0.0)
 
 
@@ -177,6 +217,7 @@ def test_pair_loop_at_large_spectral_radius():
     # degree 600 needs a grid of 4096; a fixed grid of 1024 cannot hold it
     loop, residual = exp_pair_loop(2j * np.pi * np.diag([600.0, 0.0]), np.zeros((2, 2)))
     assert residual < 1e-8
+    assert loop.degree == 600
     exact = {-600: np.diag([1.0, 0.0]), 0: np.diag([0.0, 1.0])}
     for k in set(loop.coeffs) | set(exact):
         assert np.max(np.abs(loop.coeff(k) - exact.get(k, 0.0))) < 1e-10
@@ -287,7 +328,7 @@ def test_log0_decompose_postconditions():
 
 
 def test_log0_decompose_rejects_eigenvalue_one():
-    with pytest.raises(ValueError):
+    with pytest.raises(ChartError):
         log0_decompose(np.eye(2))
 
 
