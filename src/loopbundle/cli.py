@@ -374,9 +374,8 @@ def cmd_holonomy(config):
     out = config["out"]
     if out:
         write_json(out, payload)
-        p_col = basis.pairs[:, 0].astype(int)
-        j_col = np.tile(np.arange(data.exponents.size), 2 * mode_bound + 1)
-        eigenvalues = basis.pairs[:, 0] - basis.pairs[:, 1]
+        p_col, j_col = basis.rows()
+        eigenvalues = p_col - data.exponents[j_col]
         rows = zip(p_col, j_col, eigenvalues, geo.cosh_weight(eigenvalues, r))
         write_csv(_sibling_csv(out, "spectra"), ["p", "j", "eigenvalue", "weight"], rows)
     ok = all(checks.values())

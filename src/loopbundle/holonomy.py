@@ -12,12 +12,11 @@ a fixed orthonormal frame, so that parallel transport solves Phi' = A(t) Phi:
   unit direction X in the Lie algebra, left-invariant frame; transport is
   generated by -(pi w) ad_X.
 
-Reparametrised loops use the pulled-back coefficient sigma'(t) A(sigma(t)).
-Every coefficient therefore has the form A(t) = sigma'(t) A0 with one
-constant skew matrix A0, all values commute, and transport has the closed
-form Phi(t0 -> t) = exp((sigma(t) - sigma(t0)) A0), evaluated from a single
-eigendecomposition of A0.  A fourth-order Runge-Kutta integration survives
-only as the independent oracle behind `transport_defect`.
+Every reparametrisation is sigma(t) = shift + o t + a sin 2 pi t, o = +-1, or
+a composition of such maps, and pulls the coefficient back to sigma'(t) A(sigma(t)).
+So A(t) = sigma'(t) A0 with one constant skew A0, all values commute, and
+transport is Phi(t0 -> t) = exp((sigma(t) - sigma(t0)) A0) from one
+eigendecomposition of A0; an RK4 integration is only the oracle of `transport_defect`.
 
 The covariant derivative along the loop is D = d/dt - A(t), with d/dt exact
 on the trigonometric interpolant of sampled sections.  The holonomy is the
@@ -28,13 +27,14 @@ with exponents s_j in [-1/2, 1/2), the sections
 
 are periodic and diagonalise the normalised operator (1/2 pi) D with
 eigenvalues i (p - s_j).  Each is the Fourier shift e^{2 pi i p t} c_j(t) of
-one core vector c_j(t) = e^{-2 pi i s_j t} Phi(t) w_j, so a `FiberBasis`
-stores only the core, (grid, n, n), never (2P+1) n sampled sections: every
-check resamples or compares core vectors, the Gram matrix, projections and
-sections each cost one FFT of the core, and `dhat_residuals` equals the
-per-section check on the samples, bin for bin, by correcting the few FFT
-bins where a shifted section's derivative wraps past the Nyquist mode.  The
-weighted pairing sums cosh((p - s_j) ln r)^2 conj(a) b over coefficients.
+one core vector c_j(t) = e^{-2 pi i s_j t} Phi(t) w_j, so a `FiberBasis` stores
+only the core, (grid, n, n), and indexes section (p, j) by the integer
+(p + P) n + j.  The Gram matrix, projections and sections each cost one FFT of
+the core, and `dhat_residuals` equals the per-section check on the samples,
+bin for bin, by correcting the FFT bins where a shifted section's derivative
+wraps past the Nyquist mode.  The weighted pairing sums cosh((p - s_j) ln r)^2
+conj(a) b over coefficients.  A direct sum needs no connection of its own: its
+transported frame is block-diagonal in the blocks' frames (`direct_sum_union_residual`).
 """
 
 import numpy as np
@@ -64,11 +64,11 @@ def _cross_matrix(u):
 
 
 class Reparam:
-    """Lifted circle reparametrisation sigma with sigma(t+1) = sigma(t) +- 1.
+    """Lifted circle reparametrisation sigma(t) = shift + o t + amplitude sin 2 pi t, o = +-1.
 
-    Kinds: "identity"; "rotation" (t + shift); "sine" (t + shift +
+    Kinds: "identity" (shift 0); "rotation" (t + shift); "sine" (t + shift +
     amplitude sin 2 pi t, needs |amplitude| < 1/(2 pi) to stay monotone);
-    "reflection" (shift - t, orientation-reversing).
+    "reflection" (shift - t, o = -1).  Only a sine keeps its amplitude.
     """
 
     def __init__(self, kind="identity", shift=0.0, amplitude=0.0):
@@ -76,31 +76,17 @@ class Reparam:
             raise ValueError(f"unknown reparametrisation kind {kind!r}")
         if kind == "sine" and abs(amplitude) * 2.0 * np.pi >= 1.0:
             raise ValueError("sine amplitude too large; map is not monotone")
-        self.kind = kind
-        self.shift = float(shift)
-        self.amplitude = float(amplitude)
+        self.shift = 0.0 if kind == "identity" else float(shift)
+        self.amplitude = float(amplitude) if kind == "sine" else 0.0
+        self.orientation = -1 if kind == "reflection" else 1
 
     def sigma(self, ts):
         ts = np.asarray(ts, dtype=float)
-        if self.kind == "identity":
-            return ts
-        if self.kind == "rotation":
-            return ts + self.shift
-        if self.kind == "sine":
-            return ts + self.shift + self.amplitude * np.sin(2.0 * np.pi * ts)
-        return self.shift - ts
+        return self.shift + self.orientation * ts + self.amplitude * np.sin(2.0 * np.pi * ts)
 
     def dsigma(self, ts):
         ts = np.asarray(ts, dtype=float)
-        if self.kind == "sine":
-            return 1.0 + 2.0 * np.pi * self.amplitude * np.cos(2.0 * np.pi * ts)
-        if self.kind == "reflection":
-            return -np.ones_like(ts)
-        return np.ones_like(ts)
-
-    @property
-    def orientation(self):
-        return -1 if self.kind == "reflection" else 1
+        return self.orientation + 2.0 * np.pi * self.amplitude * np.cos(2.0 * np.pi * ts)
 
     def compose(self, inner):
         """The map t -> self.sigma(inner.sigma(t))."""
@@ -109,19 +95,15 @@ class Reparam:
 
 class _ComposedReparam(Reparam):
     def __init__(self, outer, inner):
-        self.kind = "composed"
         self.outer = outer
         self.inner = inner
+        self.orientation = outer.orientation * inner.orientation
 
     def sigma(self, ts):
         return self.outer.sigma(self.inner.sigma(ts))
 
     def dsigma(self, ts):
         return self.outer.dsigma(self.inner.sigma(ts)) * self.inner.dsigma(ts)
-
-    @property
-    def orientation(self):
-        return self.outer.orientation * self.inner.orientation
 
 
 @dataclass(frozen=True)
@@ -273,12 +255,15 @@ class MonodromyData:
     frame_path: object = None  # (grid, n, n) values Phi(i/grid), i < grid
 
     def __post_init__(self):
-        g, w = self.holonomy, self.frame
-        defect = np.linalg.norm(g @ w - w * np.exp(2j * np.pi * self.exponents)[None, :])
+        defect = np.linalg.norm(self.eigenframe_defect())
         if defect > 1e-8:
             raise ValueError(f"Floquet frame is not an eigenframe (defect {defect:.3e})")
-        if self.frame_path is not None and np.linalg.norm(self.frame_path[0] - np.eye(g.shape[0])) > 1e-12:
+        if self.frame_path is not None and np.linalg.norm(self.frame_path[0] - np.eye(self.holonomy.shape[0])) > 1e-12:
             raise ValueError("transported frame must start at the identity")
+
+    def eigenframe_defect(self):
+        """g W - W e^{2 pi i s}: column j is the defect of g w_j = e^{2 pi i s_j} w_j."""
+        return self.holonomy @ self.frame - self.frame * np.exp(2j * np.pi * self.exponents)[None, :]
 
 
 def _window(x):
@@ -332,12 +317,9 @@ def monodromy(model, loop, steps=None):
     return floquet(frame[-1], frame_path=frame[:-1])
 
 
-def _mode_pairs(mode_bound, exponents):
-    """Flattened (p, s_j) arrays in basis order: index = (p + P) * n + j."""
-    n = exponents.size
-    p_col = np.repeat(np.arange(-mode_bound, mode_bound + 1), n)
-    s_col = np.tile(exponents, 2 * mode_bound + 1)
-    return p_col, s_col
+def _mode_index(mode_bound, n):
+    """Integer mode p and core index j of each section, in basis order: index = (p + P) * n + j."""
+    return np.repeat(np.arange(-mode_bound, mode_bound + 1), n), np.tile(np.arange(n), 2 * mode_bound + 1)
 
 
 @dataclass(frozen=True)
@@ -345,11 +327,11 @@ class FiberBasis:
     """Eigen-section basis phi_{p,j}(t) = e^{2 pi i p t} c_j(t) over one loop, stored factorised.
 
     core has shape (grid, n, n) with core[t, j] = c_j(t) = e^{-2 pi i s_j t}
-    Phi(t) w_j; pairs holds one (p, s_j) row per section, index
-    (p + P) * n + j.  Every section is a Fourier shift of one core vector, so
-    the Gram matrix, projections and sections each take one FFT of the core
-    instead of one pass over (2P+1) n sampled sections; `section` samples
-    one combination of them at a time.
+    Phi(t) w_j; section (p, j), |p| <= P, has the integer index (p + P) n + j.
+    Every section is a Fourier shift of one core vector, so the Gram matrix,
+    projections and sections each take one FFT of the core instead of one
+    pass over (2P+1) n sampled sections; `section` samples one combination
+    of them at a time.
     """
 
     model: ConnectionModel
@@ -357,7 +339,6 @@ class FiberBasis:
     data: MonodromyData
     mode_bound: int
     core: np.ndarray
-    pairs: np.ndarray
 
     @property
     def grid(self):
@@ -365,24 +346,30 @@ class FiberBasis:
 
     @property
     def count(self):
-        return self.pairs.shape[0]
+        return (2 * self.mode_bound + 1) * self.core.shape[1]
 
-    def _rows(self):
-        """Mode p and core index j of each section."""
-        return np.rint(self.pairs[:, 0]).astype(int), np.arange(self.count) % self.core.shape[1]
+    def rows(self):
+        """Integer mode p and core index j of each section."""
+        return _mode_index(self.mode_bound, self.core.shape[1])
+
+    @property
+    def pairs(self):
+        """One (p, s_j) row per section, as floats."""
+        modes, cores = self.rows()
+        return np.stack([modes.astype(float), self.data.exponents[cores]], axis=1)
 
     def gram(self):
         """G[(p,j),(q,l)] = F[(p - q) mod grid]_{jl} with F the FFT of c(t)^H c(t) / grid."""
         overlap = self.core.conj() @ self.core.transpose(0, 2, 1)
         spectrum = np.fft.fft(overlap, axis=0) / self.grid
-        modes, cores = self._rows()
+        modes, cores = self.rows()
         return spectrum[(modes[:, None] - modes[None, :]) % self.grid, cores[:, None], cores[None, :]]
 
     def section(self, coefficients):
         coefficients = np.asarray(coefficients, dtype=complex)
         if coefficients.shape != (self.count,):
             raise ValueError("coefficient vector has the wrong length")
-        modes, cores = self._rows()
+        modes, cores = self.rows()
         scattered = np.zeros((self.grid, self.core.shape[1]), dtype=complex)
         np.add.at(scattered, (modes % self.grid, cores), coefficients)
         weights = np.fft.ifft(scattered, axis=0) * self.grid  # (t, j) = sum_p c_{p,j} e^{2 pi i p t}
@@ -395,14 +382,12 @@ class FiberBasis:
             raise ValueError("sampled section does not match the basis grid")
         overlap = (self.core.conj() @ vals[:, :, None])[:, :, 0]
         spectrum = np.fft.fft(overlap, axis=0) / self.grid
-        modes, cores = self._rows()
+        modes, cores = self.rows()
         return spectrum[modes % self.grid, cores]
 
     def periodicity_residual(self):
-        """Defect of the exact period identity, g w_j = e^{2 pi i s_j} w_j."""
-        data = self.data
-        shifted = data.holonomy @ data.frame - data.frame * np.exp(2j * np.pi * data.exponents)[None, :]
-        return float(np.linalg.norm(shifted, axis=0).max())
+        """Largest column of the eigenframe defect: the exact period identity g w_j = e^{2 pi i s_j} w_j."""
+        return float(np.linalg.norm(self.data.eigenframe_defect(), axis=0).max())
 
 
 @dataclass(frozen=True)
@@ -424,15 +409,7 @@ def eigen_sections(model, loop, data, mode_bound):
     mapped = (frame_path.reshape(grid * n, n) @ data.frame).reshape(grid, n, n)  # Phi(t) W
     drift = np.exp(-2j * np.pi * np.outer(ts, data.exponents))
     core = np.ascontiguousarray(mapped.transpose(0, 2, 1) * drift[:, :, None])
-    p_col, s_col = _mode_pairs(mode_bound, data.exponents)
-    return FiberBasis(
-        model=model,
-        loop=loop,
-        data=data,
-        mode_bound=mode_bound,
-        core=core,
-        pairs=np.stack([p_col.astype(float), s_col], axis=1),
-    )
+    return FiberBasis(model=model, loop=loop, data=data, mode_bound=mode_bound, core=core)
 
 
 def _derivative_freqs(grid):
@@ -476,7 +453,7 @@ def dhat_residuals(basis):
     defect = covariant_derivative(basis.model, basis.loop, core) / (2.0 * np.pi) + 1j * exponents[:, None, None] * core
     spec_b = np.fft.fft(defect, axis=1)
     spec_c = np.fft.fft(core, axis=1)
-    modes, cores = basis._rows()
+    modes, cores = basis.rows()
     # every bin where the derivative of the shifted core can wrap, row by row
     length = np.minimum(np.abs(modes) + 1, grid)
     row = np.repeat(np.arange(basis.count), length)
@@ -514,7 +491,6 @@ def loop_recognition_residual(basis, coefficients):
     grid = basis.grid
     ts = np.arange(grid) / grid
     coeffs = np.asarray(coefficients, dtype=complex).reshape(2 * basis.mode_bound + 1, -1)
-    n = data.exponents.size
     modes = np.arange(-basis.mode_bound, basis.mode_bound + 1)
 
     def frame_coords(offset):
@@ -545,9 +521,8 @@ def cos_inner_product(a, b, data, r):
     n = data.exponents.size
     if ca.size % n or ((ca.size // n) % 2) == 0:
         raise ValueError("coefficient length does not match the exponent count")
-    mode_bound = (ca.size // n - 1) // 2
-    p_col, s_col = _mode_pairs(mode_bound, data.exponents)
-    return complex(np.sum(cosh_weight(p_col - s_col, r) * ca.conj() * cb))
+    modes, cores = _mode_index((ca.size // n - 1) // 2, n)
+    return complex(np.sum(cosh_weight(modes - data.exponents[cores], r) * ca.conj() * cb))
 
 
 def cos_gram(basis, r, coefficients=None):
@@ -557,7 +532,8 @@ def cos_gram(basis, r, coefficients=None):
     """
     if r <= 1.0:
         raise ValueError("annulus parameter must exceed 1")
-    weights = cosh_weight(basis.pairs[:, 0] - basis.pairs[:, 1], r)
+    modes, cores = basis.rows()
+    weights = cosh_weight(modes - basis.data.exponents[cores], r)
     if coefficients is None:
         coefficients = np.eye(basis.count, dtype=complex)
     coefficients = np.asarray(coefficients, dtype=complex)
@@ -632,7 +608,7 @@ def reparam_actions(basis, rep):
     """
     grid = basis.grid
     sig = np.mod(rep.sigma(np.arange(grid) / grid), 1.0)
-    modes, cores = basis._rows()
+    modes, cores = basis.rows()
     pulled_core = trig_interpolate(basis.core, sig)
     pulled = np.exp(2j * np.pi * np.outer(sig, modes))[:, :, None] * pulled_core[:, cores, :]
     moved_mass = np.linalg.norm(np.fft.fft(pulled, axis=0), axis=2)  # (mode, section)
@@ -647,13 +623,13 @@ def reparam_actions(basis, rep):
     total = np.linalg.norm(moved_mass, axis=0)
     residuals = np.linalg.norm(np.where(freqs > degrees, moved_mass, 0.0), axis=0) / np.where(total > 0, total, 1.0)
     moved = basis.loop.with_reparam(rep)
-    basis2 = eigen_sections(basis.model, moved, monodromy(basis.model, moved, steps=grid), basis.mode_bound)
+    defect = monodromy(basis.model, moved, steps=grid).eigenframe_defect()
     return {
         "standard_residuals": residuals,
         "degrees": degrees,
         "standard_max": float(residuals.max()),
         "standard_min": float(residuals.min()),
-        "transport": {"periodicity_residual": basis2.periodicity_residual()},
+        "transport": {"periodicity_residual": float(np.linalg.norm(defect, axis=0).max())},
     }
 
 
@@ -686,30 +662,6 @@ def subbundle_counterexample(gamma, beta):
     }
 
 
-class _DirectSumModel:
-    """Blockwise connection built from two (model, loop) pairs; test plumbing."""
-
-    def __init__(self, first, second):
-        self.first = first
-        self.second = second
-        self.tag = "direct-sum"
-
-    def _blockwise(self, method, *args):
-        a = getattr(self.first[0], method)(self.first[1], *args)
-        b = getattr(self.second[0], method)(self.second[1], *args)
-        n, m = a.shape[1], b.shape[1]
-        out = np.zeros((a.shape[0], n + m, n + m))
-        out[:, :n, :n] = a
-        out[:, n:, n:] = b
-        return out
-
-    def coefficients(self, loop, ts):
-        return self._blockwise("coefficients", ts)
-
-    def transport_matrices(self, loop, t0, ts):
-        return self._blockwise("transport_matrices", t0, ts)
-
-
 def _span_containment(inner, outer):
     """Max relative distance of the core vectors inner[:, j] from the span of the outer[:, l]."""
     inner, outer = (c.transpose(1, 0, 2).reshape(c.shape[1], -1) for c in (inner, outer))
@@ -721,16 +673,19 @@ def _span_containment(inner, outer):
 
 
 def direct_sum_union_residual():
-    """Span gap between the fibre basis of a block-diagonal connection and the union of the blockwise bases.
+    """Span gap between the fibre basis over a block-diagonal transported frame and the union of the blockwise bases.
 
-    Both shift their core vectors by the same modes |p| <= P, so they agree when, exponent by
-    exponent, the full and the embedded block core vectors span the same space.
+    The full basis has no single model; only its core is read.  Both shift their core vectors by the same
+    modes |p| <= P, so they agree when, exponent by exponent, the full and embedded core vectors span one space.
     """
     grid = 2048
     blocks = (torus_model(grid=grid), sphere_model(np.pi / 3, grid=grid))
-    combo = (_DirectSumModel(*blocks), BaseLoop(grid=grid))
-    full, *parts = (eigen_sections(m, loop, monodromy(m, loop, steps=grid), 4) for m, loop in (combo,) + blocks)
-    split = parts[0].core.shape[1]
+    frames = [transport_frame(m, loop, steps=grid) for m, loop in blocks]
+    split, n = frames[0].shape[1], sum(f.shape[1] for f in frames)
+    frame = np.zeros((grid + 1, n, n))
+    frame[:, :split, :split], frame[:, split:, split:] = frames
+    full = eigen_sections(None, None, floquet(frame[-1], frame_path=frame[:-1]), 4)
+    parts = [eigen_sections(m, loop, floquet(f[-1], frame_path=f[:-1]), 4) for (m, loop), f in zip(blocks, frames)]
     embedded = np.zeros_like(full.core)
     embedded[:, :split, :split], embedded[:, split:, split:] = (part.core for part in parts)
     exponents = (full.data.exponents, np.concatenate([part.data.exponents for part in parts]))

@@ -219,12 +219,19 @@ def _random_degenerate_unitary(rng, dim):
 
 
 def _alternative_log(rng, g):
-    """Another skew log of g: shift cluster angles by 2 pi k and conjugate in C(g)."""
+    """Another skew log V diag(i theta) V* of g from one eigendecomposition, independent of `central_log`.
+
+    Each cluster's columns turn by a random unitary; each column gets the cluster's angle plus
+    its own 2 pi k, k in -2..2, so on a degenerate cluster the log need not be central.
+    """
     decomp = clustered_eig(g)
-    ks = rng.integers(-2, 3, size=len(decomp.clusters)).astype(float)
-    shift = torus_path_factor(g, 2.0 * np.pi * ks)
-    u = centralizer_element(g, rng)
-    return u @ (central_log(g) + shift) @ u.conj().T
+    vectors = decomp.vectors.copy()
+    theta = np.empty(len(decomp.values))
+    for value, cluster in zip(decomp.cluster_values, decomp.clusters):
+        cols = list(cluster)
+        vectors[:, cols] = vectors[:, cols] @ random_unitary(rng, len(cols))
+        theta[cols] = np.angle(value) + 2.0 * np.pi * rng.integers(-2, 3, size=len(cols))
+    return (vectors * (1j * theta)[None, :]) @ vectors.conj().T
 
 
 def _rotation_blocks(rng, half, allow_pi=True):

@@ -164,12 +164,17 @@ def path_fiber_quotient(a, b):
     Requires matching projections (tolerance 1e-9).  Returns the Fourier
     projection of the quotient and its relative residual (`laurent.certify`);
     a small residual certifies that the two paths differ by a polynomial loop.
+    The factors of a^{-1} b are the chain [-xi_m, ..., -xi_1, eta_1, ...] times
+    b's loop part; only a loop part of a is divided out by a solve.
     """
     gap = np.linalg.norm(a.projection - b.projection)
     if gap > PERIODICITY_TOL:
         raise ValueError(f"paths project to different group elements (gap {gap:.3e})")
     degree = _degree(sum(a.radii + b.radii), [a.loop, b.loop])
-    return certify(lambda ts: np.linalg.solve(a.eval(ts), b.eval(ts)), degree)
+    chain = [-spectrum for spectrum in reversed(a.spectra)] + b.spectra
+    if a.loop is None:
+        return certify(lambda ts: _chain_values(chain, b.loop, ts), degree)
+    return certify(lambda ts: np.linalg.solve(laurent_eval(a.loop, ts), _chain_values(chain, b.loop, ts)), degree)
 
 
 def _smoothstep(x):

@@ -46,3 +46,12 @@ def test_counted_parameters_exist(name, params):
 
 def test_verify_workload_expects_every_registered_property():
     assert perfbench_module("workloads").VERIFY_PROPERTIES == len(property_names())
+
+
+def test_holonomy_workload_ops_pass():
+    """One op per loop kind (torus, sphere, su2, each plain and sine-reparametrised) runs and meets every gate."""
+    workload = perfbench_module("workloads").Holonomy()
+    loops = workload.generate(0, count=6)
+    ops = [workload.run(loops, index) for index in range(len(loops))]
+    assert sorted(op.kind for op in ops) == sorted(["torus", "sphere", "SU2", "torus+sine", "sphere+sine", "SU2+sine"])
+    assert all(op.ok for op in ops), [op.detail for op in ops if not op.ok]

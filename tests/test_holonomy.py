@@ -34,7 +34,7 @@ from loopbundle import (
     transport_frame,
 )
 from loopbundle import properties
-from loopbundle.holonomy import _DirectSumModel, covariant_derivative, trig_interpolate
+from loopbundle.holonomy import covariant_derivative, trig_interpolate
 
 # the package re-exports a function called `holonomy`, which shadows the submodule
 geo = importlib.import_module("loopbundle.holonomy")
@@ -106,7 +106,7 @@ def test_step_doubling_converges():
 
 
 def _closed_form_cases():
-    """(id, model, loop, blocks): blocks lists the (model, loop) of each diagonal block."""
+    """(id, model, loop) for every model under every reparametrisation kind and one composition."""
     sine = Reparam("sine", shift=0.2, amplitude=0.1)
     rot = Reparam("rotation", shift=0.35)
     refl = Reparam("reflection", shift=0.4)
@@ -119,12 +119,7 @@ def _closed_form_cases():
     ):
         for kind, rep in reparams.items():
             moved = loop if rep is None else loop.with_reparam(rep)
-            cases.append((f"{name}-{kind}", model, moved, [(model, moved)]))
-    tor = torus_model(winding=(1, 1))
-    sph = sphere_model(0.7, reparam=sine)
-    su2 = su2_model(direction=(1.0, 2.0, 2.0), winding=2, reparam=rot)
-    for name, first, second in (("sum-torus-sphere", tor, sph), ("sum-sphere-su2", sph, su2)):
-        cases.append((name, _DirectSumModel(first, second), first[1], [first, second]))
+            cases.append((f"{name}-{kind}", model, moved))
     return cases
 
 
@@ -133,26 +128,20 @@ CLOSED_FORM_CASES = _closed_form_cases()
 
 @pytest.mark.parametrize("case", CLOSED_FORM_CASES, ids=[case[0] for case in CLOSED_FORM_CASES])
 def test_closed_form_transport_matches_rk4_oracle(case):
-    _, model, loop, _ = case
+    _, model, loop = case
     for t0, t1 in ((0.0, 1.0), (0.2, 0.9), (0.7, 1.6)):
         assert transport_defect(model, loop, t0, t1, steps=4096) < 1e-8
 
 
 @pytest.mark.parametrize("case", CLOSED_FORM_CASES, ids=[case[0] for case in CLOSED_FORM_CASES])
 def test_transport_frame_matches_matrix_exponential(case):
-    _, model, loop, blocks = case
+    _, model, loop = case
     ts = np.arange(65) / 64
     frame = transport_frame(model, loop, steps=64)
-    expected = np.zeros_like(frame)
-    offset = 0
-    for block_model, block_loop in blocks:
-        a0 = block_model.base_coefficient(block_loop)
-        rep = block_loop.reparam
-        lift = rep.sigma(ts) - rep.sigma(0.0) if rep is not None else ts
-        size = a0.shape[0]
-        for i, step in enumerate(lift):
-            expected[i, offset : offset + size, offset : offset + size] = expm(step * a0)
-        offset += size
+    a0 = model.base_coefficient(loop)
+    rep = loop.reparam
+    lift = rep.sigma(ts) - rep.sigma(0.0) if rep is not None else ts
+    expected = np.array([expm(step * a0) for step in lift])
     assert np.max(np.abs(frame - expected)) < 1e-12
 
 
@@ -544,6 +533,65 @@ def test_reparam_mechanics():
     assert np.max(np.abs(composed.sigma(ts) - (ts + 0.75))) < 1e-15
     with pytest.raises(ValueError):
         Reparam("sine", amplitude=0.2)  # slope would cross zero
+
+
+def _per_kind_sigma(kind, shift, amplitude, ts):
+    """sigma written out kind by kind, as each map is defined."""
+    if kind == "identity":
+        return ts
+    if kind == "rotation":
+        return ts + shift
+    if kind == "sine":
+        return ts + shift + amplitude * np.sin(2.0 * np.pi * ts)
+    return shift - ts
+
+
+def _per_kind_dsigma(kind, amplitude, ts):
+    if kind == "sine":
+        return 1.0 + 2.0 * np.pi * amplitude * np.cos(2.0 * np.pi * ts)
+    return -np.ones_like(ts) if kind == "reflection" else np.ones_like(ts)
+
+
+def test_one_sigma_formula_matches_every_kind_bit_for_bit():
+    ts = np.linspace(0.0, 1.0, 257)
+    # identity ignores a given shift, and only the sine keeps its amplitude
+    kinds = [("identity", 0.3, 0.05), ("rotation", 0.35, 0.05), ("sine", 0.2, 0.1), ("reflection", 0.4, 0.05)]
+    for kind, shift, amplitude in kinds:
+        rep = Reparam(kind, shift=shift, amplitude=amplitude)
+        assert np.array_equal(rep.sigma(ts), _per_kind_sigma(kind, shift, amplitude, ts)), kind
+        assert np.array_equal(rep.dsigma(ts), _per_kind_dsigma(kind, amplitude, ts)), kind
+    for outer, inner in ((kinds[2], kinds[1]), (kinds[3], kinds[2])):
+        composed = Reparam(*outer).compose(Reparam(*inner))
+        inner_sigma = _per_kind_sigma(*inner, ts)
+        assert np.array_equal(composed.sigma(ts), _per_kind_sigma(*outer, inner_sigma))
+        expected = _per_kind_dsigma(outer[0], outer[2], inner_sigma) * _per_kind_dsigma(inner[0], inner[2], ts)
+        assert np.array_equal(composed.dsigma(ts), expected)
+        assert composed.orientation == (-1 if outer[0] == "reflection" else 1)
+
+
+@pytest.mark.parametrize("setup", sorted(DENSE_SETUPS))
+def test_section_index_and_periodicity_match_their_old_constructions(setup):
+    model, loop = DENSE_SETUPS[setup](256)
+    data = monodromy(model, loop)
+    basis = eigen_sections(model, loop, data, 5)
+    n = data.exponents.size
+    # the (p, s_j) float rows a basis used to store
+    pairs = np.stack([np.repeat(np.arange(-5, 6), n).astype(float), np.tile(data.exponents, 11)], axis=1)
+    assert np.array_equal(basis.pairs, pairs)
+    assert basis.count == pairs.shape[0]
+    modes, cores = basis.rows()
+    assert np.array_equal(modes, np.rint(pairs[:, 0]).astype(int))
+    assert np.array_equal(cores, np.arange(basis.count) % n)
+
+    def column_max(data):
+        defect = data.holonomy @ data.frame - data.frame * np.exp(2j * np.pi * data.exponents)[None, :]
+        assert np.array_equal(data.eigenframe_defect(), defect)
+        return float(np.linalg.norm(defect, axis=0).max())
+
+    assert basis.periodicity_residual() == column_max(data)
+    rep = Reparam("sine", 0.1, 0.08)
+    moved = monodromy(model, loop.with_reparam(rep), steps=256)
+    assert reparam_actions(basis, rep)["transport"]["periodicity_residual"] == column_max(moved)
 
 
 def test_floquet_data_invariant_under_rotation():

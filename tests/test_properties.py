@@ -70,3 +70,32 @@ def test_section_sweep_lets_non_chart_errors_through(monkeypatch):
     with pytest.raises(ValueError, match="not quasi-periodic") as info:
         props.sweep_sections("U", 3, 2, np.random.default_rng(0))
     assert not isinstance(info.value, ChartError)
+
+
+def test_alternative_log_is_a_log_commuting_with_the_central_log():
+    from loopbundle.spectral import central_log, exp_skew
+
+    rng = np.random.default_rng(31)
+    for k in range(30):
+        dim = int(rng.integers(2, 5))
+        g = props._random_degenerate_unitary(rng, dim) if k % 2 == 0 else props.random_unitary(rng, dim)
+        alt = props._alternative_log(rng, g)
+        zeta = central_log(g)
+        assert np.max(np.abs(alt + alt.conj().T)) <= 1e-12
+        assert np.linalg.norm(exp_skew(alt) - g) <= 1e-12
+        assert np.linalg.norm(zeta @ alt - alt @ zeta) <= 1e-12
+
+
+def test_alternative_log_is_not_central_on_a_degenerate_cluster():
+    """A log with unequal branches on one eigenspace fails to commute with some unitary of that eigenspace."""
+    from loopbundle.spectral import centralizer_element
+
+    rng = np.random.default_rng(32)
+    q = props.random_unitary(rng, 3)
+    g = (q * np.exp(1j * np.array([0.7, 0.7, -2.0]))[None, :]) @ q.conj().T
+    gaps = []
+    for _ in range(20):
+        alt = props._alternative_log(rng, g)
+        u = centralizer_element(g, rng)
+        gaps.append(np.linalg.norm(alt @ u - u @ alt))
+    assert max(gaps) > 1e-3

@@ -259,6 +259,35 @@ def test_fiber_quotient_of_matched_logs():
     assert loop.degree <= 1
 
 
+def test_fiber_quotient_chain_matches_the_batched_solve(monkeypatch):
+    """The sampled quotient a(t)^{-1} b(t) equals np.linalg.solve(a(t), b(t)), with and without loop parts."""
+    samplers = []
+
+    def recording(path, degree):
+        samplers.append(path)
+        return certify(path, degree)
+
+    monkeypatch.setattr(sections_module, "certify", recording)
+    rng = np.random.default_rng(29)
+    ts = np.arange(257) / 256 + 0.3
+    checked = 0
+    while checked < 6:
+        dim = int(rng.integers(2, 5))
+        g = random_special_unitary(rng, dim)
+        try:
+            a = su_section(0.0, g, random_unit_vector(rng, dim))  # two non-commuting factors
+        except ChartError:
+            continue
+        b = PathElement([central_log(g)])
+        h = random_unitary(rng, dim)
+        pairs = [(a, b), (b, a), (act_group(a, h), act_group(b, h)), (act_group(b, h, conjugate=True), act_group(a, h, conjugate=True))]
+        for left, right in pairs:
+            path_fiber_quotient(left, right)
+            oracle = np.linalg.solve(left.eval(ts), right.eval(ts))
+            assert np.max(np.abs(samplers.pop()(ts) - oracle)) <= 1e-13
+        checked += 1
+
+
 def test_fiber_quotient_rejects_different_fibres():
     a = PathElement([np.zeros((2, 2))])
     b = PathElement([(np.pi / 2) * J0])
