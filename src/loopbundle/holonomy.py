@@ -275,13 +275,14 @@ def floquet(g, frame_path=None):
     """Floquet exponents s_j in [-1/2, 1/2) and eigenframe of a holonomy matrix.
 
     Eigenvalues are clustered as in the spectral helpers; columns are ordered
-    by exponent.  Inside a degenerate cluster the Schur vectors depend on the
-    round-off in g, so the frame there is the deterministic basis of the
-    cluster's spectral projector from `projector_basis` (for g = +-I the
-    standard basis) with the cluster's mean exponent.  A cluster that g does
-    not act on as that mean to DEGENERATE_TOL (a rotation by 3e-8 rad, say)
-    is resolved: its Schur vectors are eigenvectors to round-off and keep
-    their own exponents.  Rejects matrices that are not unitary/orthogonal to 1e-8.
+    by exponent.  Inside a degenerate cluster the orthonormal eigenbasis of
+    `clustered_eig` depends on the round-off in g, so the frame there is the
+    deterministic basis of the cluster's spectral projector from
+    `projector_basis` (for g = +-I the standard basis) with the cluster's mean
+    exponent.  A cluster that g does not act on as that mean to DEGENERATE_TOL
+    (a rotation by 3e-8 rad, say) is resolved: there the columns of that
+    orthonormal eigenbasis are eigenvectors to round-off and keep their own
+    exponents.  Rejects matrices that are not unitary/orthogonal to 1e-8.
     """
     arr = np.asarray(g, dtype=complex)
     if np.linalg.norm(arr.conj().T @ arr - np.eye(arr.shape[0])) > 1e-8:

@@ -205,16 +205,11 @@ def fourier_coefficients(values, max_mode):
     if max_mode >= n_s // 2:
         raise ValueError(f"mode bound {max_mode} too large for grid {n_s}")
     spectrum = np.fft.fft(arr, axis=0) / n_s
-    freqs = np.fft.fftfreq(n_s, d=1.0 / n_s).astype(int)
-    order = np.argsort(freqs)
-    spectrum = spectrum[order]
-    freqs = freqs[order]
-    axes = tuple(range(1, arr.ndim))
-    mass = np.sqrt(np.sum(np.abs(spectrum) ** 2, axis=axes))
-    keep = np.abs(freqs) <= max_mode
-    tail = float(np.sqrt(np.sum(mass[~keep] ** 2)))
-    total = float(np.sqrt(np.sum(mass**2)))
-    window = spectrum[keep]
+    # FFT order: modes 0..max_mode lead, -max_mode..-1 close, the tail lies between
+    mass2 = np.sum(spectrum.real**2 + spectrum.imag**2, axis=tuple(range(1, arr.ndim)))
+    tail = float(np.sqrt(np.sum(mass2[max_mode + 1 : n_s - max_mode])))
+    total = float(np.sqrt(np.sum(mass2)))
+    window = np.concatenate([spectrum[n_s - max_mode :], spectrum[: max_mode + 1]])
     return window, tail, total
 
 
@@ -232,10 +227,8 @@ def fourier_project(s, max_mode):
     window, tail, total = fourier_coefficients(s.values, max_mode)
     # the phase error of exp(2 pi i k t) grows like k eps, so the floor grows with the window
     floor = 1e-14 * max(total, 1.0) * max(1.0, max_mode / 16)
-    coeffs = {}
-    for i, k in enumerate(range(-max_mode, max_mode + 1)):
-        if np.max(np.abs(window[i])) > floor:
-            coeffs[k] = window[i]
+    live = np.max(np.abs(window), axis=(1, 2)) > floor
+    coeffs = {k: window[i] for i, k in enumerate(range(-max_mode, max_mode + 1)) if live[i]}
     tag = "real" if float(np.max(np.abs(s.values.imag), initial=0.0)) <= REAL_TAG_TOL * max(total, 1.0) else "complex"
     if tag == "real":
         # symmetrize so the real invariant holds exactly despite FFT round-off

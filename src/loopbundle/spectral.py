@@ -21,7 +21,6 @@ projectors stay stable under degeneracy.  On top of it sit
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-import scipy.linalg
 
 from .laurent import CERT_GUARD, certify
 
@@ -114,14 +113,19 @@ def _cluster_indices(values):
 
 
 def clustered_eig(g):
-    """Eigendecomposition of a normal matrix via complex Schur form.
+    """Orthonormal eigendecomposition of a normal matrix: eigenvectors, then their QR factor.
 
-    The Schur vectors of a normal matrix are orthonormal eigenvectors up to
-    round-off; eigenvalues closer than CLUSTER_TOL are grouped into one cluster.
+    Eigenvectors of a normal matrix for distinct eigenvalues are orthogonal,
+    so Gram-Schmidt in column order (the Q factor of the eigenvector matrix)
+    only mixes columns inside one eigenspace and returns an orthonormal
+    eigenbasis in the same order (Golub & Van Loan, Matrix Computations,
+    sec. 7.1: that Q is a Schur basis, diagonal for normal input).  Rejects
+    input that this basis does not reconstruct to 1e-10 (non-normal input);
+    eigenvalues closer than CLUSTER_TOL are grouped into one cluster.
     """
     arr = np.asarray(g, dtype=complex)
-    t_mat, z_mat = scipy.linalg.schur(arr, output="complex")
-    values = np.diag(t_mat).copy()
+    values, vectors = np.linalg.eig(arr)
+    z_mat = np.linalg.qr(vectors)[0]
     scale = max(1.0, float(np.linalg.norm(arr)))
     recon = (z_mat * values[None, :]) @ z_mat.conj().T
     if np.linalg.norm(recon - arr) > 1e-10 * scale:

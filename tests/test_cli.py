@@ -6,12 +6,15 @@ import dataclasses
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import loopbundle
 from loopbundle import ChartError, cli
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -216,6 +219,23 @@ def test_holonomy_deterministic_bytes(tmp_path):
     assert cli.main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert (tmp_path / "a-spectra.csv").read_bytes() == (tmp_path / "b-spectra.csv").read_bytes()
+
+
+def test_no_runtime_path_imports_scipy(tmp_path):
+    # a fresh interpreter, since the test suite itself loads scipy as an oracle
+    script = (
+        "import sys\n"
+        "from loopbundle import cli\n"
+        f"assert cli.main(['verify', '--trials', '1', '--out', {str(tmp_path / 'v.json')!r}]) == 0\n"
+        "assert cli.main(['section', '--trials', '5']) == 0\n"
+        "assert cli.main(['holonomy', '--grid', '256']) == 0\n"
+        "print(sorted(name for name in sys.modules if name.startswith('scipy')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(loopbundle.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_holonomy_rejects_bad_annulus():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, schur
 
 from loopbundle import (
     ChartError,
@@ -21,6 +21,7 @@ from loopbundle import (
     unitary_structure,
 )
 from loopbundle.laurent import DEFAULT_GRID, SampledLoop
+from loopbundle.properties import _taylor_expm
 from loopbundle.rand import random_skew, random_special_orthogonal, random_unitary
 from loopbundle.spectral import SkewSpectrum
 
@@ -49,6 +50,68 @@ def test_clustered_eig_merges_repeated_eigenvalues():
     decomp = clustered_eig(g)
     sizes = sorted(len(c) for c in decomp.clusters)
     assert sizes == [1, 2]
+
+
+def _unitary_families(rng):
+    """Normal inputs that stress eigenvalue order and eigenspace mixing: (label, unitary)."""
+    for dim in range(2, 9):
+        v = random_unitary(rng, dim)
+        angles = rng.uniform(-np.pi, np.pi, size=dim)
+        yield "generic", v @ np.diag(np.exp(1j * angles)) @ v.conj().T
+        repeated = np.exp(1j * rng.choice(angles[:2], size=dim))
+        yield "degenerate", v @ np.diag(repeated) @ v.conj().T
+        yield "exact-signs", v @ np.diag(rng.choice([1.0, -1.0], size=dim)) @ v.conj().T
+        for gap in (1e-9, 1e-8, 1e-7, 1e-6, 1e-5):
+            near = np.exp(1j * (angles[0] + gap * np.arange(dim) * (np.arange(dim) % 2)))
+            yield f"gap-{gap:g}", v @ np.diag(near) @ v.conj().T
+        yield "scalar", np.exp(1j * angles[0]) * np.eye(dim)
+        yield "diagonal", np.diag(np.exp(1j * angles))
+        yield "diagonal-signs", np.diag(rng.choice([1.0, -1.0, 1j], size=dim))
+
+
+def _assert_matches_schur(g, label):
+    decomp = clustered_eig(g)
+    t_mat, _ = schur(g, output="complex")
+    dim = g.shape[0]
+    assert np.max(np.abs(decomp.values - np.diag(t_mat))) < 1e-12, label
+    gram = decomp.vectors.conj().T @ decomp.vectors
+    assert np.max(np.abs(gram - np.eye(dim))) < 1e-13, label
+    rebuilt = (decomp.vectors * decomp.values[None, :]) @ decomp.vectors.conj().T
+    assert np.linalg.norm(rebuilt - g) < 1e-10 * max(1.0, float(np.linalg.norm(g))), label
+
+
+def test_clustered_eig_matches_schur_oracle():
+    rng = np.random.default_rng(12)
+    for label, g in _unitary_families(rng):
+        _assert_matches_schur(g, label)
+
+
+def test_clustered_eig_matches_schur_under_nonnormal_noise():
+    rng = np.random.default_rng(13)
+    for label, g in _unitary_families(rng):
+        dim = g.shape[0]
+        noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        _assert_matches_schur(g + 1e-12 * noise / np.linalg.norm(noise), label)
+
+
+def test_clustered_eig_rejects_a_jordan_block():
+    with pytest.raises(ValueError, match="not normal"):
+        clustered_eig(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="not normal"):
+        clustered_eig(np.exp(0.3j) * np.eye(3) + np.diag([1.0, 1.0], k=1))
+
+
+@pytest.mark.parametrize("kind", ["skew", "general"])
+def test_taylor_oracle_matches_expm(kind):
+    rng = np.random.default_rng(14)
+    for trial in range(120):
+        dim = int(rng.integers(2, 8))
+        a = rng.standard_normal((dim, dim)) + 1j * (trial % 2) * rng.standard_normal((dim, dim))
+        if kind == "skew":
+            a = 0.5 * (a - a.conj().T)
+        a *= rng.uniform(0.01, 20.0) / np.linalg.norm(a, 2)
+        ref = expm(a)
+        assert np.linalg.norm(_taylor_expm(a) - ref) < 1e-13 * np.linalg.norm(ref)
 
 
 def test_exp_skew_zero():
