@@ -41,7 +41,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .laurent import CERT_GUARD, certify, laurent_eval
-from .spectral import clustered_eig, one_parameter_path, projector_basis
+from .spectral import check_unitary, clustered_eig, one_parameter_path, projector_basis
 
 MODEL_TAGS = ("flat-torus-T2", "round-sphere-S2", "group-SU2")
 # Fourier coefficients below this fraction of the largest one are round-off
@@ -265,6 +265,10 @@ class MonodromyData:
         """g W - W e^{2 pi i s}: column j is the defect of g w_j = e^{2 pi i s_j} w_j."""
         return self.holonomy @ self.frame - self.frame * np.exp(2j * np.pi * self.exponents)[None, :]
 
+    def periodicity_residual(self):
+        """Largest column of the eigenframe defect: the exact period identity g w_j = e^{2 pi i s_j} w_j."""
+        return float(np.linalg.norm(self.eigenframe_defect(), axis=0).max())
+
 
 def _window(x):
     """Reduce to [-1/2, 1/2); ties at 1/2 go to -1/2."""
@@ -284,9 +288,7 @@ def floquet(g, frame_path=None):
     orthonormal eigenbasis are eigenvectors to round-off and keep their own
     exponents.  Rejects matrices that are not unitary/orthogonal to 1e-8.
     """
-    arr = np.asarray(g, dtype=complex)
-    if np.linalg.norm(arr.conj().T @ arr - np.eye(arr.shape[0])) > 1e-8:
-        raise ValueError("holonomy matrix is not orthogonal/unitary")
+    arr = check_unitary(g)
     decomp = clustered_eig(arr)
     n = arr.shape[0]
     exps = np.empty(n)
@@ -353,12 +355,6 @@ class FiberBasis:
         """Integer mode p and core index j of each section."""
         return _mode_index(self.mode_bound, self.core.shape[1])
 
-    @property
-    def pairs(self):
-        """One (p, s_j) row per section, as floats."""
-        modes, cores = self.rows()
-        return np.stack([modes.astype(float), self.data.exponents[cores]], axis=1)
-
     def gram(self):
         """G[(p,j),(q,l)] = F[(p - q) mod grid]_{jl} with F the FFT of c(t)^H c(t) / grid."""
         overlap = self.core.conj() @ self.core.transpose(0, 2, 1)
@@ -366,15 +362,18 @@ class FiberBasis:
         modes, cores = self.rows()
         return spectrum[(modes[:, None] - modes[None, :]) % self.grid, cores[:, None], cores[None, :]]
 
-    def section(self, coefficients):
-        coefficients = np.asarray(coefficients, dtype=complex)
+    def _mode_sums(self, coefficients):
+        """(t, j) = sum_p c_{p,j} e^{2 pi i p t} on the grid, from one inverse FFT."""
         if coefficients.shape != (self.count,):
             raise ValueError("coefficient vector has the wrong length")
         modes, cores = self.rows()
         scattered = np.zeros((self.grid, self.core.shape[1]), dtype=complex)
         np.add.at(scattered, (modes % self.grid, cores), coefficients)
-        weights = np.fft.ifft(scattered, axis=0) * self.grid  # (t, j) = sum_p c_{p,j} e^{2 pi i p t}
-        vals = (weights[:, None, :] @ self.core)[:, 0, :]
+        return np.fft.ifft(scattered, axis=0) * self.grid
+
+    def section(self, coefficients):
+        coefficients = np.asarray(coefficients, dtype=complex)
+        vals = (self._mode_sums(coefficients)[:, None, :] @ self.core)[:, 0, :]
         return FiberSection(coefficients=coefficients, values=vals)
 
     def project(self, values):
@@ -387,8 +386,8 @@ class FiberBasis:
         return spectrum[modes % self.grid, cores]
 
     def periodicity_residual(self):
-        """Largest column of the eigenframe defect: the exact period identity g w_j = e^{2 pi i s_j} w_j."""
-        return float(np.linalg.norm(self.data.eigenframe_defect(), axis=0).max())
+        """`MonodromyData.periodicity_residual` of the basis's Floquet data."""
+        return self.data.periodicity_residual()
 
 
 @dataclass(frozen=True)
@@ -472,49 +471,43 @@ def dhat_residuals(basis):
     return num / den
 
 
+def _relative_rms(defect, reference):
+    """RMS of a defect over the RMS of its reference samples."""
+    scale = max(np.sqrt(np.mean(np.abs(reference) ** 2)), 1e-300)
+    return float(np.sqrt(np.mean(np.abs(defect) ** 2)) / scale)
+
+
 def project_section(basis, values):
     """Coefficients of a sampled section with round-trip reconstruction error."""
     coeffs = basis.project(values)
-    rebuilt = basis.section(coeffs)
-    scale = np.sqrt(np.mean(np.abs(values) ** 2))
-    err = np.sqrt(np.mean(np.abs(rebuilt.values - values) ** 2)) / max(scale, 1e-300)
-    return FiberSection(coefficients=coeffs, values=np.asarray(values, dtype=complex)), float(err)
+    err = _relative_rms(basis.section(coeffs).values - values, values)
+    return FiberSection(coefficients=coeffs, values=np.asarray(values, dtype=complex)), err
 
 
 def loop_recognition_residual(basis, coefficients):
-    """Defect of h b(t+1) = b(t) in the transported frame for a coefficient section.
+    """Defect of g b(t+1) = b(t) in the transported frame for a coefficient section.
 
-    In transported-frame coordinates the section is
-    b(t) = sum c_{p,j} e^{2 pi i p t} e^{-2 pi i s_j t} w_j, and applying the
-    holonomy to b(t+1) must reproduce b(t).
+    In transported-frame coordinates the section is b(t) = W u(t) with
+    u_j(t) = e^{-2 pi i s_j t} sum_p c_{p,j} e^{2 pi i p t}.  Since e^{2 pi i p} = 1,
+    b(t+1) = W e^{-2 pi i s} u(t), so g b(t+1) - b(t) = D e^{-2 pi i s} u(t)
+    exactly, with D = g W - W e^{2 pi i s} the eigenframe defect.
     """
     data = basis.data
-    grid = basis.grid
-    ts = np.arange(grid) / grid
-    coeffs = np.asarray(coefficients, dtype=complex).reshape(2 * basis.mode_bound + 1, -1)
-    modes = np.arange(-basis.mode_bound, basis.mode_bound + 1)
-
-    def frame_coords(offset):
-        phase = np.exp(2j * np.pi * np.outer(ts + offset, modes))  # (t, p)
-        drift = np.exp(-2j * np.pi * np.outer(ts + offset, data.exponents))  # (t, j)
-        weights = np.einsum("tp,pj,tj->tj", phase, coeffs, drift)
-        return np.einsum("ij,tj->ti", data.frame, weights)
-
-    b0 = frame_coords(0.0)
-    b1 = np.einsum("ij,tj->ti", data.holonomy, frame_coords(1.0))
-    scale = max(np.sqrt(np.mean(np.abs(b0) ** 2)), 1e-300)
-    return float(np.sqrt(np.mean(np.abs(b1 - b0) ** 2)) / scale)
+    ts = np.arange(basis.grid) / basis.grid
+    u = basis._mode_sums(np.asarray(coefficients, dtype=complex)) * np.exp(-2j * np.pi * np.outer(ts, data.exponents))
+    defect = (u * np.exp(-2j * np.pi * data.exponents)) @ data.eigenframe_defect().T
+    return _relative_rms(defect, u @ data.frame.T)
 
 
 def cosh_weight(eigenvalues, r):
-    """The pairing weight cosh(x ln r)^2 at each x = p - s_j."""
+    """The pairing weight cosh(x ln r)^2 at each x = p - s_j, for an annulus parameter r > 1."""
+    if r <= 1.0:
+        raise ValueError("annulus parameter must exceed 1")
     return np.cosh(np.asarray(eigenvalues) * np.log(r)) ** 2
 
 
 def cos_inner_product(a, b, data, r):
     """Weighted pairing sum_{p,j} cosh((p - s_j) ln r)^2 conj(a_{p,j}) b_{p,j}."""
-    if r <= 1.0:
-        raise ValueError("annulus parameter must exceed 1")
     ca = np.asarray(a.coefficients)
     cb = np.asarray(b.coefficients)
     if ca.shape != cb.shape:
@@ -531,8 +524,6 @@ def cos_gram(basis, r, coefficients=None):
 
     With no coefficient matrix this is the basis Gram, diagonal by design.
     """
-    if r <= 1.0:
-        raise ValueError("annulus parameter must exceed 1")
     modes, cores = basis.rows()
     weights = cosh_weight(modes - basis.data.exponents[cores], r)
     if coefficients is None:
@@ -592,8 +583,7 @@ def condiff_residual(model, loop, rep, values):
     lhs = covariant_derivative(model, loop.with_reparam(rep), pulled)
     d_alpha = covariant_derivative(model, loop, values)
     rhs = trig_interpolate(d_alpha, np.mod(sig, 1.0)) * dsig[:, None]
-    scale = max(np.sqrt(np.mean(np.abs(values) ** 2)), 1e-300)
-    return float(np.sqrt(np.mean(np.abs(lhs - rhs) ** 2)) / scale)
+    return _relative_rms(lhs - rhs, values)
 
 
 def reparam_actions(basis, rep):
@@ -624,13 +614,12 @@ def reparam_actions(basis, rep):
     total = np.linalg.norm(moved_mass, axis=0)
     residuals = np.linalg.norm(np.where(freqs > degrees, moved_mass, 0.0), axis=0) / np.where(total > 0, total, 1.0)
     moved = basis.loop.with_reparam(rep)
-    defect = monodromy(basis.model, moved, steps=grid).eigenframe_defect()
     return {
         "standard_residuals": residuals,
         "degrees": degrees,
         "standard_max": float(residuals.max()),
         "standard_min": float(residuals.min()),
-        "transport": {"periodicity_residual": float(np.linalg.norm(defect, axis=0).max())},
+        "transport": {"periodicity_residual": monodromy(basis.model, moved, steps=grid).periodicity_residual()},
     }
 
 

@@ -80,20 +80,6 @@ class MatrixLoop:
         """l2 norm of the coefficient family, sqrt(sum_k ||A_k||_F^2)."""
         return float(np.sqrt(sum(np.sum(np.abs(a) ** 2) for a in self.coeffs.values())))
 
-    def to_json_dict(self):
-        entries = []
-        for k in sorted(self.coeffs):
-            a = self.coeffs[k]
-            entries.append({"k": k, "re": a.real.tolist(), "im": a.imag.tolist()})
-        return {"dim": self.dim, "field": self.field, "coeffs": entries}
-
-    @classmethod
-    def from_json_dict(cls, data):
-        coeffs = {}
-        for entry in data["coeffs"]:
-            coeffs[int(entry["k"])] = np.asarray(entry["re"]) + 1j * np.asarray(entry["im"])
-        return cls(dim=int(data["dim"]), coeffs=coeffs, field=data.get("field", "complex"))
-
 
 @dataclass(frozen=True)
 class SampledLoop:

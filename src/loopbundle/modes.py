@@ -61,23 +61,6 @@ class LoopVector:
             return np.zeros(self.dim, dtype=complex)
         return self.coeffs[p + self.mode_bound]
 
-    def to_json_dict(self):
-        entries = []
-        for i, p in enumerate(self.modes):
-            a = self.coeffs[i]
-            if np.any(a != 0):
-                entries.append({"p": int(p), "re": a.real.tolist(), "im": a.imag.tolist()})
-        return {"dim": self.dim, "P": self.mode_bound, "coeffs": entries}
-
-    @classmethod
-    def from_json_dict(cls, data):
-        dim = int(data["dim"])
-        bound = int(data["P"])
-        arr = np.zeros((2 * bound + 1, dim), dtype=complex)
-        for entry in data["coeffs"]:
-            arr[int(entry["p"]) + bound] = np.asarray(entry["re"]) + 1j * np.asarray(entry["im"])
-        return cls(dim=dim, mode_bound=bound, coeffs=arr)
-
 
 @dataclass(frozen=True)
 class ShiftData:

@@ -96,6 +96,13 @@ _REGISTRY = {}
 _COMPARATORS = {"<": operator.lt, "<=": operator.le, ">": operator.gt}
 
 SECTION_THRESHOLDS = {"endpoint": 1e-9, "group": 1e-9, "poly": 1e-8, "det": 1e-10}
+# the sweep report key of the worst value each section threshold bounds
+SECTION_MAXIMA = {
+    "endpoint": "max_endpoint_err",
+    "group": "max_group_residual",
+    "poly": "max_poly_residual",
+    "det": "max_det_deviation",
+}
 
 
 @dataclass(frozen=True)
@@ -737,7 +744,7 @@ def sweep_sections(group, dims, trials, rng, branch=0.0, split=0.0):
     dims = [int(d) for d in (dims if np.iterable(dims) else [dims])]
     rejections = 0
     failures = []
-    maxima = {"endpoint": 0.0, "group": 0.0, "poly": 0.0, "det": 0.0}
+    maxima = dict.fromkeys(SECTION_THRESHOLDS, 0.0)
     completed = 0
     for trial in range(int(trials)):
         dim = dims[trial % len(dims)]
@@ -767,17 +774,9 @@ def sweep_sections(group, dims, trials, rng, branch=0.0, split=0.0):
         entry = {"trial": trial, "dim": dim, "endpoint": endpoint, "group": gres, "poly": poly}
         if group == "SU":
             entry["det"] = float(np.max(np.abs(np.linalg.det(vals) - 1.0)))
-            maxima["det"] = max(maxima["det"], entry["det"])
-        maxima["endpoint"] = max(maxima["endpoint"], endpoint)
-        maxima["group"] = max(maxima["group"], gres)
-        maxima["poly"] = max(maxima["poly"], poly)
-        over = (
-            endpoint > SECTION_THRESHOLDS["endpoint"]
-            or gres > SECTION_THRESHOLDS["group"]
-            or poly > SECTION_THRESHOLDS["poly"]
-            or entry.get("det", 0.0) > SECTION_THRESHOLDS["det"]
-        )
-        if over:
+        for key in SECTION_THRESHOLDS:
+            maxima[key] = max(maxima[key], entry.get(key, 0.0))
+        if any(entry.get(key, 0.0) > limit for key, limit in SECTION_THRESHOLDS.items()):
             failures.append(entry)
     return {
         "group": group,
@@ -785,10 +784,7 @@ def sweep_sections(group, dims, trials, rng, branch=0.0, split=0.0):
         "trials": int(trials),
         "completed": completed,
         "rejections": rejections,
-        "max_endpoint_err": maxima["endpoint"],
-        "max_group_residual": maxima["group"],
-        "max_poly_residual": maxima["poly"],
-        "max_det_deviation": maxima["det"],
+        **{SECTION_MAXIMA[key]: maxima[key] for key in SECTION_THRESHOLDS},
         "failures": failures,
         "thresholds": dict(SECTION_THRESHOLDS),
     }
@@ -797,12 +793,7 @@ def sweep_sections(group, dims, trials, rng, branch=0.0, split=0.0):
 def section_sweep_ratio(report):
     """Worst observed/threshold ratio of a sweep report (1.0 is the pass line)."""
     t = report["thresholds"]
-    ratio = max(
-        report["max_endpoint_err"] / t["endpoint"],
-        report["max_group_residual"] / t["group"],
-        report["max_poly_residual"] / t["poly"],
-        report["max_det_deviation"] / t["det"],
-    )
+    ratio = max(report[SECTION_MAXIMA[key]] / t[key] for key in SECTION_THRESHOLDS)
     if report["completed"] == 0:
         ratio += 1.0
     return ratio
@@ -996,8 +987,7 @@ def _floquet_window(rng, trials):
             worst += 1.0
         if np.any(np.diff(exps) < -1e-12):
             worst += 1.0
-        defect = g @ data.frame - data.frame * np.exp(2j * np.pi * exps)[None, :]
-        worst = max(worst, float(np.linalg.norm(defect)))
+        worst = max(worst, float(np.linalg.norm(data.eigenframe_defect())))
         if k % 3 == 0:
             mirrored = np.sort(geo._window(-exps))
             worst = max(worst, float(np.max(np.abs(geo._window(np.sort(exps) - mirrored)))))
@@ -1052,7 +1042,7 @@ def _dhat(rng, trials):
 def _loop_recognition(rng, trials):
     worst = 0.0
     for _, basis in standard_bases():
-        decay = np.exp(-0.4 * np.abs(basis.pairs[:, 0]))
+        decay = np.exp(-0.4 * np.abs(basis.rows()[0]))
         for _ in range(_default(trials, 3)):
             c = (rng.standard_normal(basis.count) + 1j * rng.standard_normal(basis.count)) * decay
             worst = max(worst, geo.loop_recognition_residual(basis, c))
@@ -1093,20 +1083,13 @@ def _projection_decay(rng, trials):
 def _cos_pairing_values(rng, trials):
     worst = 0.0
     bases = dict(standard_bases())
-    torus = bases["torus"]
-    idx = (1 + torus.mode_bound) * 2 + 0  # mode p = 1, first fibre direction
-    c = np.zeros(torus.count, dtype=complex)
-    c[idx] = 1.0
-    sec = torus.section(c)
-    value = geo.cos_inner_product(sec, sec, torus.data, 2.0)
-    worst = max(worst, abs(value - 1.5625))
-    sphere = bases["sphere"]
-    idx = (0 + sphere.mode_bound) * 2 + 0  # mode p = 0; both exponents sit at -1/2
-    c = np.zeros(sphere.count, dtype=complex)
-    c[idx] = 1.0
-    sec = sphere.section(c)
-    value = geo.cos_inner_product(sec, sec, sphere.data, 2.0)
-    worst = max(worst, abs(value - 1.125))
+    # section (p = 1, j = 0) on the torus; (p = 0, j = 0) on the sphere, whose exponents both sit at -1/2
+    for name, mode, expected in (("torus", 1, 1.5625), ("sphere", 0, 1.125)):
+        basis = bases[name]
+        modes, cores = basis.rows()
+        sec = basis.section(((modes == mode) & (cores == 0)).astype(complex))
+        value = geo.cos_inner_product(sec, sec, basis.data, 2.0)
+        worst = max(worst, abs(value - expected))
     return worst
 
 
@@ -1135,7 +1118,7 @@ def _cos_gram_positive(rng, trials):
 @_register({"condiff-identity": (1e-10, "<"), "condiff-rotation": (1e-6, "<"), "condiff-generic": (1e-4, "<")})
 def _condiff(rng, trials):
     _, basis = standard_bases(mode_bound=4, grid=4096)[1]
-    decay = np.exp(-0.5 * np.abs(basis.pairs[:, 0]))
+    decay = np.exp(-0.5 * np.abs(basis.rows()[0]))
     values = basis.section((rng.standard_normal(basis.count) + 1j * rng.standard_normal(basis.count)) * decay).values
     reparams = {
         "condiff-identity": geo.Reparam("identity"),

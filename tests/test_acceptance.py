@@ -226,7 +226,7 @@ def test_criterion_11_weighted_pairing():
         model, loop = torus_model(winding=(1, 0), grid=512)
         data = monodromy(model, loop, steps=512)
         basis = eigen_sections(model, loop, data, 4)
-        row = int(np.where(basis.pairs[:, 0] == 1)[0][0])
+        row = int(np.where(basis.rows()[0] == 1)[0][0])
         coeffs = np.zeros(basis.count, dtype=complex)
         coeffs[row] = 1.0
         section = basis.section(coeffs)
@@ -235,7 +235,7 @@ def test_criterion_11_weighted_pairing():
         smodel, sloop = sphere_model(np.pi / 3)
         sdata = monodromy(smodel, sloop)
         sbasis = eigen_sections(smodel, sloop, sdata, 4)
-        srow = int(np.where(sbasis.pairs[:, 0] == 0)[0][0])
+        srow = int(np.where(sbasis.rows()[0] == 0)[0][0])
         scoeffs = np.zeros(sbasis.count, dtype=complex)
         scoeffs[srow] = 1.0
         ssec = sbasis.section(scoeffs)

@@ -301,8 +301,9 @@ def test_basis_count_and_gram():
 def test_torus_basis_is_exactly_fourier():
     """On the flat torus the fibre basis must reproduce plain Fourier modes bit for bit."""
     _, _, data, basis = torus_basis()
-    assert np.all(basis.pairs[:, 1] == 0.0)
-    assert basis.pairs[:, 0].tolist() == np.repeat(np.arange(-3, 4), 2).tolist()
+    modes, cores = basis.rows()
+    assert np.all(data.exponents[cores] == 0.0)
+    assert modes.tolist() == np.repeat(np.arange(-3, 4), 2).tolist()
     # each section e^{2 pi i p t} c_j is a pure Fourier mode when c_j(t) = e_j exactly
     worst = float(np.max(np.abs(basis.core - np.eye(2))))
     assert worst == 0.0
@@ -313,7 +314,8 @@ def dense_sections(basis):
     data = basis.data
     ts = np.arange(basis.grid) / basis.grid
     frame = np.asarray(data.frame_path, dtype=complex) @ data.frame  # (t, k, j)
-    p, s = basis.pairs[:, 0], basis.pairs[:, 1]
+    p, cores = basis.rows()
+    s = data.exponents[cores]
     j = np.arange(basis.count) % data.exponents.size
     return np.exp(2j * np.pi * np.outer(p - s, ts))[:, :, None] * frame[:, :, j].transpose(2, 0, 1)
 
@@ -338,7 +340,8 @@ def dense_dhat(basis, values):
     deriv = np.fft.ifft((2j * np.pi * freqs)[:, None] * np.fft.fft(values, axis=1), axis=1)
     coeff = basis.model.coefficients(basis.loop, np.arange(grid) / grid)
     dhat = (deriv - np.einsum("tij,mtj->mti", coeff, values)) / (2.0 * np.pi)
-    defect = dhat - 1j * (basis.pairs[:, 0] - basis.pairs[:, 1])[:, None, None] * values
+    modes, cores = basis.rows()
+    defect = dhat - 1j * (modes - basis.data.exponents[cores])[:, None, None] * values
     return np.sqrt(np.mean(np.abs(defect) ** 2, axis=(1, 2)) / np.mean(np.abs(values) ** 2, axis=(1, 2)))
 
 
@@ -366,7 +369,7 @@ def test_factorised_basis_matches_dense_sections(setup, grid, mode_bound):
 
     dense = dense_sections(basis)
     flat = dense.reshape(basis.count, -1)
-    assert np.max(np.abs(basis.core.transpose(1, 0, 2) - dense[basis.pairs[:, 0] == 0])) <= 1e-12
+    assert np.max(np.abs(basis.core.transpose(1, 0, 2) - dense[basis.rows()[0] == 0])) <= 1e-12
     assert np.max(np.abs(gram - flat.conj() @ flat.T / grid)) <= 1e-12
     assert np.max(np.abs(projected - np.einsum("mtk,tk->m", dense.conj(), sampled) / grid)) <= 1e-12
     expected = np.tensordot(coeffs, dense, axes=(0, 0))
@@ -414,6 +417,44 @@ def test_polynomial_loop_action_recognised():
     assert loop_recognition_residual(basis, coeffs) < 1e-8
 
 
+def sampled_loop_recognition(basis, coefficients):
+    """Relative RMS of g b(t+1) - b(t), with b sampled at t and at t + 1 from its own phase matrices."""
+    data = basis.data
+    ts = np.arange(basis.grid) / basis.grid
+    coeffs = np.asarray(coefficients, dtype=complex).reshape(2 * basis.mode_bound + 1, -1)
+    modes = np.arange(-basis.mode_bound, basis.mode_bound + 1)
+
+    def frame_coords(offset):
+        phase = np.exp(2j * np.pi * np.outer(ts + offset, modes))  # (t, p)
+        drift = np.exp(-2j * np.pi * np.outer(ts + offset, data.exponents))  # (t, j)
+        weights = np.einsum("tp,pj,tj->tj", phase, coeffs, drift)
+        return np.einsum("ij,tj->ti", data.frame, weights)
+
+    b0 = frame_coords(0.0)
+    b1 = np.einsum("ij,tj->ti", data.holonomy, frame_coords(1.0))
+    return float(np.sqrt(np.mean(np.abs(b1 - b0) ** 2)) / np.sqrt(np.mean(np.abs(b0) ** 2)))
+
+
+@pytest.mark.parametrize("name", ["torus", "sphere", "su2"])
+def test_loop_recognition_closed_form_matches_sampled_oracle(name):
+    basis = dict(properties.standard_bases())[name]
+    rng = np.random.default_rng(13)
+    decay = np.exp(-0.4 * np.abs(basis.rows()[0]))
+    coeffs = [(rng.standard_normal(basis.count) + 1j * rng.standard_normal(basis.count)) * decay for _ in range(3)]
+    for c in coeffs:
+        assert abs(loop_recognition_residual(basis, c) - sampled_loop_recognition(basis, c)) <= 1e-14
+    # a holonomy moved by about 1e-9 keeps the frame an eigenframe only to that size, so D != 0
+    n = basis.data.exponents.size
+    noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    moved = basis.data.holonomy + 1e-9 * noise / np.linalg.norm(noise)
+    perturbed = dataclasses.replace(basis, data=dataclasses.replace(basis.data, holonomy=moved))
+    assert np.linalg.norm(perturbed.data.eigenframe_defect()) > 1e-10
+    for c in coeffs:
+        closed, oracle = loop_recognition_residual(perturbed, c), sampled_loop_recognition(perturbed, c)
+        assert oracle > 1e-11
+        assert abs(closed - oracle) <= 1e-6 * oracle
+
+
 def test_project_section_agrees_with_sampled_form():
     model, loop = sphere_model(np.pi / 4)
     data = monodromy(model, loop)
@@ -432,7 +473,7 @@ def test_pairing_spot_value_torus():
     model, loop = torus_model(winding=(1, 0), grid=512)
     data = monodromy(model, loop, steps=512)
     basis = eigen_sections(model, loop, data, 4)
-    row = int(np.where((basis.pairs[:, 0] == 1))[0][0])
+    row = int(np.where(basis.rows()[0] == 1)[0][0])
     coeffs = np.zeros(basis.count, dtype=complex)
     coeffs[row] = 1.0
     section = basis.section(coeffs)
@@ -444,7 +485,7 @@ def test_pairing_spot_value_sphere():
     model, loop = sphere_model(np.pi / 3)
     data = monodromy(model, loop)
     basis = eigen_sections(model, loop, data, 4)
-    row = int(np.where((basis.pairs[:, 0] == 0))[0][0])
+    row = int(np.where(basis.rows()[0] == 0)[0][0])
     coeffs = np.zeros(basis.count, dtype=complex)
     coeffs[row] = 1.0
     section = basis.section(coeffs)
@@ -577,9 +618,9 @@ def test_section_index_and_periodicity_match_their_old_constructions(setup):
     n = data.exponents.size
     # the (p, s_j) float rows a basis used to store
     pairs = np.stack([np.repeat(np.arange(-5, 6), n).astype(float), np.tile(data.exponents, 11)], axis=1)
-    assert np.array_equal(basis.pairs, pairs)
-    assert basis.count == pairs.shape[0]
     modes, cores = basis.rows()
+    assert np.array_equal(np.stack([modes.astype(float), data.exponents[cores]], axis=1), pairs)
+    assert basis.count == pairs.shape[0]
     assert np.array_equal(modes, np.rint(pairs[:, 0]).astype(int))
     assert np.array_equal(cores, np.arange(basis.count) % n)
 

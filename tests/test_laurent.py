@@ -253,16 +253,3 @@ def test_polynomiality_guard_band():
     s = SampledLoop(values=np.exp(2j * np.pi * ts)[:, None, None])
     with pytest.raises(ValueError):
         polynomiality_residual(s, 64)
-
-
-def test_json_roundtrip():
-    rng = np.random.default_rng(23)
-    a = MatrixLoop(
-        dim=2,
-        field="complex",
-        coeffs={k: rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for k in (-1, 3)},
-    )
-    back = MatrixLoop.from_json_dict(a.to_json_dict())
-    assert back.dim == a.dim and back.field == a.field
-    for k in (-1, 3):
-        assert np.max(np.abs(back.coeff(k) - a.coeff(k))) == 0.0

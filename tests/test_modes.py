@@ -225,11 +225,3 @@ def test_cosh_inequality_smoke():
                 mid = np.cosh((x + t) * log_r) / r ** abs(x)
                 assert upper >= mid - 1e-12
                 assert mid >= lower - 1e-12
-
-
-def test_loop_vector_json_roundtrip():
-    rng = np.random.default_rng(40)
-    arr = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
-    v = LoopVector(dim=2, mode_bound=2, coeffs=arr)
-    back = LoopVector.from_json_dict(v.to_json_dict())
-    assert np.max(np.abs(back.coeffs - v.coeffs)) == 0.0

@@ -11,6 +11,78 @@ from loopbundle import properties as props
 from loopbundle import sections
 
 
+# every registered record as (name, threshold, comparator), in registry order; a
+# rename, reorder or changed threshold must show up as an edit of this table
+REGISTRY_TABLE = [
+    ("laurent-product-pointwise", 1e-12, "<"),
+    ("laurent-real-tag-closure", 1e-12, "<"),
+    ("fourier-roundtrip", 1e-12, "<"),
+    ("polynomiality-detects", 0.0001, ">"),
+    ("polynomiality-accepts", 1e-06, "<"),
+    ("group-residual-unitary-loops", 1e-09, "<"),
+    ("cosh-inequality", 1e-12, "<"),
+    ("cosr-isomorphism", 1e-12, "<"),
+    ("cosr-polarization-exact", 0.0, "<="),
+    ("polarization-hs-closed-form", 1e-08, "<"),
+    ("hs-tail-constant", 1e-10, "<"),
+    ("hs-tail-r-one-limit", 1e-08, "<"),
+    ("mode-derivative-frame", 1e-12, "<"),
+    ("loop-action-isometry", 1e-10, "<"),
+    ("loop-action-annulus-witness", 1e-06, ">"),
+    ("clustered-eig-reconstruction", 1e-10, "<"),
+    ("exp-skew-oracle", 1e-09, "<"),
+    ("log-branch-roundtrip", 1e-09, "<"),
+    ("central-log-properties", 1e-09, "<"),
+    ("comlie-commutators", 1e-09, "<"),
+    ("liepol-pair-residual", 1e-08, "<"),
+    ("torus-path-centralizer", 1e-09, "<"),
+    ("cplxstr-exp-pi-j", 1e-09, "<"),
+    ("cplxstr-pair-degree-two", 1e-08, "<"),
+    ("cplxstr-structure-invariance", 1e-09, "<"),
+    ("log0-decompose-postconditions", 1e-09, "<"),
+    ("so-log-exponential", 1e-09, "<"),
+    ("section-sweep-unitary", 1.0, "<"),
+    ("section-sweep-special-unitary", 1.0, "<"),
+    ("section-sweep-special-orthogonal", 1.0, "<"),
+    ("section-group-actions", 1e-09, "<"),
+    ("path-fiber-quotient", 1e-08, "<"),
+    ("smooth-section-shape", 1e-09, "<"),
+    ("smooth-section-junctions", 0.0001, "<"),
+    ("transport-torus-identity", 1e-12, "<"),
+    ("transport-composition", 1e-08, "<"),
+    ("transport-period-shift", 1e-08, "<"),
+    ("transport-step-doubling", 1e-08, "<"),
+    ("transport-orthogonality", 1e-08, "<"),
+    ("sphere-latitude-holonomy", 1e-06, "<"),
+    ("floquet-window-structure", 1e-08, "<"),
+    ("floquet-rotation-invariance", 1e-08, "<"),
+    ("fiber-basis-gram", 1e-08, "<"),
+    ("fiber-basis-torus-exact", 0.0, "<="),
+    ("dhat-eigenvalue-residual", 1e-06, "<"),
+    ("loop-recognition", 1e-08, "<"),
+    ("projection-roundtrip", 1e-08, "<"),
+    ("projection-residual-decay", 0.001, "<"),
+    ("cos-pairing-values", 1e-10, "<"),
+    ("cos-pairing-r-one-limit", 1e-06, "<"),
+    ("cos-gram-positive", 1e-08, ">"),
+    ("condiff-identity", 1e-10, "<"),
+    ("condiff-rotation", 1e-06, "<"),
+    ("condiff-generic", 0.0001, "<"),
+    ("reparam-rotation-preserves", 1e-08, "<"),
+    ("reparam-generic-breaks", 0.001, ">"),
+    ("reparam-transport-carries", 1e-08, "<"),
+    ("subbundle-counterexample", 0.001, ">"),
+    ("subbundle-linear-phase", 1e-10, "<"),
+    ("direct-sum-union", 1e-08, "<"),
+    ("complexification-span", 1e-08, "<"),
+]
+
+
+def test_registry_matches_the_pinned_table():
+    names = props.property_names()
+    assert [(name, props._REGISTRY[name].threshold, props._REGISTRY[name].comparator) for name in names] == REGISTRY_TABLE
+
+
 def test_batch_equals_per_name_records():
     names = props.property_names()
     batch = props.run_properties(names, seed=3, trials=1)
