@@ -18,6 +18,7 @@ and demo run properties, so only they take --tol.<name> X.
 import argparse
 import collections
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -233,7 +234,7 @@ def _run_properties(config, names, trials=None):
         tag = "PASS" if rec.passed else "FAIL"
         print(f"{tag} {rec.name}: observed={rec.observed:.6e} threshold={rec.threshold:.3e} ({rec.comparator})")
     failures = [rec.name for rec in records if not rec.passed]
-    properties = [rec.to_json_dict() for rec in records]
+    properties = [dataclasses.asdict(rec) for rec in records]
     return failures, {"schema": 1, "seed": config["seed"], "properties": properties, "all_passed": not failures}
 
 
@@ -339,15 +340,14 @@ def cmd_holonomy(config):
         raise ConfigError(f"pairing weight cosh((P + 1/2) ln r)^2 overflows at --modes {mode_bound} --r {r}")
     data = geo.monodromy(model, loop)
     basis = geo.eigen_sections(model, loop, data, mode_bound)
-    gram = basis.gram()
-    gram_error = float(np.max(np.abs(gram - np.eye(basis.count))))
+    gram_error = basis.gram_error()
     dhat_max = float(np.max(geo.dhat_residuals(basis)))
     periodicity = basis.periodicity_residual()
     checks = {
         "gram_orthonormal": gram_error < HOLONOMY_CHECK_THRESHOLDS["gram"],
         "dhat_within_tolerance": dhat_max < HOLONOMY_CHECK_THRESHOLDS["dhat"],
         "periodicity_within_tolerance": periodicity < HOLONOMY_CHECK_THRESHOLDS["periodicity"],
-        "cos_gram_positive": geo.cos_gram_floor(basis, r, gram) > HOLONOMY_CHECK_THRESHOLDS["cos_gram"],
+        "cos_gram_positive": geo.cos_gram_floor(basis, r) > HOLONOMY_CHECK_THRESHOLDS["cos_gram"],
     }
     payload = {
         "schema": 1,

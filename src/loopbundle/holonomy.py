@@ -311,12 +311,12 @@ def floquet(g, frame_path=None):
     )
 
 
-def monodromy(model, loop, steps=None):
-    """Full pipeline: transported frame on the grid, holonomy and Floquet data.
+def monodromy(model, loop):
+    """Full pipeline: transported frame on the loop's grid, holonomy and Floquet data.
 
     The holonomy is the frame at t = 1, from the same closed form as the grid.
     """
-    frame = transport_frame(model, loop, steps)
+    frame = transport_frame(model, loop)
     return floquet(frame[-1], frame_path=frame[:-1])
 
 
@@ -355,12 +355,23 @@ class FiberBasis:
         """Integer mode p and core index j of each section."""
         return _mode_index(self.mode_bound, self.core.shape[1])
 
-    def gram(self):
-        """G[(p,j),(q,l)] = F[(p - q) mod grid]_{jl} with F the FFT of c(t)^H c(t) / grid."""
+    def gram_symbol(self):
+        """The blocks F[k], |k| <= 2P, at index k + 2P: F is the FFT of c(t)^H c(t) / grid, read at bin k mod grid."""
         overlap = self.core.conj() @ self.core.transpose(0, 2, 1)
         spectrum = np.fft.fft(overlap, axis=0) / self.grid
+        return spectrum[np.arange(-2 * self.mode_bound, 2 * self.mode_bound + 1) % self.grid]
+
+    def gram(self):
+        """The block-Toeplitz basis Gram G[(p,j),(q,l)] = F[p - q]_{jl}."""
         modes, cores = self.rows()
-        return spectrum[(modes[:, None] - modes[None, :]) % self.grid, cores[:, None], cores[None, :]]
+        lags = modes[:, None] - modes[None, :] + 2 * self.mode_bound
+        return self.gram_symbol()[lags, cores[:, None], cores[None, :]]
+
+    def gram_error(self):
+        """max |F[k] - delta_k I| over |k| <= 2P; every block occurs in the Gram, so this is max |G - I|."""
+        symbol = self.gram_symbol()
+        symbol[2 * self.mode_bound] -= np.eye(symbol.shape[1])
+        return float(np.max(np.abs(symbol)))
 
     def _mode_sums(self, coefficients):
         """(t, j) = sum_p c_{p,j} e^{2 pi i p t} on the grid, from one inverse FFT."""
@@ -519,33 +530,33 @@ def cos_inner_product(a, b, data, r):
     return complex(np.sum(cosh_weight(modes - data.exponents[cores], r) * ca.conj() * cb))
 
 
-def cos_gram(basis, r, coefficients=None):
-    """Gram matrix under the weighted pairing for sections given by coefficient rows.
-
-    With no coefficient matrix this is the basis Gram, diagonal by design.
-    """
+def cos_gram(basis, r):
+    """Gram matrix of the basis sections under the weighted pairing: diagonal by design."""
     modes, cores = basis.rows()
-    weights = cosh_weight(modes - basis.data.exponents[cores], r)
-    if coefficients is None:
-        coefficients = np.eye(basis.count, dtype=complex)
-    coefficients = np.asarray(coefficients, dtype=complex)
-    return (coefficients.conj() * weights[None, :]) @ coefficients.T
+    return np.diag(cosh_weight(modes - basis.data.exponents[cores], r).astype(complex))
 
 
-def cos_gram_floor(basis, r, gram):
+def cos_gram_floor(basis, r):
     """Smallest eigenvalue of the unit-diagonal weighted Gram of the basis sections projected back (-1 if one vanishes).
 
-    Projecting section l gives column l of the basis Gram `gram`; entries at
-    or below TRIG_FLOOR of a row's largest are round-off that cosh^2 weights
-    up to 1e60 (P = 100, r = 2) would inflate.  A repeated section reads 0.
+    Projecting section (q, l) gives the Gram entries F[p - q]_{jl}; entries at or below TRIG_FLOOR of core column
+    l's largest are round-off that cosh^2 weights up to 1e60 (P = 100, r = 2) would inflate.  A surviving F[k], k != 0,
+    reads -1 (a unitary transport gives none: c_j^H c_l = e^{2 pi i (s_j - s_l) t} (W^H W)_{jl}); otherwise the Gram
+    splits into the n x n blocks B^H diag(w_q) B of the modes q, B the cut F[0].  A repeated section reads 0.
     """
-    rows = gram.T.copy()
-    rows[np.abs(rows) <= TRIG_FLOOR * np.abs(rows).max(axis=1, keepdims=True)] = 0.0
-    weighted = cos_gram(basis, r, rows)
-    scale = np.sqrt(np.diag(weighted).real)
+    symbol = basis.gram_symbol()
+    symbol[np.abs(symbol) <= TRIG_FLOOR * np.abs(symbol).max(axis=(0, 1))] = 0.0
+    centre = 2 * basis.mode_bound
+    if np.any(symbol[:centre]) or np.any(symbol[centre + 1 :]):
+        return -1.0
+    block = symbol[centre]
+    modes, cores = basis.rows()
+    weights = cosh_weight(modes - basis.data.exponents[cores], r).reshape(-1, 1, block.shape[0])
+    weighted = (block.conj().T * weights) @ block
+    scale = np.sqrt(np.diagonal(weighted, axis1=1, axis2=2).real)
     if not np.all(scale > 0.0):
         return -1.0
-    return float(np.linalg.eigvalsh(weighted / np.outer(scale, scale))[0])
+    return float(np.linalg.eigvalsh(weighted / (scale[:, :, None] * scale[:, None, :]))[:, 0].min())
 
 
 def trig_interpolate(values, new_ts):
@@ -619,7 +630,7 @@ def reparam_actions(basis, rep):
         "degrees": degrees,
         "standard_max": float(residuals.max()),
         "standard_min": float(residuals.min()),
-        "transport": {"periodicity_residual": monodromy(basis.model, moved, steps=grid).periodicity_residual()},
+        "transport": {"periodicity_residual": monodromy(basis.model, moved).periodicity_residual()},
     }
 
 
@@ -693,5 +704,5 @@ def complexification_residual():
     mode window both spans agree when c_j and conj(c_j) span the same space.
     """
     model, loop = sphere_model(np.pi / 6, grid=2048)
-    core = eigen_sections(model, loop, monodromy(model, loop, steps=2048), 4).core
+    core = eigen_sections(model, loop, monodromy(model, loop), 4).core
     return max(_span_containment(core.conj(), core), _span_containment(core, core.conj()))

@@ -115,15 +115,6 @@ class PropertyRecord:
     comparator: str
     passed: bool
 
-    def to_json_dict(self):
-        return {
-            "name": self.name,
-            "observed": float(self.observed),
-            "threshold": float(self.threshold),
-            "comparator": self.comparator,
-            "passed": bool(self.passed),
-        }
-
 
 @dataclass(frozen=True)
 class _Property:
@@ -285,7 +276,7 @@ def standard_bases(mode_bound=8, grid=4096):
             ("sphere", geo.sphere_model(np.pi / 3, grid=grid)),
             ("su2", geo.su2_model(direction=(1.0, 2.0, 2.0), winding=1, grid=grid)),
         ):
-            data = geo.monodromy(model, loop, steps=grid)
+            data = geo.monodromy(model, loop)
             out.append((name, geo.eigen_sections(model, loop, data, mode_bound)))
         _BASIS_CACHE[key] = out
     return _BASIS_CACHE[key]
@@ -987,7 +978,7 @@ def _floquet_window(rng, trials):
             worst += 1.0
         if np.any(np.diff(exps) < -1e-12):
             worst += 1.0
-        worst = max(worst, float(np.linalg.norm(data.eigenframe_defect())))
+        worst = max(worst, float(np.linalg.norm(data.frame.conj().T @ data.frame - np.eye(dim))))
         if k % 3 == 0:
             mirrored = np.sort(geo._window(-exps))
             worst = max(worst, float(np.max(np.abs(geo._window(np.sort(exps) - mirrored)))))
@@ -1014,15 +1005,14 @@ def _floquet_rotation(rng, trials):
 def _fiber_gram(rng, trials):
     worst = 0.0
     for _, basis in standard_bases():
-        worst = max(worst, float(np.max(np.abs(basis.gram() - np.eye(basis.count)))))
-        worst = max(worst, basis.periodicity_residual())
+        worst = max(worst, basis.gram_error(), basis.periodicity_residual())
     return worst
 
 
 @_register("fiber-basis-torus-exact", 0.0, "<=")
 def _fiber_torus_exact(rng, trials):
     model, loop = geo.torus_model(winding=(1, 2), grid=1024)
-    data = geo.monodromy(model, loop, steps=1024)
+    data = geo.monodromy(model, loop)
     basis = geo.eigen_sections(model, loop, data, 3)
     # flat connection, trivial holonomy: every core vector is a constant unit
     # vector bit for bit, so the sections e^{2 pi i p t} c_j are pure Fourier modes
@@ -1066,7 +1056,7 @@ def _projection_roundtrip(rng, trials):
 @_register("projection-residual-decay", 1e-3)
 def _projection_decay(rng, trials):
     model, loop = geo.sphere_model(np.pi / 3, grid=2048)
-    data = geo.monodromy(model, loop, steps=2048)
+    data = geo.monodromy(model, loop)
     ts = np.arange(2048) / 2048
     narrow = geo.eigen_sections(model, loop, data, 1)
     target = np.exp(0.3 * np.sin(2.0 * np.pi * ts))[:, None] * narrow.core[:, 1]  # section (p = 0, j = 1)
@@ -1110,8 +1100,7 @@ def _cos_pairing_r_one(rng, trials):
 def _cos_gram_positive(rng, trials):
     floors = []
     for _, basis in standard_bases():
-        gram = basis.gram()
-        floors.extend(geo.cos_gram_floor(basis, r, gram) for r in (1.5, 2.0))
+        floors.extend(geo.cos_gram_floor(basis, r) for r in (1.5, 2.0))
     return min(floors)
 
 

@@ -224,7 +224,7 @@ def test_criterion_10_fiber_basis():
 def test_criterion_11_weighted_pairing():
     def run():
         model, loop = torus_model(winding=(1, 0), grid=512)
-        data = monodromy(model, loop, steps=512)
+        data = monodromy(model, loop)
         basis = eigen_sections(model, loop, data, 4)
         row = int(np.where(basis.rows()[0] == 1)[0][0])
         coeffs = np.zeros(basis.count, dtype=complex)

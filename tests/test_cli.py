@@ -446,6 +446,18 @@ def test_cos_gram_positive_reads_false_for_a_repeated_section(tmp_path, monkeypa
     assert read_json(out)["checks"]["cos_gram_positive"] is False
 
 
+def test_gram_checks_read_the_symbol_not_the_dense_gram(tmp_path, monkeypatch):
+    def refuse(basis):
+        raise AssertionError("the dense (2P+1)n-square Gram was built")
+
+    monkeypatch.setattr(cli.geo.FiberBasis, "gram", refuse)
+    argv = ["holonomy", "--model", "su2", "--modes", "40", "--out", str(tmp_path / "su2.json")]
+    assert cli.main(argv) == 0
+    assert read_json(tmp_path / "su2.json")["checks"]["cos_gram_positive"] is True
+    records = cli.props.run_properties(["fiber-basis-gram", "cos-gram-positive"], seed=0)
+    assert [rec.passed for rec in records] == [True, True]
+
+
 # Bounded values for every flag except --out (a random --out would write files);
 # one value in six is drawn from JUNK, which most flags must reject.
 JUNK = st.sampled_from(["", "x", "nan", "inf", "-1", "0", "1e400", "1,,2", "-e"])

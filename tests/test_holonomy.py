@@ -273,8 +273,8 @@ def test_floquet_exponent_window_and_eigenrelation():
 
 
 def test_torus_exponents_vanish():
-    model, loop = torus_model(winding=(2, -1))
-    data = monodromy(model, loop, steps=512)
+    model, loop = torus_model(winding=(2, -1), grid=512)
+    data = monodromy(model, loop)
     assert data.exponents.tolist() == [0.0, 0.0]
     assert np.max(np.abs(data.frame_path - np.eye(2))) == 0.0
 
@@ -285,7 +285,7 @@ def test_torus_exponents_vanish():
 
 def torus_basis(mode_bound=3, steps=512):
     model, loop = torus_model(winding=(1, 2), grid=steps)
-    data = monodromy(model, loop, steps=steps)
+    data = monodromy(model, loop)
     return model, loop, data, eigen_sections(model, loop, data, mode_bound)
 
 
@@ -471,7 +471,7 @@ def test_project_section_agrees_with_sampled_form():
 
 def test_pairing_spot_value_torus():
     model, loop = torus_model(winding=(1, 0), grid=512)
-    data = monodromy(model, loop, steps=512)
+    data = monodromy(model, loop)
     basis = eigen_sections(model, loop, data, 4)
     row = int(np.where(basis.rows()[0] == 1)[0][0])
     coeffs = np.zeros(basis.count, dtype=complex)
@@ -496,7 +496,7 @@ def test_pairing_spot_value_sphere():
 
 def test_pairing_requires_annulus():
     model, loop = torus_model(winding=(1, 0), grid=512)
-    data = monodromy(model, loop, steps=512)
+    data = monodromy(model, loop)
     basis = eigen_sections(model, loop, data, 2)
     section = basis.section(np.eye(basis.count)[0].astype(complex))
     with pytest.raises(ValueError):
@@ -509,15 +509,52 @@ def test_cos_gram_positive_definite():
     basis = eigen_sections(model, loop, data, 4)
     eigs = np.linalg.eigvalsh(cos_gram(basis, 2.0))
     assert np.min(eigs) >= 1.0  # cosh^2 >= 1 on the diagonal
-    rng = np.random.default_rng(9)
-    mixing = rng.normal(size=(6, basis.count)) + 1j * rng.normal(size=(6, basis.count))
-    mixed = cos_gram(basis, 2.0, coefficients=mixing)
-    assert np.min(np.linalg.eigvalsh(mixed)) > 0.0
+
+
+def dense_cos_gram_floor(basis, r):
+    """The dense oracle: cut the rows of the (2P+1)n-square Gram's transpose, weight them, take one eigvalsh."""
+    rows = basis.gram().T.copy()
+    rows[np.abs(rows) <= geo.TRIG_FLOOR * np.abs(rows).max(axis=1, keepdims=True)] = 0.0
+    modes, cores = basis.rows()
+    weighted = (rows.conj() * geo.cosh_weight(modes - basis.data.exponents[cores], r)) @ rows.T
+    scale = np.sqrt(np.diag(weighted).real)
+    if not np.all(scale > 0.0):
+        return -1.0
+    return float(np.linalg.eigvalsh(weighted / np.outer(scale, scale))[0])
+
+
+SYMBOL_SETUPS = {
+    "sphere-pi3": lambda: sphere_model(np.pi / 3, grid=1024),
+    "sphere-theta1-w2": lambda: sphere_model(1.0, winding=2, grid=1024),
+    "su2": lambda: su2_model(direction=(1.0, 2.0, 2.0), grid=1024),
+    "torus": lambda: torus_model(winding=(1, 2), grid=1024),
+}
+
+
+@pytest.mark.parametrize("mode_bound", [1, 8, 40])
+@pytest.mark.parametrize("setup", sorted(SYMBOL_SETUPS))
+def test_gram_symbol_checks_equal_their_dense_oracles(setup, mode_bound):
+    model, loop = SYMBOL_SETUPS[setup]()
+    basis = eigen_sections(model, loop, monodromy(model, loop), mode_bound)
+    assert basis.gram_symbol().shape == (4 * mode_bound + 1,) + basis.core.shape[1:]
+    assert basis.gram_error() == float(np.max(np.abs(basis.gram() - np.eye(basis.count))))
+    for r in (1.5, 2.0, 3.7):
+        assert geo.cos_gram_floor(basis, r) == dense_cos_gram_floor(basis, r), r
+
+
+def test_cos_gram_floor_reads_minus_one_when_modes_couple():
+    model, loop = sphere_model(np.pi / 3, grid=512)
+    basis = eigen_sections(model, loop, monodromy(model, loop), 4)
+    bump = 1.0 + 0.5 * np.cos(2.0 * np.pi * np.arange(512) / 512)
+    bumped = dataclasses.replace(basis, core=basis.core * bump[:, None, None])
+    # c^H c = bump^2 = 9/8 + cos 2 pi t + (1/8) cos 4 pi t: the blocks F[+-1] (index 2P -+ 1) survive the cut
+    assert np.allclose(bumped.gram_symbol()[[7, 9]], 0.5 * np.eye(2), atol=1e-14)
+    assert geo.cos_gram_floor(bumped, 2.0) == -1.0
 
 
 def test_pairing_approaches_plain_l2_at_r_one():
     model, loop = torus_model(winding=(1, 0), grid=512)
-    data = monodromy(model, loop, steps=512)
+    data = monodromy(model, loop)
     basis = eigen_sections(model, loop, data, 3)
     section = basis.section(np.eye(basis.count)[1].astype(complex))
     value = cos_inner_product(section, section, data, 1.0 + 1e-8)
@@ -631,7 +668,7 @@ def test_section_index_and_periodicity_match_their_old_constructions(setup):
 
     assert basis.periodicity_residual() == column_max(data)
     rep = Reparam("sine", 0.1, 0.08)
-    moved = monodromy(model, loop.with_reparam(rep), steps=256)
+    moved = monodromy(model, loop.with_reparam(rep))
     assert reparam_actions(basis, rep)["transport"]["periodicity_residual"] == column_max(moved)
 
 
@@ -698,6 +735,18 @@ def test_conjugated_transport_fails_the_span_checks(monkeypatch):
     monkeypatch.setattr(properties, "_BASIS_CACHE", {})
     for name in ("direct-sum-union", "complexification-span"):
         assert not properties.run_property(name, seed=0).passed, name
+
+
+def test_floquet_window_structure_fails_for_a_non_orthonormal_frame(monkeypatch):
+    floquet = geo.floquet
+
+    def doubled(g, frame_path=None):
+        data = floquet(g, frame_path)
+        return dataclasses.replace(data, frame=data.frame * 2.0)  # still an eigenframe, no longer orthonormal
+
+    monkeypatch.setattr(geo, "floquet", doubled)
+    record = properties.run_property("floquet-window-structure", seed=0)
+    assert not record.passed and record.threshold == 1e-8
 
 
 def test_cos_gram_positive_fails_for_a_repeated_core_vector(monkeypatch):
