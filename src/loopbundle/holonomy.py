@@ -31,8 +31,8 @@ one core vector c_j(t) = e^{-2 pi i s_j t} Phi(t) w_j, so a `FiberBasis` stores
 only the core, (grid, n, n), and indexes section (p, j) by the integer
 (p + P) n + j.  The Gram matrix, projections and sections each cost one FFT of
 the core, and `dhat_residuals` equals the per-section check on the samples,
-bin for bin, by correcting the FFT bins where a shifted section's derivative
-wraps past the Nyquist mode.  The weighted pairing sums cosh((p - s_j) ln r)^2
+bin for bin, by running sums over the bins next to the Nyquist mode, where a
+shifted section's derivative wraps.  The weighted pairing sums cosh((p - s_j) ln r)^2
 conj(a) b over coefficients.  A direct sum needs no connection of its own: its
 transported frame is block-diagonal in the blocks' frames (`direct_sum_union_residual`).
 """
@@ -334,7 +334,7 @@ class FiberBasis:
     Every section is a Fourier shift of one core vector, so the Gram matrix,
     projections and sections each take one FFT of the core instead of one
     pass over (2P+1) n sampled sections; `section` samples one combination
-    of them at a time.
+    of them at a time.  A basis needs 2P + 1 <= grid; a wider one aliases.
     """
 
     model: ConnectionModel
@@ -342,6 +342,10 @@ class FiberBasis:
     data: MonodromyData
     mode_bound: int
     core: np.ndarray
+
+    def __post_init__(self):
+        if 2 * self.mode_bound + 1 > self.grid:
+            raise ValueError(f"mode bound {self.mode_bound} needs 2 * mode_bound + 1 <= grid {self.grid}, or the basis aliases")
 
     @property
     def grid(self):
@@ -423,13 +427,6 @@ def eigen_sections(model, loop, data, mode_bound):
     return FiberBasis(model=model, loop=loop, data=data, mode_bound=mode_bound, core=core)
 
 
-def _derivative_freqs(grid):
-    """FFT mode numbers with the Nyquist mode, whose derivative the samples do not determine, zeroed."""
-    freqs = np.fft.fftfreq(grid, d=1.0 / grid)
-    freqs[freqs == -grid / 2] = 0.0
-    return freqs
-
-
 def covariant_derivative(model, loop, values):
     """D = d/dt - A(t) on sampled sections of shape (..., grid, n).
 
@@ -438,7 +435,8 @@ def covariant_derivative(model, loop, values):
     """
     values = np.asarray(values, dtype=complex)
     grid = values.shape[-2]
-    freqs = _derivative_freqs(grid)
+    freqs = np.fft.fftfreq(grid, d=1.0 / grid)
+    freqs[freqs == -grid / 2] = 0.0  # the samples do not determine the Nyquist mode's derivative
     deriv = np.fft.ifft((2j * np.pi * freqs)[:, None] * np.fft.fft(values, axis=-2), axis=-2)
     ts = np.arange(grid) / grid
     scale = loop.reparam.dsigma(ts) if loop.reparam is not None else np.ones(grid)
@@ -451,12 +449,19 @@ def dhat_residuals(basis):
     Equal, up to round-off, to the check on each sampled section
     phi_{p,j} = e^{2 pi i p t} c_j.  Multiplying by e^{2 pi i p t} shifts the
     spectrum by p, so the defect of phi_{p,j} is the shifted spectrum of the
-    core defect b_j = (1/2 pi) D c_j + i s_j c_j, except on the bins g where
-    the sampled derivative of phi wraps: there its mode number
-    nu((g + p) mod grid) differs from nu(g) + p by delta_p(g), and the bin
-    carries B_j[g] + i delta_p(g) C_j[g] instead (B, C the spectra of b and c).
-    Those are at most |p| + 1 bins per p, and Parseval sums the rest at once.
-    An under-resolved basis thus keeps its large residual.
+    core defect b_j = (1/2 pi) D c_j + i s_j c_j, except that bin g carries
+    B_j[g] + i delta_p(g) C_j[g] (B, C the spectra of b and c), with
+    delta_p(g) = nu((g + p) mod grid) - nu(g) - p and nu the mode number,
+    Nyquist mode zeroed.  delta_p is -sign(p) grid on the |p| - 1 bins strictly
+    between the Nyquist bin grid/2 and grid/2 - p, half that on those two end
+    bins and 0 elsewhere; an odd grid has no Nyquist bin, and there delta_p is
+    -sign(p) grid on the |p| bins from its top mode towards -p.  By Parseval
+    the defect power of phi_{p,j} is that of b_j plus the change
+    delta^2 |C|^2 - 2 delta Im(conj(B) C) summed over that walk of |p| + 1
+    bins: a running sum of the per-bin change at |delta| = grid with both end
+    bins at grid/2.  One walk of P + 1 bins per side serves every section of a
+    core column; it starts at the Nyquist bin, so the large low-mode mass never
+    enters a running sum.  An under-resolved basis thus keeps its large residual.
     """
     core = np.moveaxis(basis.core, 1, 0)  # (j, t, k)
     grid = basis.grid
@@ -465,18 +470,22 @@ def dhat_residuals(basis):
     spec_b = np.fft.fft(defect, axis=1)
     spec_c = np.fft.fft(core, axis=1)
     modes, cores = basis.rows()
-    # every bin where the derivative of the shifted core can wrap, row by row
-    length = np.minimum(np.abs(modes) + 1, grid)
-    row = np.repeat(np.arange(basis.count), length)
-    offset = np.arange(row.size) - np.repeat(np.cumsum(length) - length, length)
-    p, j = modes[row], cores[row]
-    bins = (grid // 2 - np.sign(p) * offset) % grid
-    freqs = _derivative_freqs(grid)
-    delta = freqs[(bins + p) % grid] - freqs[bins] - p
-    plain = spec_b[j, bins]
-    wrapped = plain + 1j * delta[:, None] * spec_c[j, bins]
-    change = np.sum(np.abs(wrapped) ** 2 - np.abs(plain) ** 2, axis=1)
-    power = np.sum(np.abs(spec_b) ** 2, axis=(1, 2))[cores] + np.bincount(row, weights=change, minlength=basis.count)
+    # the walk away from the Nyquist bin for p > 0 (side 0) and p < 0 (side 1): step o at index o
+    steps = np.arange(basis.mode_bound + 1)
+    walk = np.stack([grid // 2 - steps, (grid - grid // 2 + steps) % grid])
+    mass = np.sum(np.abs(spec_c[:, walk]) ** 2, axis=3)  # (j, side, step)
+    cross = np.sum((spec_b[:, walk].conj() * spec_c[:, walk]).imag, axis=3)
+    sign = np.array([[1.0], [-1.0]])  # sign(p) on each side
+    whole = grid**2 * mass + 2.0 * grid * sign * cross  # the change on a bin where |delta| = grid
+    half = grid**2 / 4.0 * mass + grid * sign * cross  # and where |delta| = grid / 2
+    if grid % 2:
+        half[:] = 0.0  # no Nyquist bin: the last bin of a walk does not wrap
+    else:
+        whole[:, :, 0] = half[:, :, 0]  # every walk starts at the Nyquist bin
+    side = (cores, (modes < 0).astype(int))
+    change = np.cumsum(whole, axis=2)[side + (np.abs(modes) - 1,)] + half[side + (np.abs(modes),)]
+    change[modes == 0] = 0.0
+    power = np.sum(np.abs(spec_b) ** 2, axis=(1, 2))[cores] + change
     num = np.sqrt(np.maximum(power, 0.0) / (grid**2 * core.shape[2]))
     den = np.sqrt(np.mean(np.abs(core) ** 2, axis=(1, 2)))[cores]
     return num / den
@@ -543,6 +552,8 @@ def cos_gram_floor(basis, r):
     l's largest are round-off that cosh^2 weights up to 1e60 (P = 100, r = 2) would inflate.  A surviving F[k], k != 0,
     reads -1 (a unitary transport gives none: c_j^H c_l = e^{2 pi i (s_j - s_l) t} (W^H W)_{jl}); otherwise the Gram
     splits into the n x n blocks B^H diag(w_q) B of the modes q, B the cut F[0].  A repeated section reads 0.
+    For a unitary transport with an orthonormal frame the cut F[0] is diagonal, so every block scales to I and the
+    floor is 1 to round-off whatever r is; only a repeated or mode-coupling core moves it.
     """
     symbol = basis.gram_symbol()
     symbol[np.abs(symbol) <= TRIG_FLOOR * np.abs(symbol).max(axis=(0, 1))] = 0.0

@@ -15,15 +15,16 @@ adds a unit penalty to the observed value instead of raising, so a broken
 invariant shows up as an out-of-tolerance record rather than a crashed run.
 The heavyweight sweep helpers (`sweep_sections`, `cosr_isomorphism_sweep`,
 `hs_norm_cases`, `liepol_sweep`, `transport_identity_sweep`,
-`latitude_report`, `standard_bases`) are exported so the acceptance suite can
-rerun them at full advertised sizes.
+`latitude_report`) are exported so the acceptance suite can rerun them at full
+advertised sizes.  `standard_bases()` builds, once per process, the three
+reference fibre bases (P = 8, grid 4096) that the fibre-basis records share.
 """
 
 import functools
 import importlib
 import operator
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -263,23 +264,17 @@ def _random_transport_loops(rng, per_model, grid=2048):
     return dressed
 
 
-_BASIS_CACHE = {}
-
-
-def standard_bases(mode_bound=8, grid=4096):
-    """Eigen-section bases over the three reference geometries (memoised)."""
-    key = (mode_bound, grid)
-    if key not in _BASIS_CACHE:
-        out = []
-        for name, (model, loop) in (
-            ("torus", geo.torus_model(winding=(1, 2), grid=grid)),
-            ("sphere", geo.sphere_model(np.pi / 3, grid=grid)),
-            ("su2", geo.su2_model(direction=(1.0, 2.0, 2.0), winding=1, grid=grid)),
-        ):
-            data = geo.monodromy(model, loop)
-            out.append((name, geo.eigen_sections(model, loop, data, mode_bound)))
-        _BASIS_CACHE[key] = out
-    return _BASIS_CACHE[key]
+@functools.cache
+def standard_bases():
+    """Eigen-section bases, P = 8 on grid 4096, over the three reference geometries (memoised)."""
+    out = []
+    for name, (model, loop) in (
+        ("torus", geo.torus_model(winding=(1, 2))),
+        ("sphere", geo.sphere_model(np.pi / 3)),
+        ("su2", geo.su2_model(direction=(1.0, 2.0, 2.0), winding=1)),
+    ):
+        out.append((name, geo.eigen_sections(model, loop, geo.monodromy(model, loop), 8)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1106,7 +1101,7 @@ def _cos_gram_positive(rng, trials):
 
 @_register({"condiff-identity": (1e-10, "<"), "condiff-rotation": (1e-6, "<"), "condiff-generic": (1e-4, "<")})
 def _condiff(rng, trials):
-    _, basis = standard_bases(mode_bound=4, grid=4096)[1]
+    basis = replace(standard_bases()[1][1], mode_bound=4)  # the core does not depend on P
     decay = np.exp(-0.5 * np.abs(basis.rows()[0]))
     values = basis.section((rng.standard_normal(basis.count) + 1j * rng.standard_normal(basis.count)) * decay).values
     reparams = {
@@ -1125,7 +1120,8 @@ def _condiff(rng, trials):
     }
 )
 def _reparam(rng, trials):
-    _, basis = standard_bases(mode_bound=4, grid=2048)[1]
+    model, loop = geo.sphere_model(np.pi / 3, grid=2048)
+    basis = geo.eigen_sections(model, loop, geo.monodromy(model, loop), 4)
     preserving = (geo.Reparam("rotation", shift=0.3), geo.Reparam("reflection", shift=0.0))
     carried = (geo.Reparam("rotation", shift=0.4), geo.Reparam("sine", amplitude=0.08))
     return {

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -391,6 +392,54 @@ def test_factorised_basis_matches_dense_sections(setup, grid, mode_bound):
         assert np.max(np.abs(report["standard_residuals"] - residuals)) <= 1e-12
 
 
+def gathered_dhat(basis):
+    """dhat_residuals with the wrap correction gathered bin by bin: for each mode p, the |p| + 1 bins next to the
+    Nyquist bin where the derivative of e^{2 pi i p t} c_j can wrap each add |B + i delta C|^2 - |B|^2."""
+    core = np.moveaxis(basis.core, 1, 0)  # (j, t, k)
+    grid = basis.grid
+    defect = covariant_derivative(basis.model, basis.loop, core) / (2.0 * np.pi) + 1j * basis.data.exponents[:, None, None] * core
+    spec_b, spec_c = np.fft.fft(defect, axis=1), np.fft.fft(core, axis=1)
+    freqs = np.fft.fftfreq(grid, d=1.0 / grid)
+    freqs[freqs == -grid / 2] = 0.0
+    modes = np.arange(-basis.mode_bound, basis.mode_bound + 1)
+    power = np.tile(np.sum(np.abs(spec_b) ** 2, axis=(1, 2)), (modes.size, 1))  # (p, j)
+    for row, p in enumerate(modes):
+        bins = (grid // 2 - np.sign(p) * np.arange(abs(p) + 1)) % grid
+        delta = freqs[(bins + p) % grid] - freqs[bins] - p
+        plain = spec_b[:, bins]
+        wrapped = plain + 1j * delta[None, :, None] * spec_c[:, bins]
+        power[row] += np.sum(np.abs(wrapped) ** 2 - np.abs(plain) ** 2, axis=(1, 2))
+    num = np.sqrt(np.maximum(power, 0.0) / (grid**2 * core.shape[2]))
+    return (num / np.sqrt(np.mean(np.abs(core) ** 2, axis=(1, 2)))).ravel()
+
+
+@pytest.mark.parametrize("setup", sorted(DENSE_SETUPS))
+def test_dhat_running_sums_match_the_gathered_bins(setup):
+    # (129, 64) is an odd grid, with no Nyquist bin; P = 1000 would gather about 10^6 bins per core column
+    for grid, mode_bound in [(4096, 8), (128, 63), (129, 64), (4096, 1000)]:
+        model, loop = DENSE_SETUPS[setup](grid)
+        basis = eigen_sections(model, loop, monodromy(model, loop), mode_bound)
+        tracemalloc.start()
+        try:
+            dhat = dhat_residuals(basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        oracle = gathered_dhat(basis)
+        assert np.all(np.abs(dhat - oracle) <= 1e-14 + 1e-9 * oracle), (grid, mode_bound)
+        assert peak < 64e6, (grid, mode_bound, peak)
+
+
+def test_fiber_basis_rejects_an_aliasing_mode_bound():
+    model, loop = sphere_model(1.0, winding=2, grid=16)
+    data = monodromy(model, loop)
+    basis = eigen_sections(model, loop, data, 7)  # 2P + 1 = 15 <= 16
+    with pytest.raises(ValueError, match="aliases"):
+        eigen_sections(model, loop, data, 8)
+    with pytest.raises(ValueError, match="aliases"):
+        dataclasses.replace(basis, mode_bound=8)
+
+
 def test_dhat_residuals_small():
     model, loop = sphere_model(np.pi / 3)
     data = monodromy(model, loop)
@@ -732,7 +781,6 @@ def test_conjugated_transport_fails_the_span_checks(monkeypatch):
         return eigen_sections(model, loop, dataclasses.replace(data, frame_path=path), mode_bound)
 
     monkeypatch.setattr(geo, "eigen_sections", conjugated)
-    monkeypatch.setattr(properties, "_BASIS_CACHE", {})
     for name in ("direct-sum-union", "complexification-span"):
         assert not properties.run_property(name, seed=0).passed, name
 
@@ -755,6 +803,6 @@ def test_cos_gram_positive_fails_for_a_repeated_core_vector(monkeypatch):
         core = basis.core.copy()
         core[:, 1] = core[:, 0]  # section (p, 1) repeats section (p, 0) for every mode p
         repeated.append((name, dataclasses.replace(basis, core=core)))
-    monkeypatch.setattr(properties, "_BASIS_CACHE", {(8, 4096): repeated})
+    monkeypatch.setattr(properties, "standard_bases", lambda: repeated)
     record = properties.run_property("cos-gram-positive", seed=0)
     assert not record.passed and record.threshold == 1e-8
