@@ -216,10 +216,16 @@ def _run_properties(config, names, trials=None):
     """Run and print the named properties under the tolerance overrides; return (failures, shared report)."""
     records = props.run_properties(names, config["seed"], trials, config["tolerances"])
     for rec in records:
+        if rec.error is not None:
+            print(f"FAIL {rec.name}: raised {rec.error}")
+            continue
         tag = "PASS" if rec.passed else "FAIL"
         print(f"{tag} {rec.name}: observed={rec.observed:.6e} threshold={rec.threshold:.3e} ({rec.comparator})")
     failures = [rec.name for rec in records if not rec.passed]
     properties = [dataclasses.asdict(rec) for rec in records]
+    for row in properties:
+        if row["error"] is None:
+            del row["error"]  # only a record whose runner raised carries the key
     return failures, {"schema": 1, "seed": config["seed"], "properties": properties, "all_passed": not failures}
 
 

@@ -10,6 +10,9 @@ module holds the coefficient arithmetic (convolution product, pointwise
 evaluation), membership residuals for the classical groups, the FFT
 projection, and `certify`, the package's one test that a loop is such a
 trigonometric polynomial: one sample grid, one FFT, one relative residual.
+Its grid is the smallest power of two N >= CERT_GRID with degree < N/4: the
+DFT of a trigonometric polynomial of degree d is exact on N > 2d points, and
+the quarter rule leaves room for the tail window beyond the degree.
 
 Conventions: mode indices are integers k, the sample grid has a power-of-two
 size N_s, and samples live at t_i = i / N_s.  A loop tagged as real satisfies
@@ -25,6 +28,8 @@ REAL_TAG_TOL = 1e-12
 DEFAULT_GRID = 1024
 # modes a certificate keeps beyond the degree its path predicts
 CERT_GUARD = 4
+# smallest grid a certificate samples; the quarter rule doubles it for higher degrees
+CERT_GRID = 64
 
 
 def _as_coeff(dim, value):
@@ -229,11 +234,11 @@ def fourier_project(s, max_mode):
 def certify(path, degree):
     """Polynomiality certificate of the matrix loop t -> path(t) at the given degree.
 
-    Samples path (times -> (len, n, n) values) once, on the grid that doubles
-    from DEFAULT_GRID until degree < grid/4, and returns `fourier_project` of
-    the samples: (MatrixLoop, relative residual), from one FFT.
+    Samples path (times -> (len, n, n) values) once, on the smallest power of
+    two grid >= CERT_GRID with degree < grid/4, and returns `fourier_project`
+    of the samples: (MatrixLoop, relative residual), from one FFT.
     """
-    grid = DEFAULT_GRID
+    grid = CERT_GRID
     while degree >= grid // 4:
         grid *= 2
     return fourier_project(SampledLoop(values=path(np.arange(grid) / grid)), degree)

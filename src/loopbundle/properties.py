@@ -108,13 +108,18 @@ SECTION_MAXIMA = {
 
 @dataclass(frozen=True)
 class PropertyRecord:
-    """Outcome of one named check."""
+    """Outcome of one named check.
+
+    A record whose runner raised has observed None, passed False, and error
+    "ExceptionType: message"; error is None for every record that ran.
+    """
 
     name: str
-    observed: float
+    observed: float | None
     threshold: float
     comparator: str
     passed: bool
+    error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -159,6 +164,8 @@ def run_properties(names, seed=0, trials=None, thresholds=None):
     """Records for `names` in that order; each runner runs once, however many of its records are named.
 
     thresholds maps a record name to a bound that replaces its registered threshold.
+    A runner that raises fails each of its records with the error instead of
+    ending the batch, so the other records keep their verdicts.
     """
     thresholds = thresholds or {}
     observed = {}
@@ -166,9 +173,17 @@ def run_properties(names, seed=0, trials=None, thresholds=None):
     for name in names:
         prop = _REGISTRY[name]
         if name not in observed:
-            observed.update(prop.runner(child_rng(seed, prop.group[0]), trials))
-        value = float(observed[name])
+            try:
+                observed.update(prop.runner(child_rng(seed, prop.group[0]), trials))
+            except Exception as exc:  # noqa: BLE001 - a library fault is this group's FAIL, not the batch's
+                observed.update(dict.fromkeys(prop.group, exc))
+        value = observed[name]
         bound = float(thresholds.get(name, prop.threshold))
+        if isinstance(value, Exception):
+            error = f"{type(value).__name__}: {value}"
+            records.append(PropertyRecord(name, None, bound, prop.comparator, False, error))
+            continue
+        value = float(value)
         passed = _COMPARATORS[prop.comparator](value, bound)
         records.append(PropertyRecord(name, value, bound, prop.comparator, passed))
     return records

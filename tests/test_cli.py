@@ -73,6 +73,54 @@ def test_verify_forced_failure_exits_one(tmp_path, capsys):
     assert payload["tolerance_overrides"] == {"dhat-eigenvalue-residual": 1e-16}
 
 
+# records whose runners read an eigen-section basis; the rest never see a drift-free core
+READS_A_BASIS = {
+    "dhat-eigenvalue-residual",
+    "projection-residual-decay",
+    "condiff-identity",
+    "condiff-rotation",
+    "condiff-generic",
+    "reparam-rotation-preserves",
+    "reparam-generic-breaks",
+    "reparam-transport-carries",
+    "complexification-span",
+}
+REPARAM_RECORDS = {"reparam-rotation-preserves", "reparam-generic-breaks", "reparam-transport-carries"}
+
+
+def test_a_runner_that_raises_fails_its_records_and_the_batch_goes_on(monkeypatch, tmp_path, capsys):
+    def drift_free(model, loop, data, mode_bound):
+        # the core without its e^{-2 pi i s_j t} drift: reparam_actions then raises on a section's degree
+        frame_path = np.asarray(data.frame_path)
+        grid, n = frame_path.shape[0], data.exponents.size
+        mapped = (frame_path.reshape(grid * n, n) @ data.frame).reshape(grid, n, n)
+        core = np.ascontiguousarray(mapped.transpose(0, 2, 1))
+        return cli.geo.FiberBasis(model=model, loop=loop, data=data, mode_bound=mode_bound, core=core)
+
+    others = [name for name in cli.props.property_names() if name not in READS_A_BASIS]
+    reference = {rec.name: rec.observed for rec in cli.props.run_properties(others, seed=0, trials=2)}
+    out = tmp_path / "mutant.json"
+    monkeypatch.setattr(cli.geo, "eigen_sections", drift_free)
+    cli.props.standard_bases.cache_clear()
+    try:
+        assert cli.main(["verify", "--seed", "0", "--trials", "2", "--out", str(out)]) == 1
+    finally:
+        monkeypatch.undo()
+        cli.props.standard_bases.cache_clear()
+    lines = capsys.readouterr().out.splitlines()
+    records = {rec["name"]: rec for rec in read_json(out)["properties"]}
+    assert len(records) == len(cli.props.property_names())
+    assert {name for name, rec in records.items() if "error" in rec} == REPARAM_RECORDS
+    for name in REPARAM_RECORDS:
+        rec = records[name]
+        assert rec["observed"] is None and rec["passed"] is False
+        assert rec["error"].startswith("ValueError: section degree")
+        assert f"FAIL {name}: raised {rec['error']}" in lines
+    failed = {name for name, rec in records.items() if not rec["passed"]}
+    assert failed == REPARAM_RECORDS | {"dhat-eigenvalue-residual", "condiff-generic"}
+    assert {name: records[name]["observed"] for name in others} == reference
+
+
 def test_tolerance_override_applies_to_one_record_of_a_group(capsys):
     # at one trial the record can read exactly 0.0, so only a negative bound is sure to fail it
     assert cli.main(["verify", "--trials", "1", "--tol.transport-period-shift", "-1"]) == 1

@@ -754,6 +754,16 @@ def test_counterexample_persists_for_higher_degree_loop():
     assert report["is_counterexample"]
 
 
+def test_counterexample_flags_a_second_harmonic_lift():
+    # e^{2 pi i (t + 0.1 sin 4 pi t)} has mode 1 + 2k with coefficient J_k(0.2 pi); degree 5 keeps k = -3..2
+    report = subbundle_counterexample(lambda t: t + 0.1 * np.sin(4 * np.pi * t), identity_loop(1, field="complex"))
+    J = jv(np.arange(40), 0.2 * np.pi)
+    oracle = np.sqrt(np.sum(J[3:] ** 2) + np.sum(J[4:] ** 2))
+    assert report["degree"] == 5
+    assert report["residual"] == pytest.approx(oracle, rel=1e-9)
+    assert report["is_counterexample"]
+
+
 def test_linear_phase_is_polynomial():
     report = subbundle_counterexample(lambda t: t, identity_loop(1, field="complex"))
     assert report["residual"] < 1e-10

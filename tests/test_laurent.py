@@ -17,6 +17,7 @@ from loopbundle import (
     polynomiality_residual,
     sample_loop,
 )
+from loopbundle.laurent import CERT_GRID
 
 GRID = 1024
 EXACT_TOL = 1e-12
@@ -196,7 +197,17 @@ def test_fourier_project_residual_is_the_relative_tail():
     assert fourier_project(SampledLoop(values=np.zeros((GRID, 2, 2))), 2)[1] == 0.0
 
 
-@pytest.mark.parametrize("degree, grid", [(0, 1024), (255, 1024), (256, 2048), (600, 4096)])
+@pytest.mark.parametrize(
+    "degree, grid",
+    [
+        (0, CERT_GRID),
+        (CERT_GRID // 4 - 1, CERT_GRID),
+        (CERT_GRID // 4, 2 * CERT_GRID),
+        (255, 16 * CERT_GRID),
+        (256, 32 * CERT_GRID),
+        (600, 64 * CERT_GRID),
+    ],
+)
 def test_certify_samples_once_on_the_quarter_rule_grid(degree, grid):
     seen = []
 
@@ -211,6 +222,16 @@ def test_certify_samples_once_on_the_quarter_rule_grid(degree, grid):
     # the round-off of the phases stays below the degree-scaled floor: one mode is kept
     assert list(loop.coeffs) == [degree]
     assert abs(loop.coeff(degree)[0, 0] - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("offset", [1e-3, 0.5])
+def test_certify_detects_a_non_integer_exponent_on_its_floor_grid(offset):
+    """e^{2 pi i (3 + a) t} is no trigonometric polynomial; the CERT_GRID certificate reads its tail."""
+    path = lambda ts: np.exp(2j * np.pi * (3.0 + offset) * ts)[:, None, None]  # noqa: E731
+    _, residual = certify(path, 5)
+    _, fine = fourier_project(SampledLoop(values=path(np.arange(GRID) / GRID)), 5)
+    assert residual > 1e-4  # the polynomiality-detects threshold
+    assert residual == pytest.approx(fine, rel=0.1)
 
 
 def test_slow_tail_matches_bessel_expansion():

@@ -131,6 +131,16 @@ def test_a_group_draws_from_the_generator_of_its_first_record():
     assert [rec.observed for rec in records] == [worst[key] for key in ("orthogonality", "period", "doubling", "composition")]
 
 
+def test_an_interrupted_runner_ends_the_batch(monkeypatch):
+    def interrupted(rng, trials):
+        raise KeyboardInterrupt
+
+    prop = props._REGISTRY["cosh-inequality"]
+    monkeypatch.setitem(props._REGISTRY, "cosh-inequality", dataclasses.replace(prop, runner=interrupted))
+    with pytest.raises(KeyboardInterrupt):
+        props.run_properties(["fourier-roundtrip", "cosh-inequality"], seed=0, trials=1)
+
+
 def test_section_sweep_lets_non_chart_errors_through(monkeypatch):
     chain = sections.exp_chain
 

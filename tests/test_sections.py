@@ -25,7 +25,7 @@ from loopbundle import (
     un_section,
 )
 from loopbundle import sections as sections_module
-from loopbundle.laurent import DEFAULT_GRID, certify
+from loopbundle.laurent import DEFAULT_GRID, SampledLoop, certify, fourier_project
 from loopbundle.rand import (
     random_skew,
     random_special_orthogonal,
@@ -425,6 +425,45 @@ def test_certificate_samples_the_quotient(monkeypatch):
             fiber_certificate(p)
             zeta = SkewSpectrum(central_log(project_path(p)))
             assert np.max(np.abs(sampled[-1](ts) - zeta.exp(-ts) @ p.eval(ts))) < 1e-13
+
+
+@pytest.mark.parametrize("group", ["U", "SU", "SO"])
+def test_certificate_coefficients_match_a_fine_grid_projection(group, monkeypatch):
+    """The certificate's quotient equals `fourier_project` of the same path on DEFAULT_GRID points."""
+    rng = np.random.default_rng(84)
+    sampled = []
+
+    def capture(path, degree):
+        sampled.append(path)
+        return certify(path, degree)
+
+    monkeypatch.setattr(sections_module, "certify", capture)
+    ts = np.arange(DEFAULT_GRID) / DEFAULT_GRID
+    degrees = []
+    for dim in (2, 3, 4, 5, 6):
+        while True:
+            # a random branch (U, SU) or split (SO) moves the path off the central log, so the quotient is a true loop
+            cut = rng.uniform(-1.0, 1.0)
+            try:
+                if group == "U":
+                    p = un_section(1j * np.pi * cut, random_unitary(rng, dim))
+                elif group == "SU":
+                    p = su_section(1j * np.pi * cut, random_special_unitary(rng, dim), random_unit_vector(rng, dim))
+                else:
+                    g = random_special_orthogonal(rng, dim)
+                    q = exp_skew(random_skew(rng, dim, real=True, scale=0.12)).real
+                    p = so_section(cut, g, q @ g @ q.T)
+                break
+            except ChartError:
+                continue
+        quotient, residual, degree = fiber_certificate(p)
+        fine, fine_residual = fourier_project(SampledLoop(values=sampled[-1](ts)), degree)
+        assert residual < POLY_TOL and fine_residual < POLY_TOL
+        assert quotient.degree == fine.degree
+        modes = set(quotient.coeffs) | set(fine.coeffs)
+        assert max(np.max(np.abs(quotient.coeff(k) - fine.coeff(k))) for k in modes) < 1e-13
+        degrees.append(quotient.degree)
+    assert max(degrees) >= 1
 
 
 @pytest.mark.parametrize("group", ["U", "SU", "SO", "moved"])
