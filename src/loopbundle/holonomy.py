@@ -30,7 +30,7 @@ eigenvalues i (p - s_j).  Each is the Fourier shift e^{2 pi i p t} c_j(t) of
 one core vector c_j(t) = e^{-2 pi i s_j t} Phi(t) w_j, so a `FiberBasis` stores
 only the core, (grid, n, n), and indexes section (p, j) by the integer
 (p + P) n + j.  The Gram matrix, projections and sections each cost one FFT of
-the core, and `dhat_residuals` equals the per-section check on the samples,
+the core, and `dhat_residuals`, from two, equals the per-section check on the samples,
 bin for bin, by running sums over the bins next to the Nyquist mode, where a
 shifted section's derivative wraps.  The weighted pairing sums cosh((p - s_j) ln r)^2
 conj(a) b over coefficients.  A direct sum needs no connection of its own: its
@@ -360,10 +360,15 @@ class FiberBasis:
         return _mode_index(self.mode_bound, self.core.shape[1])
 
     def gram_symbol(self):
-        """The blocks F[k], |k| <= 2P, at index k + 2P: F is the FFT of c(t)^H c(t) / grid, read at bin k mod grid."""
-        overlap = self.core.conj() @ self.core.transpose(0, 2, 1)
-        spectrum = np.fft.fft(overlap, axis=0) / self.grid
-        return spectrum[np.arange(-2 * self.mode_bound, 2 * self.mode_bound + 1) % self.grid]
+        """The blocks F[k], |k| <= 2P, at index k + 2P: F is the FFT of c(t)^H c(t) / grid, read at bin k mod grid.
+
+        The overlap c_j(t)^H c_l(t) is one contraction over the fibre index of a (j, k, t) copy of the core, so the
+        grid is the innermost axis of every array and no per-sample n x n product is formed.
+        """
+        core = np.ascontiguousarray(self.core.transpose(1, 2, 0))  # (j, k, t)
+        spectrum = np.fft.fft(np.einsum("jkt,lkt->jlt", core.conj(), core), axis=2)
+        blocks = spectrum[:, :, np.arange(-2 * self.mode_bound, 2 * self.mode_bound + 1) % self.grid] / self.grid
+        return blocks.transpose(2, 0, 1)
 
     def gram(self):
         """The block-Toeplitz basis Gram G[(p,j),(q,l)] = F[p - q]_{jl}."""
@@ -427,20 +432,36 @@ def eigen_sections(model, loop, data, mode_bound):
     return FiberBasis(model=model, loop=loop, data=data, mode_bound=mode_bound, core=core)
 
 
+def _derivative_modes(grid):
+    """Mode number of each FFT bin, the Nyquist mode zeroed: the samples do not determine its derivative."""
+    freqs = np.fft.fftfreq(grid, d=1.0 / grid)
+    freqs[freqs == -grid / 2] = 0.0
+    return freqs
+
+
+def _connection_term(model, loop, values):
+    """A(t) v(t) on sampled sections of shape (..., grid, n), with A(t) = sigma'(t) A0.
+
+    The one place the connection coefficient meets the samples: one matrix
+    product by A0 and a per-sample scale.
+    """
+    grid = values.shape[-2]
+    ts = np.arange(grid) / grid
+    scale = loop.reparam.dsigma(ts) if loop.reparam is not None else np.ones(grid)
+    return scale[:, None] * (values @ model.base_coefficient(loop).T)
+
+
 def covariant_derivative(model, loop, values):
     """D = d/dt - A(t) on sampled sections of shape (..., grid, n).
 
-    d/dt is exact on the trigonometric interpolant, Nyquist mode zeroed;
-    A(t) = sigma'(t) A0 is applied as one matrix product and a per-sample scale.
+    d/dt is exact on the trigonometric interpolant, Nyquist mode zeroed
+    (one FFT there and back); the connection term A(t) v is `_connection_term`,
+    which `dhat_residuals` shares.
     """
     values = np.asarray(values, dtype=complex)
-    grid = values.shape[-2]
-    freqs = np.fft.fftfreq(grid, d=1.0 / grid)
-    freqs[freqs == -grid / 2] = 0.0  # the samples do not determine the Nyquist mode's derivative
+    freqs = _derivative_modes(values.shape[-2])
     deriv = np.fft.ifft((2j * np.pi * freqs)[:, None] * np.fft.fft(values, axis=-2), axis=-2)
-    ts = np.arange(grid) / grid
-    scale = loop.reparam.dsigma(ts) if loop.reparam is not None else np.ones(grid)
-    return deriv - scale[:, None] * (values @ model.base_coefficient(loop).T)
+    return deriv - _connection_term(model, loop, values)
 
 
 def dhat_residuals(basis):
@@ -450,12 +471,15 @@ def dhat_residuals(basis):
     phi_{p,j} = e^{2 pi i p t} c_j.  Multiplying by e^{2 pi i p t} shifts the
     spectrum by p, so the defect of phi_{p,j} is the shifted spectrum of the
     core defect b_j = (1/2 pi) D c_j + i s_j c_j, except that bin g carries
-    B_j[g] + i delta_p(g) C_j[g] (B, C the spectra of b and c), with
-    delta_p(g) = nu((g + p) mod grid) - nu(g) - p and nu the mode number,
-    Nyquist mode zeroed.  delta_p is -sign(p) grid on the |p| - 1 bins strictly
-    between the Nyquist bin grid/2 and grid/2 - p, half that on those two end
-    bins and 0 elsewhere; an odd grid has no Nyquist bin, and there delta_p is
-    -sign(p) grid on the |p| bins from its top mode towards -p.  By Parseval
+    B_j[g] + i delta_p(g) C_j[g].  Here C_j is the spectrum of c_j and B_j that
+    of b_j, which is exactly i (nu + s_j) C_j - FFT(A(t) c_j(t)) / 2 pi with nu
+    the mode number, Nyquist mode zeroed, as in `covariant_derivative`; so the
+    check takes two FFTs of the core (C and the connection term's) and never
+    transforms back.  delta_p(g) = nu((g + p) mod grid) - nu(g) - p is
+    -sign(p) grid on the |p| - 1 bins strictly between the Nyquist bin grid/2
+    and grid/2 - p, half that on those two end bins and 0 elsewhere; an odd
+    grid has no Nyquist bin, and there delta_p is -sign(p) grid on the |p|
+    bins from its top mode towards -p.  By Parseval
     the defect power of phi_{p,j} is that of b_j plus the change
     delta^2 |C|^2 - 2 delta Im(conj(B) C) summed over that walk of |p| + 1
     bins: a running sum of the per-bin change at |delta| = grid with both end
@@ -465,10 +489,9 @@ def dhat_residuals(basis):
     """
     core = np.moveaxis(basis.core, 1, 0)  # (j, t, k)
     grid = basis.grid
-    exponents = basis.data.exponents
-    defect = covariant_derivative(basis.model, basis.loop, core) / (2.0 * np.pi) + 1j * exponents[:, None, None] * core
-    spec_b = np.fft.fft(defect, axis=1)
     spec_c = np.fft.fft(core, axis=1)
+    spec_b = np.fft.fft(_connection_term(basis.model, basis.loop, core), axis=1) / (-2.0 * np.pi)
+    spec_b += 1j * (_derivative_modes(grid)[None, :, None] + basis.data.exponents[:, None, None]) * spec_c
     modes, cores = basis.rows()
     # the walk away from the Nyquist bin for p > 0 (side 0) and p < 0 (side 1): step o at index o
     steps = np.arange(basis.mode_bound + 1)

@@ -203,8 +203,12 @@ def hs_commutator_norm_truncated(a, mode_bound=64):
     polarization.  The polarization is diagonal, J = diag(d), so the
     commutator M J - J M is M scaled entrywise by d_col - d_row.  Exact once
     mode_bound exceeds deg(a), since every coupling sits within |q| <= deg(a)
-    of the sign boundary.
+    of the sign boundary.  For the same reason the truncated commutator
+    vanishes outside |p| <= deg(a), so the matrix is built on the window
+    min(mode_bound, deg(a) + 1), which holds all of it; a window below the
+    degree still truncates (z^3 on |p| <= 1 reads 0).
     """
+    mode_bound = min(mode_bound, a.degree + 1)
     modes = np.arange(-mode_bound, mode_bound + 1)
     width = modes.size
     n = a.dim

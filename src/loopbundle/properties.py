@@ -1081,6 +1081,12 @@ def _projection_decay(rng, trials):
 
 @_register("cos-pairing-values", 1e-10)
 def _cos_pairing_values(rng, trials):
+    """Two spot values, then the annulus oracle for the weighted pairing.
+
+    cosh(x ln r)^2 = (r^{2x} + 2 + r^{-2x}) / 4 with x = p - s_j, so <a, b>_r is the average, weights 1/4, 1/2, 1/4,
+    of the plain pairings on the circles |z| = r, 1, 1/r of the sections continued there (coefficients scaled by
+    rho^x), each paired by grid quadrature of its samples; the gap is relative to the Cauchy-Schwarz bound.
+    """
     worst = 0.0
     bases = dict(standard_bases())
     # section (p = 1, j = 0) on the torus; (p = 0, j = 0) on the sphere, whose exponents both sit at -1/2
@@ -1090,6 +1096,26 @@ def _cos_pairing_values(rng, trials):
         sec = basis.section(((modes == mode) & (cores == 0)).astype(complex))
         value = geo.cos_inner_product(sec, sec, basis.data, 2.0)
         worst = max(worst, abs(value - expected))
+    for basis in bases.values():
+        modes, cores = basis.rows()
+        x = modes - basis.data.exponents[cores]
+        decay = np.exp(-0.6 * np.abs(modes))
+        for _ in range(_default(trials, 1)):
+            a, b = (
+                basis.section((rng.standard_normal(basis.count) + 1j * rng.standard_normal(basis.count)) * decay)
+                for _ in range(2)
+            )
+
+            def circle(rho):
+                """Grid-quadrature L2 pairing of the two sections continued to the circle |z| = rho."""
+                u, v = (basis.section(sec.coefficients * rho**x).values for sec in (a, b))
+                return np.sum(u.conj() * v) / basis.grid
+
+            unit = circle(1.0)  # the unit circle serves every r
+            for r in (2.0, 3.7):
+                annulus = 0.25 * circle(r) + 0.5 * unit + 0.25 * circle(1.0 / r)
+                exact, aa, bb = (geo.cos_inner_product(u, v, basis.data, r) for u, v in ((a, b), (a, a), (b, b)))
+                worst = max(worst, abs(annulus - exact) / np.sqrt(aa.real * bb.real))
     return worst
 
 

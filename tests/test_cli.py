@@ -84,6 +84,7 @@ READS_A_BASIS = {
     "reparam-generic-breaks",
     "reparam-transport-carries",
     "complexification-span",
+    "cos-pairing-values",  # its annulus oracle pairs sampled sections
 }
 REPARAM_RECORDS = {"reparam-rotation-preserves", "reparam-generic-breaks", "reparam-transport-carries"}
 

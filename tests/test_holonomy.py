@@ -591,6 +591,36 @@ def test_gram_symbol_checks_equal_their_dense_oracles(setup, mode_bound):
         assert geo.cos_gram_floor(basis, r) == dense_cos_gram_floor(basis, r), r
 
 
+@pytest.mark.parametrize("setup", sorted(SYMBOL_SETUPS))
+def test_gram_symbol_equals_the_per_sample_products(setup):
+    model, loop = SYMBOL_SETUPS[setup]()
+    # grid 1024 and the odd grid 129, where the 4P + 1 bins of P = 64 wrap past the grid
+    for grid, mode_bound in [(1024, 8), (129, 8), (129, 64)]:
+        moved = dataclasses.replace(loop, grid=grid)
+        basis = eigen_sections(model, moved, monodromy(model, moved), mode_bound)
+        # an orthonormal core has a constant overlap; mixing in a moving phase makes every block F[k] differ
+        mixed = basis.core.copy()
+        mixed[:, 1] += 0.3 * np.exp(2j * np.pi * np.arange(grid) / grid)[:, None] * mixed[:, 0]
+        for core in (basis.core, mixed):
+            spectrum = np.fft.fft(core.conj() @ core.transpose(0, 2, 1), axis=0) / grid
+            expected = spectrum[np.arange(-2 * mode_bound, 2 * mode_bound + 1) % grid]
+            symbol = dataclasses.replace(basis, core=core).gram_symbol()
+            assert np.max(np.abs(symbol - expected)) <= 1e-15, (grid, mode_bound)
+
+
+def test_gram_symbol_peak_memory_stays_below_four_cores():
+    model, loop = su2_model(direction=(1.0, 2.0, 2.0))
+    basis = eigen_sections(model, loop, monodromy(model, loop), 8)
+    tracemalloc.start()
+    try:
+        basis.gram_symbol()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the per-sample n x n products peak at 2 cores, an (n, n, n, grid) broadcast at 5
+    assert peak < 4 * basis.core.nbytes, peak / basis.core.nbytes
+
+
 def test_cos_gram_floor_reads_minus_one_when_modes_couple():
     model, loop = sphere_model(np.pi / 3, grid=512)
     basis = eigen_sections(model, loop, monodromy(model, loop), 4)
@@ -816,3 +846,15 @@ def test_cos_gram_positive_fails_for_a_repeated_core_vector(monkeypatch):
     monkeypatch.setattr(properties, "standard_bases", lambda: repeated)
     record = properties.run_property("cos-gram-positive", seed=0)
     assert not record.passed and record.threshold == 1e-8
+
+
+def test_cos_pairing_values_fails_for_a_mixed_core(monkeypatch):
+    mixed = []
+    for name, basis in properties.standard_bases():
+        core = basis.core.copy()
+        core[:, 1] = core[:, 1] + 0.3 * core[:, 0]  # sections (p, 0) and (p, 1) overlap; coefficients cannot see it
+        mixed.append((name, dataclasses.replace(basis, core=core)))
+    monkeypatch.setattr(properties, "standard_bases", lambda: mixed)
+    record = properties.run_property("cos-pairing-values", seed=0)
+    assert not record.passed and record.threshold == 1e-10
+    assert record.observed > 0.1

@@ -190,6 +190,46 @@ def test_hs_closed_form_matches_truncated_oracle():
         assert abs(oracle - hs_commutator_norm_truncated(a, mode_bound=32)) < 1e-12
 
 
+def dense_truncated_hs(a, window):
+    """HS norm of [M_a, J] on |p| <= window, assembled block by block without reading the degree of a."""
+    n, width = a.dim, 2 * window + 1
+    mult = np.zeros((width, n, width, n), dtype=complex)
+    for p in range(-window, window + 1):
+        for k, ak in a.coeffs.items():
+            if abs(p - k) <= window:
+                mult[p + window, :, p - k + window, :] += ak
+    mult = mult.reshape(width * n, width * n)
+    signs = np.repeat([1j if p >= 0 else -1j for p in range(-window, window + 1)], n)
+    return float(np.linalg.norm(mult * signs[None, :] - signs[:, None] * mult))  # M J - J M, J = diag(signs)
+
+
+def test_hs_truncated_oracle_builds_only_the_window_its_degree_needs():
+    loops = []
+    for dim in range(1, 4):
+        for k in range(-5, 6):
+            for i in range(dim):
+                for j in range(dim):
+                    entry = np.zeros((dim, dim))
+                    entry[i, j] = 1.0
+                    loops.append(MatrixLoop(dim=dim, coeffs={k: entry}))
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        dim = int(rng.integers(1, 4))
+        ks = {int(k) for k in rng.integers(-5, 6, size=3)}
+        coeffs = {k: rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for k in ks}
+        loops.append(MatrixLoop(dim=dim, field="complex", coeffs=coeffs))
+    for a in loops:
+        dense = dense_truncated_hs(a, 64)
+        assert abs(hs_commutator_norm_truncated(a, mode_bound=64) - dense) <= 1e-12 * (1.0 + dense)
+        # a window below the degree still truncates
+        for window in range(a.degree):
+            dense = dense_truncated_hs(a, window)
+            assert abs(hs_commutator_norm_truncated(a, mode_bound=window) - dense) <= 1e-12 * (1.0 + dense)
+    z3 = scalar_loop({3: 1.0})
+    assert hs_commutator_norm_truncated(z3, mode_bound=1) == 0.0
+    assert hs_commutator_norm_truncated(z3, mode_bound=2) > 0.0
+
+
 def test_conjugated_tail_stabilises():
     s = trivial_shift_data(1)
     tail = conjugated_hs_tail(scalar_loop({1: 1.0}), s, 2.0, 60)
