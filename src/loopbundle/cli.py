@@ -49,8 +49,8 @@ class ConfigError(Exception):
 
 
 def load_config(path):
-    """Parse a flat key=value file; '#' starts a comment, blank lines ignored."""
-    table = {}
+    """Parse a flat key=value file; '#' starts a comment, blank lines ignored, a repeated key is an error."""
+    table, first_line = {}, {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -66,6 +66,9 @@ def load_config(path):
         key, value = key.strip(), value.strip()
         if not key or not value:
             raise ConfigError(f"{path}:{lineno}: empty key or value")
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
         table[key] = value
     return table
 
@@ -253,18 +256,12 @@ def cmd_section(config):
     if group not in ("U", "SU", "SO"):
         raise ConfigError(f"group must be U, SU or SO, not {group!r}")
     dims = [config["dim"]] if config["dim"] is not None else [2, 3, 4, 5, 6]
-    trials = config["trials"]
     r = config["r"]
-    branch, split = 0.0, 0.0
-    if group == "SO":
-        if not -1.0 <= r <= 1.0:
-            raise ConfigError("for SO the --r flag is the spectral split abscissa and must lie in [-1, 1]")
-        split = r
-    else:
-        branch = r  # branch point exp(i * r) for the matrix logarithm
+    if group == "SO" and not -1.0 <= r <= 1.0:
+        raise ConfigError("for SO the --r flag is the spectral split abscissa and must lie in [-1, 1]")
     seed = config["seed"]
     rng = props.child_rng(seed, f"cli-section-{group}")
-    report = props.sweep_sections(group, dims, trials, rng, branch=branch, split=split)
+    report = props.sweep_sections(group, dims, config["trials"], rng, r)
     print(
         f"{group} sweep: {report['completed']}/{report['trials']} sections "
         f"({report['rejections']} chart rejections), dims {dims}"

@@ -290,19 +290,18 @@ def floquet(g, frame_path=None):
     """
     arr = check_unitary(g)
     decomp = clustered_eig(arr)
-    n = arr.shape[0]
-    exps = np.empty(n)
+    lam = decomp.cluster_values
+    exps = _window(np.angle(lam) / (2.0 * np.pi))[decomp.labels]
     vectors = decomp.vectors.copy()
-    for value, cluster in zip(decomp.cluster_values, decomp.clusters):
+    for value, cluster in zip(lam, decomp.clusters):
         cols = list(cluster)
-        exps[cols] = _window(np.angle(value) / (2.0 * np.pi))
         if len(cluster) > 1:
             basis = projector_basis(decomp.projector(cluster))
             if np.linalg.norm(arr @ basis - value * basis) <= DEGENERATE_TOL:
                 vectors[:, cols] = basis
             else:
                 exps[cols] = _window(np.angle(decomp.values[cols]) / (2.0 * np.pi))
-    order = np.lexsort((np.arange(n), exps))
+    order = np.lexsort((np.arange(exps.size), exps))
     return MonodromyData(
         holonomy=arr,
         exponents=exps[order],
@@ -393,14 +392,14 @@ class FiberBasis:
 
     def section(self, coefficients):
         coefficients = np.asarray(coefficients, dtype=complex)
-        vals = (self._mode_sums(coefficients)[:, None, :] @ self.core)[:, 0, :]
+        vals = np.einsum("tj,tjk->tk", self._mode_sums(coefficients), self.core)
         return FiberSection(coefficients=coefficients, values=vals)
 
     def project(self, values):
         vals = np.asarray(values, dtype=complex)
         if vals.shape != (self.grid, self.core.shape[2]):
             raise ValueError("sampled section does not match the basis grid")
-        overlap = (self.core.conj() @ vals[:, :, None])[:, :, 0]
+        overlap = np.einsum("tjk,tk->tj", self.core.conj(), vals)
         spectrum = np.fft.fft(overlap, axis=0) / self.grid
         modes, cores = self.rows()
         return spectrum[modes % self.grid, cores]
@@ -485,7 +484,8 @@ def dhat_residuals(basis):
     bins: a running sum of the per-bin change at |delta| = grid with both end
     bins at grid/2.  One walk of P + 1 bins per side serves every section of a
     core column; it starts at the Nyquist bin, so the large low-mode mass never
-    enters a running sum.  An under-resolved basis thus keeps its large residual.
+    enters a running sum, and an under-resolved basis keeps its large residual.
+    The reference power of c_j is Parseval's sum over C_j.
     """
     core = np.moveaxis(basis.core, 1, 0)  # (j, t, k)
     grid = basis.grid
@@ -496,7 +496,8 @@ def dhat_residuals(basis):
     # the walk away from the Nyquist bin for p > 0 (side 0) and p < 0 (side 1): step o at index o
     steps = np.arange(basis.mode_bound + 1)
     walk = np.stack([grid // 2 - steps, (grid - grid // 2 + steps) % grid])
-    mass = np.sum(np.abs(spec_c[:, walk]) ** 2, axis=3)  # (j, side, step)
+    power_c = spec_c.real**2 + spec_c.imag**2
+    mass = np.sum(power_c[:, walk], axis=3)  # (j, side, step)
     cross = np.sum((spec_b[:, walk].conj() * spec_c[:, walk]).imag, axis=3)
     sign = np.array([[1.0], [-1.0]])  # sign(p) on each side
     whole = grid**2 * mass + 2.0 * grid * sign * cross  # the change on a bin where |delta| = grid
@@ -508,10 +509,8 @@ def dhat_residuals(basis):
     side = (cores, (modes < 0).astype(int))
     change = np.cumsum(whole, axis=2)[side + (np.abs(modes) - 1,)] + half[side + (np.abs(modes),)]
     change[modes == 0] = 0.0
-    power = np.sum(np.abs(spec_b) ** 2, axis=(1, 2))[cores] + change
-    num = np.sqrt(np.maximum(power, 0.0) / (grid**2 * core.shape[2]))
-    den = np.sqrt(np.mean(np.abs(core) ** 2, axis=(1, 2)))[cores]
-    return num / den
+    power = np.sum(spec_b.real**2 + spec_b.imag**2, axis=(1, 2))[cores] + change
+    return np.sqrt(np.maximum(power, 0.0) / np.sum(power_c, axis=(1, 2))[cores])
 
 
 def _relative_rms(defect, reference):

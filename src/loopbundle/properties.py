@@ -189,8 +189,8 @@ def run_properties(names, seed=0, trials=None, thresholds=None):
     return records
 
 
-def run_property(name, seed=0, trials=None, threshold=None):
-    return run_properties([name], seed, trials, None if threshold is None else {name: threshold})[0]
+def run_property(name, seed=0, trials=None):
+    return run_properties([name], seed, trials)[0]
 
 
 def _default(trials, value):
@@ -201,13 +201,13 @@ def _default(trials, value):
 # generators
 
 
-def _random_loop(rng, dim, degree, real=False, scale=1.0):
+def _random_loop(rng, dim, degree, real=False):
     coeffs = {}
     for k in range(0 if real else -degree, degree + 1):
         block = rng.standard_normal((dim, dim))
         if not real or k > 0:
             block = block + 1j * rng.standard_normal((dim, dim))
-        coeffs[k] = scale * block
+        coeffs[k] = block
         if real and k > 0:
             coeffs[-k] = coeffs[k].conj()
     return MatrixLoop(dim=dim, coeffs=coeffs, field="real" if real else "complex")
@@ -247,11 +247,11 @@ def _alternative_log(rng, g):
     return (vectors * (1j * theta)[None, :]) @ vectors.conj().T
 
 
-def _rotation_blocks(rng, half, allow_pi=True):
+def _rotation_blocks(rng, half):
     n = 2 * half
     out = np.zeros((n, n))
     for b in range(half):
-        if allow_pi and rng.random() < 0.3:
+        if rng.random() < 0.3:
             out[2 * b : 2 * b + 2, 2 * b : 2 * b + 2] = -np.eye(2)
             continue
         theta = float(rng.uniform(0.2, np.pi - 0.2)) * (1.0 if rng.random() < 0.5 else -1.0)
@@ -260,14 +260,14 @@ def _rotation_blocks(rng, half, allow_pi=True):
     return out
 
 
-def _random_transport_loops(rng, per_model, grid=2048):
+def _random_transport_loops(rng, per_model):
     pairs = []
     for _ in range(per_model):
-        pairs.append(geo.torus_model(winding=(int(rng.integers(-3, 4)), int(rng.integers(-3, 4))), grid=grid))
-        pairs.append(geo.sphere_model(float(rng.uniform(0.25, np.pi - 0.25)), winding=int(rng.integers(1, 3)), grid=grid))
+        pairs.append(geo.torus_model(winding=(int(rng.integers(-3, 4)), int(rng.integers(-3, 4))), grid=2048))
+        pairs.append(geo.sphere_model(float(rng.uniform(0.25, np.pi - 0.25)), winding=int(rng.integers(1, 3)), grid=2048))
         direction = rng.standard_normal(3)
         direction /= np.linalg.norm(direction)
-        pairs.append(geo.su2_model(direction=tuple(direction), winding=int(rng.integers(1, 3)), grid=grid))
+        pairs.append(geo.su2_model(direction=tuple(direction), winding=int(rng.integers(1, 3)), grid=2048))
     dressed = []
     for model, loop in pairs:
         u = rng.random()
@@ -732,16 +732,16 @@ def _so_log(rng, trials):
 # sections
 
 
-def sweep_sections(group, dims, trials, rng, branch=0.0, split=0.0):
+def sweep_sections(group, dims, trials, rng, r=0.0):
     """Randomized section sweep; returns the CLI-facing report dictionary.
 
-    branch is the imaginary part of the branch point for U/SU sections; split
-    the eigenvalue-real-part abscissa for SO.  Constructor rejections at chart
-    boundaries (`ChartError`) are counted; every other error propagates.
+    r is the branch height for U/SU sections and the eigenvalue-real-part split
+    abscissa for SO.  Constructor rejections at chart boundaries (`ChartError`)
+    are counted; every other error propagates.
     """
     if group not in ("U", "SU", "SO"):
         raise ValueError(f"unknown group {group!r}")
-    branch = np.angle(np.exp(1j * branch))  # only e^{i branch} sets the cut; keeps the log bounded
+    branch = np.angle(np.exp(1j * r))  # only e^{i r} sets the cut; keeps the log bounded
     dims = [int(d) for d in (dims if np.iterable(dims) else [dims])]
     rejections = 0
     failures = []
@@ -763,7 +763,7 @@ def sweep_sections(group, dims, trials, rng, branch=0.0, split=0.0):
                 else:
                     q = exp_skew(random_skew(rng, dim, real=True, scale=0.12)).real
                     target = q @ g @ q.T
-                element = so_section(split, g, target)
+                element = so_section(r, g, target)
         except ChartError:
             rejections += 1
             continue
@@ -905,8 +905,9 @@ def _transport_torus(rng, trials):
     return worst
 
 
-def transport_identity_sweep(rng, per_model, steps=2048):
+def transport_identity_sweep(rng, per_model):
     """Composition, period-shift, step-doubling and orthogonality defects."""
+    steps = 2048
     worst = {"composition": 0.0, "period": 0.0, "doubling": 0.0, "orthogonality": 0.0}
     for model, loop in _random_transport_loops(rng, per_model):
         mid = float(rng.uniform(0.25, 0.75))
@@ -1207,9 +1208,7 @@ def _complexification(rng, trials):
 # CLI support
 
 
-def hs_diagnostic_rows(rng, count=60):
+def hs_diagnostic_rows(rng):
     """(degree, dim, hs_norm, oracle_norm, abs_err) rows for the verify CSV."""
-    rows = []
-    for a, closed, oracle in hs_norm_cases(rng, count, max_dim=3, max_degree=4, exhaustive=False):
-        rows.append((a.degree, a.dim, closed, oracle, abs(closed - oracle)))
-    return rows
+    cases = hs_norm_cases(rng, 60, max_dim=3, max_degree=4, exhaustive=False)
+    return [(a.degree, a.dim, closed, oracle, abs(closed - oracle)) for a, closed, oracle in cases]

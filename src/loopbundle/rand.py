@@ -37,6 +37,6 @@ def random_skew(rng, n, real=False, scale=1.0):
     return scale * (a - a.conj().T) / 2.0
 
 
-def random_unit_vector(rng, n, real=False):
-    v = rng.standard_normal(n) if real else rng.standard_normal(n) + 1j * rng.standard_normal(n)
+def random_unit_vector(rng, n):
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)

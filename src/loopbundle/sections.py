@@ -76,9 +76,9 @@ class PathElement:
         vals = self.eval(np.concatenate([ts, ts + 1.0]))
         low, high = vals[:16], vals[16:]
         self.projection = high[0] @ np.linalg.inv(low[0])
-        self._defect = float(np.max(np.linalg.norm(high - self.projection @ low, axis=(1, 2))))
-        if self._defect > PERIODICITY_TOL:
-            raise ValueError(f"path is not quasi-periodic (defect {self._defect:.3e})")
+        defect = float(np.max(np.linalg.norm(high - self.projection @ low, axis=(1, 2))))
+        if defect > PERIODICITY_TOL:
+            raise ValueError(f"path is not quasi-periodic (defect {defect:.3e})")
 
     @property
     def radii(self):
@@ -94,10 +94,6 @@ class PathElement:
         scalar = np.ndim(ts) == 0
         out = _chain_values(self.spectra, self.loop, np.atleast_1d(np.asarray(ts, dtype=float)))
         return out[0] if scalar else out
-
-    def periodicity_defect(self):
-        """Max of |alpha(t+1) - alpha(1) alpha(0)^{-1} alpha(t)| over 16 times, from construction."""
-        return self._defect
 
 
 def _chain_values(spectra, loop, ts):
@@ -132,9 +128,9 @@ def act_group(p, g, conjugate=False):
     return PathElement(factors, loop=MatrixLoop(dim=p.dim, coeffs=coeffs), group=p.group)
 
 
-def path_group_residual(p, samples=256):
-    """Max distance of path values from the tagged group over a sample grid."""
-    return sampled_group_residual(p.eval(np.arange(samples) / samples), p.group)
+def path_group_residual(p):
+    """Max distance of path values from the tagged group over 256 samples."""
+    return sampled_group_residual(p.eval(np.arange(256) / 256), p.group)
 
 
 def _degree(radius, loops):

@@ -1,8 +1,8 @@
 """Spectral functions on unitary/orthogonal matrices and skew Lie-algebra data.
 
 Everything here factors through a clustered eigendecomposition: eigenvalues
-closer than CLUSTER_TOL are treated as one eigenspace so that spectral
-projectors stay stable under degeneracy.  On top of it sit
+linked by steps below CLUSTER_TOL share one cluster label (one eigenspace), so
+that spectral projectors stay stable under degeneracy.  On top of it sit
 
 * branch logarithms log_s with eigenvalues in the strip (s - i pi, s + i pi),
   cut at -e^s;
@@ -65,12 +65,18 @@ def check_unitary(g):
 class EigenDecomp:
     """Orthonormal eigendecomposition with eigenvalues grouped into clusters.
 
+    labels[i] is the cluster of eigenvalue i, clusters numbered by first member.
     Spectral functions f(g) = sum_c f_c P_c are one `compose` of per-cluster values.
     """
 
     values: np.ndarray = dataclass_field(repr=False)
     vectors: np.ndarray = dataclass_field(repr=False)
-    clusters: tuple = ()
+    labels: np.ndarray = dataclass_field(repr=False)
+
+    @property
+    def clusters(self):
+        """The index tuple of each cluster, in label order."""
+        return tuple(tuple(np.flatnonzero(self.labels == c).tolist()) for c in range(self.labels.max() + 1))
 
     def projector(self, cluster):
         cols = self.vectors[:, list(cluster)]
@@ -78,38 +84,31 @@ class EigenDecomp:
 
     @property
     def cluster_values(self):
-        """One eigenvalue per cluster: its mean, renormalised to |value| = 1 (unitary input)."""
-        means = np.array([np.mean(self.values[list(cluster)]) for cluster in self.clusters])
+        """One eigenvalue per cluster: its mean, renormalised to |value| = 1 (unitary input).
+
+        Summed in index order, as `np.mean` sums clusters of up to three eigenvalues.
+        """
+        sums = np.bincount(self.labels, self.values.real) + 1j * np.bincount(self.labels, self.values.imag)
+        means = sums / np.bincount(self.labels)
         return means / np.abs(means)
 
     def compose(self, per_cluster):
         """V diag(f) V* with f constant on each cluster, i.e. sum_c f_c P_c."""
-        diag = np.empty(len(self.values), dtype=complex)
-        for value, cluster in zip(per_cluster, self.clusters):
-            diag[list(cluster)] = value
+        diag = np.asarray(per_cluster, dtype=complex)[self.labels]
         return (self.vectors * diag[None, :]) @ self.vectors.conj().T
 
 
-def _cluster_indices(values):
-    n = len(values)
-    parent = list(range(n))
+def _cluster_labels(values):
+    """Cluster number of each value: the connected components of |v_i - v_j| < CLUSTER_TOL.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) < CLUSTER_TOL:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: g[0]))
+    Each squaring of the boolean adjacency (diagonal included) doubles the path
+    length it covers; a component is numbered by its first member's rank.
+    """
+    reach = np.abs(values[:, None] - values[None, :]) < CLUSTER_TOL
+    for _ in range((len(values) - 1).bit_length()):
+        reach = reach @ reach
+    first = np.argmax(reach, axis=1)
+    return (np.cumsum(first == np.arange(len(values))) - 1)[first]
 
 
 def clustered_eig(g):
@@ -121,7 +120,7 @@ def clustered_eig(g):
     eigenbasis in the same order (Golub & Van Loan, Matrix Computations,
     sec. 7.1: that Q is a Schur basis, diagonal for normal input).  Rejects
     input that this basis does not reconstruct to 1e-10 (non-normal input);
-    eigenvalues closer than CLUSTER_TOL are grouped into one cluster.
+    eigenvalues are labelled by cluster (`_cluster_labels`).
     """
     arr = np.asarray(g, dtype=complex)
     values, vectors = np.linalg.eig(arr)
@@ -130,7 +129,7 @@ def clustered_eig(g):
     recon = (z_mat * values[None, :]) @ z_mat.conj().T
     if np.linalg.norm(recon - arr) > 1e-10 * scale:
         raise ValueError("input is not normal enough for a spectral decomposition")
-    return EigenDecomp(values=values, vectors=z_mat, clusters=_cluster_indices(values))
+    return EigenDecomp(values=values, vectors=z_mat, labels=_cluster_labels(values))
 
 
 class SkewSpectrum:
@@ -340,10 +339,9 @@ def unitary_structure(xi):
 
 
 def _orthogonal_log(arr):
-    """(xi, J, decomp) for real orthogonal arr: xi = sum_c i theta_c P_c, J = sum_c i sign(theta_c) P_c.
+    """(xi, decomp) for real orthogonal arr: xi = sum_c i theta_c P_c, real.
 
-    The -1 eigenspace gets the canonical block structure (times pi in xi).  xi
-    is real; J is real only without eigenvalue 1, where sign(+-0) adds +-i P_1.
+    The -1 eigenspace gets pi times the canonical block structure.
     """
     check_unitary(arr)
     decomp = clustered_eig(arr)
@@ -351,37 +349,28 @@ def _orthogonal_log(arr):
     neg_one = np.abs(lam + 1.0) <= NEG_ONE_SNAP
     theta = np.where(neg_one, 0.0, np.angle(lam))
     xi = decomp.compose(1j * theta)
-    j = decomp.compose(1j * np.sign(theta))
     if neg_one.any():
         basis = projector_basis(decomp.compose(neg_one).real)
         if basis.shape[1] % 2 != 0:
             raise ValueError("odd-dimensional -1 eigenspace; input is not special orthogonal")
-        j_f = block_structure(basis)
-        xi += np.pi * j_f
-        j += j_f
+        xi += np.pi * block_structure(basis)
     if np.max(np.abs(xi.imag)) > 1e-9:
         raise ValueError("conjugate symmetry failed; input is not real orthogonal")
-    return xi.real, j, decomp
+    return xi.real, decomp
 
 
 def log0_decompose(g):
-    """Split special orthogonal g (1 not in spec) as g = exp(xi), J = J_xi.
+    """Split special orthogonal g (1 not in spec) as (xi, J): g = exp(xi), J = `unitary_structure(xi)`.
 
-    Returns (xi, J) with exp(xi) = g, J the unitary structure of xi (extended
-    by the canonical block structure on the -1 eigenspace, where J_xi is not
-    determined), and xi - pi J = log_0(-g).  On the non-(-1) part xi is the
-    principal logarithm of g, so eigenvalue exp(i theta), theta in (-pi, pi),
-    contributes i theta, and J is +i exactly where theta > 0.
+    xi is `so_log(g)`: the principal logarithm off the -1 eigenspace and pi
+    times the canonical block structure on it.  Then xi - pi J = log_0(-g).
     """
-    arr = np.asarray(g)
-    if np.max(np.abs(np.asarray(arr, dtype=complex).imag)) > 1e-10:
+    if np.max(np.abs(np.imag(g))) > 1e-10:
         raise ValueError("log0_decompose expects a real matrix")
-    xi, j, decomp = _orthogonal_log(np.asarray(arr, dtype=float))
+    xi, decomp = _orthogonal_log(np.asarray(np.real(g), dtype=float))
     if np.min(np.abs(decomp.values - 1.0)) <= CUT_TOL:
         raise ChartError("eigenvalue 1 present; decomposition undefined")
-    if np.max(np.abs(j.imag)) > 1e-9:
-        raise ValueError("conjugate symmetry failed; input is not real orthogonal")
-    return xi, j.real
+    return xi, unitary_structure(xi)
 
 
 def so_log(g):

@@ -55,3 +55,13 @@ def test_holonomy_workload_ops_pass():
     ops = [workload.run(loops, index) for index in range(len(loops))]
     assert sorted(op.kind for op in ops) == sorted(["torus", "sphere", "SU2", "torus+sine", "sphere+sine", "SU2+sine"])
     assert all(op.ok for op in ops), [op.detail for op in ops if not op.ok]
+
+
+def test_sections_workload_ops_pass():
+    """One op per group (U, SU, SO) calls `sweep_sections` as perfbench does and meets every gate."""
+    workload = perfbench_module("workloads").Sections()
+    workload.trials = 10
+    seeds = workload.generate(0)
+    ops = [workload.run(seeds, index) for index in range(len(workload.groups))]
+    assert [op.kind for op in ops] == ["U", "SU", "SO"]
+    assert all(op.ok for op in ops), [op.detail for op in ops if not op.ok]

@@ -147,6 +147,13 @@ def test_malformed_config_file(tmp_path):
     assert cli.main(["--config", str(tmp_path / "missing.cfg"), "verify"]) == 2
 
 
+def test_repeated_config_key_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("seed=1\n# the second value would otherwise win\nseed=2\n")
+    assert cli.main(["--config", str(cfg), "section", "--trials", "1"]) == 2
+    assert capsys.readouterr().err == f"config error: {cfg}:3: key 'seed' repeats line 1\n"
+
+
 def test_config_supplies_values_and_flags_win(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed=3\ntrials=2\n# comment line\n")

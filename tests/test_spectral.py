@@ -21,9 +21,16 @@ from loopbundle import (
     unitary_structure,
 )
 from loopbundle.laurent import DEFAULT_GRID, SampledLoop
-from loopbundle.properties import _taylor_expm
+from loopbundle.properties import _rotation_blocks, _taylor_expm
 from loopbundle.rand import random_skew, random_special_orthogonal, random_unitary
-from loopbundle.spectral import SkewSpectrum
+from loopbundle.spectral import (
+    CLUSTER_TOL,
+    NEG_ONE_SNAP,
+    EigenDecomp,
+    SkewSpectrum,
+    _cluster_labels,
+    projector_basis,
+)
 
 J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
 ROUNDTRIP_TOL = 1e-9
@@ -50,6 +57,106 @@ def test_clustered_eig_merges_repeated_eigenvalues():
     decomp = clustered_eig(g)
     sizes = sorted(len(c) for c in decomp.clusters)
     assert sizes == [1, 2]
+
+
+def _union_find_clusters(values):
+    """Oracle: union-find over the pairs closer than CLUSTER_TOL, clusters sorted by first member."""
+    parent = list(range(len(values)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            if abs(values[i] - values[j]) < CLUSTER_TOL:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(len(values)):
+        groups.setdefault(find(i), []).append(i)
+    return tuple(tuple(g) for g in sorted(groups.values(), key=lambda g: g[0]))
+
+
+def _degenerate_unitaries(rng, count, max_multiplicity):
+    """Random unitaries, n = 2..6, whose eigenvalues repeat up to max_multiplicity times (-1 often among them)."""
+    out = []
+    while len(out) < count:
+        dim = int(rng.integers(2, 7))
+        angles = rng.uniform(-np.pi, np.pi, size=dim)
+        if len(out) % 3 == 0:
+            angles[0] = np.pi
+        angles = angles[rng.integers(0, dim, size=dim)]
+        if np.max(np.unique(angles, return_counts=True)[1]) <= max_multiplicity:
+            v = random_unitary(rng, dim)
+            out.append((v * np.exp(1j * angles)) @ v.conj().T)
+    return out
+
+
+CLUSTER_CASES = {
+    "distinct": np.exp(1j * np.array([0.1, 1.0, 2.0, -1.5])),
+    "repeats": np.array([1j, 1j, -1.0, 1j, -1.0]),
+    "plus-minus-one": np.array([1.0, -1.0, 1.0, -1.0], dtype=complex),
+    "chain": np.array([1.0, 1.0 + 6e-8, 1.0 + 1.2e-7], dtype=complex),
+    "chain-middle-last": np.array([1.0 + 1.2e-7, 1.0, 1.0 + 6e-8], dtype=complex),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLUSTER_CASES))
+def test_cluster_labels_match_union_find(name):
+    values = CLUSTER_CASES[name]
+    labels = _cluster_labels(values)
+    clusters = _union_find_clusters(values)
+    assert [labels[c[0]] for c in clusters] == list(range(len(clusters)))  # numbered by first member
+    assert EigenDecomp(values, np.eye(len(values)), labels).clusters == clusters
+    if name.startswith("chain"):
+        assert len(clusters) == 1  # the ends are 1.2e-7 apart and link only through the middle value
+
+
+def test_cluster_labels_match_union_find_on_unitaries():
+    rng = np.random.default_rng(18)
+    inputs = [random_unitary(rng, int(rng.integers(2, 7))) for _ in range(100)]
+    inputs += _degenerate_unitaries(rng, 100, max_multiplicity=6)
+    assert any(max(map(len, clustered_eig(g).clusters)) > 3 for g in inputs)
+    for g in inputs:
+        decomp = clustered_eig(g)
+        assert decomp.clusters == _union_find_clusters(decomp.values)
+
+
+def _looped_cluster_values(decomp):
+    """Oracle: the per-cluster mean, one np.mean per cluster."""
+    means = np.array([np.mean(decomp.values[list(c)]) for c in decomp.clusters])
+    return means / np.abs(means)
+
+
+def _looped_compose(decomp, per_cluster):
+    """Oracle: the diagonal filled cluster by cluster."""
+    diag = np.empty(len(decomp.values), dtype=complex)
+    for value, cluster in zip(per_cluster, decomp.clusters):
+        diag[list(cluster)] = value
+    return (decomp.vectors * diag[None, :]) @ decomp.vectors.conj().T
+
+
+def test_compose_and_cluster_values_equal_the_per_cluster_loops():
+    """Bit for bit while every cluster has at most three members, where np.mean also sums in index order."""
+    rng = np.random.default_rng(19)
+    inputs = [np.diag(values) for values in CLUSTER_CASES.values()]
+    inputs += [random_unitary(rng, int(rng.integers(2, 7))) for _ in range(100)]
+    inputs += _degenerate_unitaries(rng, 100, max_multiplicity=3)
+    for g in inputs:
+        decomp = clustered_eig(g)
+        assert decomp.cluster_values.tobytes() == _looped_cluster_values(decomp).tobytes()
+        for per_cluster in (1j * np.angle(decomp.cluster_values), rng.standard_normal(len(decomp.clusters))):
+            assert decomp.compose(per_cluster).tobytes() == _looped_compose(decomp, per_cluster).tobytes()
+
+
+def test_cluster_values_of_large_clusters_agree_with_the_mean_to_round_off():
+    """From four members on, np.mean sums pairwise; the means then differ only in the last bits."""
+    rng = np.random.default_rng(20)
+    for g in _degenerate_unitaries(rng, 100, max_multiplicity=6):
+        decomp = clustered_eig(g)
+        assert np.max(np.abs(decomp.cluster_values - _looped_cluster_values(decomp))) <= 4 * np.finfo(float).eps
 
 
 def _unitary_families(rng):
@@ -388,6 +495,29 @@ def test_log0_decompose_postconditions():
         assert np.max(np.abs(J @ J + np.eye(4))) < 1e-9
         # the shifted skew part is the principal log of the negated element
         assert np.max(np.abs((xi - np.pi * J) - log_branch(-g, 0.0))) < ROUNDTRIP_TOL
+
+
+def _sign_theta_structure(g):
+    """Oracle: J as i sign(theta) on the principal-log clusters plus the canonical block on the -1 eigenspace."""
+    decomp = clustered_eig(g)
+    neg_one = np.abs(decomp.cluster_values + 1.0) <= NEG_ONE_SNAP
+    j = decomp.compose(1j * np.sign(np.where(neg_one, 0.0, np.angle(decomp.cluster_values))))
+    if neg_one.any():
+        j += block_structure(projector_basis(decomp.compose(neg_one).real))
+    return j.real
+
+
+def test_log0_decompose_structure_equals_the_sign_theta_construction():
+    rng = np.random.default_rng(21)
+    with_minus_one = 0
+    for _ in range(60):
+        half = int(rng.integers(1, 4))
+        q = random_special_orthogonal(rng, 2 * half)
+        blocks = _rotation_blocks(rng, half)
+        g = q @ blocks @ q.T
+        with_minus_one += bool(np.any(np.isclose(np.diagonal(blocks), -1.0)))
+        assert np.max(np.abs(log0_decompose(g)[1] - _sign_theta_structure(g))) < 1e-12
+    assert 0 < with_minus_one < 60  # inputs with and without -1 blocks
 
 
 def test_log0_decompose_rejects_eigenvalue_one():
