@@ -89,6 +89,8 @@ def _output_path(out, key):
     """Check that --out names a file in an existing directory before any work runs."""
     if out is None:
         return
+    if not out:
+        raise ConfigError(f"--{key} is an empty path, not a file path")
     if os.path.isdir(out):
         raise ConfigError(f"--{key} {out} is a directory, not a file path")
     directory = os.path.dirname(os.path.abspath(out))

@@ -12,29 +12,30 @@ a fixed orthonormal frame, so that parallel transport solves Phi' = A(t) Phi:
   unit direction X in the Lie algebra, left-invariant frame; transport is
   generated by -(pi w) ad_X.
 
-Every reparametrisation is sigma(t) = shift + o t + a sin 2 pi t, o = +-1, or
-a composition of such maps, and pulls the coefficient back to sigma'(t) A(sigma(t)).
-So A(t) = sigma'(t) A0 with one constant skew A0, all values commute, and
-transport is Phi(t0 -> t) = exp((sigma(t) - sigma(t0)) A0) from one
-eigendecomposition of A0; an RK4 integration is only the oracle of `transport_defect`.
+A loop carries its reparametrisation sigma(t) = shift + o t + a sin 2 pi t, o = +-1,
+or a composition of such maps (`BaseLoop.sigma`, the identity when it has none),
+which pulls the coefficient back to sigma'(t) A(sigma(t)).  So A(t) = sigma'(t) A0
+with one constant skew A0, and transport is Phi(t0 -> t) = exp((sigma(t) - sigma(t0)) A0);
+an RK4 integration is only the oracle of `transport_defect`.
 
 The covariant derivative along the loop is D = d/dt - A(t), with d/dt exact
-on the trigonometric interpolant of sampled sections.  The holonomy is the
-frame matrix after one period; writing its eigenvalues e^{2 pi i s_j}
-with exponents s_j in [-1/2, 1/2), the sections
+on the trigonometric interpolant of sampled sections.  Each step from (model, loop)
+to a fibre basis reads only (model, loop): `holonomy` is Phi(0 -> 1), `monodromy`
+its Floquet data (`floquet`), and `eigen_sections` samples Phi by `transport_frame`.
+Writing the holonomy's eigenvalues e^{2 pi i s_j} with s_j in [-1/2, 1/2), the sections
 
     phi_{p,j}(t) = e^{2 pi i p t} Phi(t) e^{-2 pi i s_j t} w_j
 
 are periodic and diagonalise the normalised operator (1/2 pi) D with
 eigenvalues i (p - s_j).  Each is the Fourier shift e^{2 pi i p t} c_j(t) of
-one core vector c_j(t) = e^{-2 pi i s_j t} Phi(t) w_j, so a `FiberBasis` stores
-only the core, (grid, n, n), and indexes section (p, j) by the integer
-(p + P) n + j.  The Gram matrix, projections and sections each cost one FFT of
+one core vector c_j(t) = e^{-2 pi i s_j t} Phi(t) w_j (`_floquet_core`), so a
+`FiberBasis` stores only the core, (grid, n, n), and indexes section (p, j) by the
+integer (p + P) n + j.  The Gram matrix, projections and sections each cost one FFT of
 the core, and `dhat_residuals`, from two, equals the per-section check on the samples,
 bin for bin, by running sums over the bins next to the Nyquist mode, where a
 shifted section's derivative wraps.  The weighted pairing sums cosh((p - s_j) ln r)^2
-conj(a) b over coefficients.  A direct sum needs no connection of its own: its
-transported frame is block-diagonal in the blocks' frames (`direct_sum_union_residual`).
+conj(a) b over coefficients.  A direct sum needs no connection of its own: its frame is
+block-diagonal in the blocks' frames, and `_floquet_core` reads only a frame.
 """
 
 import numpy as np
@@ -127,13 +128,9 @@ class ConnectionModel:
         return -np.pi * loop.winding * 2.0 * _cross_matrix(u)
 
     def coefficients(self, loop, ts):
-        """Batched A(t) including any reparametrisation pullback."""
+        """Batched A(t) = sigma'(t) A0, the pullback of A0 by the loop's reparametrisation."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        base = self.base_coefficient(loop)
-        if loop.reparam is None:
-            return np.broadcast_to(base, (ts.size,) + base.shape).copy()
-        scale = loop.reparam.dsigma(ts)
-        return scale[:, None, None] * base[None, :, :]
+        return loop.dsigma(ts)[:, None, None] * self.base_coefficient(loop)[None, :, :]
 
     def transport_matrices(self, loop, t0, ts):
         """Closed-form transport exp((sigma(t) - sigma(t0)) A0) from t0 to each t.
@@ -142,9 +139,7 @@ class ConnectionModel:
         zero matrix returns u = I and mu = 0.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        base = self.base_coefficient(loop)
-        sigma = loop.reparam.sigma if loop.reparam is not None else np.asarray
-        return one_parameter_path(base, sigma(ts) - sigma(float(t0))).real
+        return one_parameter_path(self.base_coefficient(loop), loop.sigma(ts) - loop.sigma(float(t0))).real
 
 
 @dataclass(frozen=True)
@@ -167,6 +162,14 @@ class BaseLoop:
         if self.reparam is not None:
             rep = self.reparam.compose(rep)
         return BaseLoop(self.winding, self.theta, self.direction, self.grid, rep)
+
+    def sigma(self, ts):
+        """The loop's reparametrisation sigma at each t: t itself when it has none."""
+        return np.asarray(ts, dtype=float) if self.reparam is None else self.reparam.sigma(ts)
+
+    def dsigma(self, ts):
+        """sigma'(t) at each t: 1 when the loop has no reparametrisation."""
+        return np.ones(np.shape(ts)) if self.reparam is None else self.reparam.dsigma(ts)
 
 
 def torus_model(winding=(1, 0), grid=4096, reparam=None):
@@ -247,19 +250,16 @@ def transport_frame(model, loop, steps=None):
 
 @dataclass(frozen=True)
 class MonodromyData:
-    """Holonomy matrix, Floquet exponents/frame and the transported frame grid."""
+    """Holonomy matrix g, its Floquet exponents s_j and eigenframe W; the transported frame is not kept."""
 
     holonomy: np.ndarray
     exponents: np.ndarray
     frame: np.ndarray
-    frame_path: object = None  # (grid, n, n) values Phi(i/grid), i < grid
 
     def __post_init__(self):
         defect = np.linalg.norm(self.eigenframe_defect())
         if defect > 1e-8:
             raise ValueError(f"Floquet frame is not an eigenframe (defect {defect:.3e})")
-        if self.frame_path is not None and np.linalg.norm(self.frame_path[0] - np.eye(self.holonomy.shape[0])) > 1e-12:
-            raise ValueError("transported frame must start at the identity")
 
     def eigenframe_defect(self):
         """g W - W e^{2 pi i s}: column j is the defect of g w_j = e^{2 pi i s_j} w_j."""
@@ -275,7 +275,7 @@ def _window(x):
     return np.mod(np.asarray(x, dtype=float) + 0.5, 1.0) - 0.5
 
 
-def floquet(g, frame_path=None):
+def floquet(g):
     """Floquet exponents s_j in [-1/2, 1/2) and eigenframe of a holonomy matrix.
 
     Eigenvalues are clustered as in the spectral helpers; columns are ordered
@@ -302,21 +302,12 @@ def floquet(g, frame_path=None):
             else:
                 exps[cols] = _window(np.angle(decomp.values[cols]) / (2.0 * np.pi))
     order = np.lexsort((np.arange(exps.size), exps))
-    return MonodromyData(
-        holonomy=arr,
-        exponents=exps[order],
-        frame=vectors[:, order],
-        frame_path=frame_path,
-    )
+    return MonodromyData(holonomy=arr, exponents=exps[order], frame=vectors[:, order])
 
 
 def monodromy(model, loop):
-    """Full pipeline: transported frame on the loop's grid, holonomy and Floquet data.
-
-    The holonomy is the frame at t = 1, from the same closed form as the grid.
-    """
-    frame = transport_frame(model, loop)
-    return floquet(frame[-1], frame_path=frame[:-1])
+    """Floquet data of the loop's holonomy."""
+    return floquet(holonomy(model, loop))
 
 
 def _mode_index(mode_bound, n):
@@ -417,17 +408,17 @@ class FiberSection:
     values: np.ndarray
 
 
+def _floquet_core(frames, data):
+    """Core c_j(t) = e^{-2 pi i s_j t} Phi(t) w_j, shape (grid, n, n), from frame samples Phi(i/grid), i < grid."""
+    grid, n = frames.shape[0], data.exponents.size
+    mapped = (frames.reshape(grid * n, n) @ data.frame).reshape(grid, n, n)  # Phi(t) W
+    drift = np.exp(-2j * np.pi * np.outer(np.arange(grid) / grid, data.exponents))
+    return np.ascontiguousarray(mapped.transpose(0, 2, 1) * drift[:, :, None])
+
+
 def eigen_sections(model, loop, data, mode_bound):
-    """The basis phi_{p,j}(t) = e^{2 pi i p t} Phi(t) e^{-2 pi i s_j t} w_j, |p| <= P, as its core."""
-    if data.frame_path is None:
-        raise ValueError("monodromy data carries no transported frame")
-    frame_path = np.asarray(data.frame_path)
-    grid = frame_path.shape[0]
-    n = data.exponents.size
-    ts = np.arange(grid) / grid
-    mapped = (frame_path.reshape(grid * n, n) @ data.frame).reshape(grid, n, n)  # Phi(t) W
-    drift = np.exp(-2j * np.pi * np.outer(ts, data.exponents))
-    core = np.ascontiguousarray(mapped.transpose(0, 2, 1) * drift[:, :, None])
+    """The basis phi_{p,j}(t) = e^{2 pi i p t} c_j(t), |p| <= P, its core sampled on the loop's grid."""
+    core = _floquet_core(transport_frame(model, loop)[:-1], data)
     return FiberBasis(model=model, loop=loop, data=data, mode_bound=mode_bound, core=core)
 
 
@@ -445,9 +436,7 @@ def _connection_term(model, loop, values):
     product by A0 and a per-sample scale.
     """
     grid = values.shape[-2]
-    ts = np.arange(grid) / grid
-    scale = loop.reparam.dsigma(ts) if loop.reparam is not None else np.ones(grid)
-    return scale[:, None] * (values @ model.base_coefficient(loop).T)
+    return loop.dsigma(np.arange(grid) / grid)[:, None] * (values @ model.base_coefficient(loop).T)
 
 
 def covariant_derivative(model, loop, values):
@@ -631,13 +620,13 @@ def condiff_residual(model, loop, rep, values):
 
 
 def reparam_actions(basis, rep):
-    """Standard vs transport action of a reparametrisation on the fibre basis.
+    """The standard action of a reparametrisation on the fibre basis: per-section residuals and degrees.
 
     The standard action composes each basis section with sigma and measures
     its distance from a trigonometric polynomial at the section's original
     degree; rotations and reflections preserve polynomiality, generic maps
-    break it.  The transport action carries the coefficients unchanged to the
-    basis over the reparametrised loop and only needs a periodicity check.
+    break it.  (The transport action carries the coefficients unchanged to the basis
+    over the reparametrised loop: its one check is that loop's `monodromy` periodicity.)
     The pullback of section e^{2 pi i p t} c_j is e^{2 pi i p sigma} c_j o sigma,
     so the core is resampled once and a section's degree is its core's band shifted by p.
     """
@@ -657,14 +646,7 @@ def reparam_actions(basis, rep):
         raise ValueError(f"section degree {degrees.max()} must be < grid/4 = {grid // 4}")
     total = np.linalg.norm(moved_mass, axis=0)
     residuals = np.linalg.norm(np.where(freqs > degrees, moved_mass, 0.0), axis=0) / np.where(total > 0, total, 1.0)
-    moved = basis.loop.with_reparam(rep)
-    return {
-        "standard_residuals": residuals,
-        "degrees": degrees,
-        "standard_max": float(residuals.max()),
-        "standard_min": float(residuals.min()),
-        "transport": {"periodicity_residual": monodromy(basis.model, moved).periodicity_residual()},
-    }
+    return {"standard_residuals": residuals, "degrees": degrees}
 
 
 def subbundle_counterexample(gamma, beta):
@@ -707,25 +689,25 @@ def _span_containment(inner, outer):
 
 
 def direct_sum_union_residual():
-    """Span gap between the fibre basis over a block-diagonal transported frame and the union of the blockwise bases.
+    """Span gap between the Floquet core over a block-diagonal transported frame and the union of the blockwise cores.
 
-    The full basis has no single model; only its core is read.  Both shift their core vectors by the same
-    modes |p| <= P, so they agree when, exponent by exponent, the full and embedded core vectors span one space.
+    The full frame has no single model, so its core comes straight from `_floquet_core`.  Every basis shifts its
+    core vectors by the same modes p, so the bases agree when, exponent by exponent, the full and embedded core
+    vectors span one space.
     """
     grid = 2048
-    blocks = (torus_model(grid=grid), sphere_model(np.pi / 3, grid=grid))
-    frames = [transport_frame(m, loop, steps=grid) for m, loop in blocks]
+    frames = [transport_frame(m, loop) for m, loop in (torus_model(grid=grid), sphere_model(np.pi / 3, grid=grid))]
     split, n = frames[0].shape[1], sum(f.shape[1] for f in frames)
     frame = np.zeros((grid + 1, n, n))
     frame[:, :split, :split], frame[:, split:, split:] = frames
-    full = eigen_sections(None, None, floquet(frame[-1], frame_path=frame[:-1]), 4)
-    parts = [eigen_sections(m, loop, floquet(f[-1], frame_path=f[:-1]), 4) for (m, loop), f in zip(blocks, frames)]
-    embedded = np.zeros_like(full.core)
-    embedded[:, :split, :split], embedded[:, split:, split:] = (part.core for part in parts)
-    exponents = (full.data.exponents, np.concatenate([part.data.exponents for part in parts]))
+    data = [floquet(f[-1]) for f in (frame, *frames)]
+    cores = [_floquet_core(f[:-1], d) for f, d in zip((frame, *frames), data)]
+    embedded = np.zeros_like(cores[0])
+    embedded[:, :split, :split], embedded[:, split:, split:] = cores[1:]
+    exponents = (data[0].exponents, np.concatenate([d.exponents for d in data[1:]]))
     gap = 0.0
     for s in np.unique(np.concatenate(exponents)):
-        a, b = (core[:, np.abs(_window(e - s)) < 1e-8] for core, e in zip((full.core, embedded), exponents))
+        a, b = (core[:, np.abs(_window(e - s)) < 1e-8] for core, e in zip((cores[0], embedded), exponents))
         gap = max(gap, _span_containment(a, b), _span_containment(b, a))
     return gap
 

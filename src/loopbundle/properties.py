@@ -943,12 +943,12 @@ def _transport_identities(rng, trials):
 
 def latitude_report(theta, winding=1):
     """Holonomy angle of a latitude circle against 2 pi w (1 - cos theta)."""
-    model, loop = geo.sphere_model(theta, winding=winding)
-    g = geo.holonomy(model, loop)
+    data = geo.monodromy(*geo.sphere_model(theta, winding=winding))
+    g = data.holonomy.real
     angle = float(np.arctan2(g[1, 0], g[0, 0]))
     expected = 2.0 * np.pi * winding * (1.0 - np.cos(theta))
     angle_error = float(2.0 * np.pi * np.abs(geo._window((angle - expected) / (2.0 * np.pi))))
-    exps = np.sort(geo.floquet(g).exponents)
+    exps = np.sort(data.exponents)
     turn = angle / (2.0 * np.pi)
     expected_exps = np.sort(geo._window(np.array([turn, -turn])))
     exponent_error = float(np.max(np.abs(geo._window(exps - expected_exps))))
@@ -1164,14 +1164,13 @@ def _condiff(rng, trials):
 def _reparam(rng, trials):
     model, loop = geo.sphere_model(np.pi / 3, grid=2048)
     basis = geo.eigen_sections(model, loop, geo.monodromy(model, loop), 4)
+    standard = lambda rep: float(geo.reparam_actions(basis, rep)["standard_residuals"].max())  # noqa: E731
     preserving = (geo.Reparam("rotation", shift=0.3), geo.Reparam("reflection", shift=0.0))
     carried = (geo.Reparam("rotation", shift=0.4), geo.Reparam("sine", amplitude=0.08))
     return {
-        "reparam-rotation-preserves": max(geo.reparam_actions(basis, rep)["standard_max"] for rep in preserving),
-        "reparam-generic-breaks": geo.reparam_actions(basis, geo.Reparam("sine", amplitude=0.1))["standard_max"],
-        "reparam-transport-carries": max(
-            geo.reparam_actions(basis, rep)["transport"]["periodicity_residual"] for rep in carried
-        ),
+        "reparam-rotation-preserves": max(standard(rep) for rep in preserving),
+        "reparam-generic-breaks": standard(geo.Reparam("sine", amplitude=0.1)),
+        "reparam-transport-carries": max(geo.monodromy(model, loop.with_reparam(rep)).periodicity_residual() for rep in carried),
     }
 
 

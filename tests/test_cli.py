@@ -90,18 +90,17 @@ REPARAM_RECORDS = {"reparam-rotation-preserves", "reparam-generic-breaks", "repa
 
 
 def test_a_runner_that_raises_fails_its_records_and_the_batch_goes_on(monkeypatch, tmp_path, capsys):
-    def drift_free(model, loop, data, mode_bound):
-        # the core without its e^{-2 pi i s_j t} drift: reparam_actions then raises on a section's degree
-        frame_path = np.asarray(data.frame_path)
-        grid, n = frame_path.shape[0], data.exponents.size
-        mapped = (frame_path.reshape(grid * n, n) @ data.frame).reshape(grid, n, n)
-        core = np.ascontiguousarray(mapped.transpose(0, 2, 1))
-        return cli.geo.FiberBasis(model=model, loop=loop, data=data, mode_bound=mode_bound, core=core)
+    def drift_free(frames, data):
+        # the core without its e^{-2 pi i s_j t} drift, in every basis and in the direct sum's full frame:
+        # reparam_actions then raises on a section's degree
+        grid, n = frames.shape[0], data.exponents.size
+        mapped = (frames.reshape(grid * n, n) @ data.frame).reshape(grid, n, n)
+        return np.ascontiguousarray(mapped.transpose(0, 2, 1))
 
     others = [name for name in cli.props.property_names() if name not in READS_A_BASIS]
     reference = {rec.name: rec.observed for rec in cli.props.run_properties(others, seed=0, trials=2)}
     out = tmp_path / "mutant.json"
-    monkeypatch.setattr(cli.geo, "eigen_sections", drift_free)
+    monkeypatch.setattr(cli.geo, "_floquet_core", drift_free)
     cli.props.standard_bases.cache_clear()
     try:
         assert cli.main(["verify", "--seed", "0", "--trials", "2", "--out", str(out)]) == 1
@@ -433,6 +432,11 @@ def test_nonfinite_tolerance_is_config_error(tmp_path, capsys, via_config, value
         ["holonomy", "--model", "su2", "--winding", "2,5"],
         ["holonomy", "--model", "torus", "--theta", "1.0"],
         ["holonomy", "--model", "su2", "--theta", "1.0"],
+        # an empty --out names no file, so it must not run and skip the report
+        ["verify", "--out", ""],
+        ["section", "--trials", "1", "--out", ""],
+        ["holonomy", "--grid", "64", "--modes", "1", "--out", ""],
+        ["demo", "counterexample", "--out", ""],
     ],
 )
 def test_malformed_numeric_flags_are_config_errors(argv, capsys):

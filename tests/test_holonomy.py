@@ -36,6 +36,7 @@ from loopbundle import (
 )
 from loopbundle import properties
 from loopbundle.holonomy import covariant_derivative, trig_interpolate
+from loopbundle.spectral import one_parameter_path
 
 # the package re-exports a function called `holonomy`, which shadows the submodule
 geo = importlib.import_module("loopbundle.holonomy")
@@ -277,7 +278,7 @@ def test_torus_exponents_vanish():
     model, loop = torus_model(winding=(2, -1), grid=512)
     data = monodromy(model, loop)
     assert data.exponents.tolist() == [0.0, 0.0]
-    assert np.max(np.abs(data.frame_path - np.eye(2))) == 0.0
+    assert np.max(np.abs(transport_frame(model, loop)[:-1] - np.eye(2))) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +315,7 @@ def dense_sections(basis):
     """The sampled sections e^{2 pi i (p - s_j) t} Phi(t) w_j, straight from the formula."""
     data = basis.data
     ts = np.arange(basis.grid) / basis.grid
-    frame = np.asarray(data.frame_path, dtype=complex) @ data.frame  # (t, k, j)
+    frame = np.asarray(transport_frame(basis.model, basis.loop)[:-1], dtype=complex) @ data.frame  # (t, k, j)
     p, cores = basis.rows()
     s = data.exponents[cores]
     j = np.arange(basis.count) % data.exponents.size
@@ -667,17 +668,57 @@ def test_rotation_preserves_polynomial_basis():
     data = monodromy(model, loop)
     basis = eigen_sections(model, loop, data, 4)
     report = reparam_actions(basis, Reparam("rotation", shift=0.3))
-    assert report["standard_max"] < 1e-8
+    assert report["standard_residuals"].max() < 1e-8
 
 
 def test_generic_reparam_breaks_polynomial_basis():
     model, loop = sphere_model(np.pi / 3)
     data = monodromy(model, loop)
     basis = eigen_sections(model, loop, data, 4)
-    report = reparam_actions(basis, Reparam("sine", amplitude=0.1))
-    assert report["standard_min"] > 1e-3
+    rep = Reparam("sine", amplitude=0.1)
+    report = reparam_actions(basis, rep)
+    assert report["standard_residuals"].min() > 1e-3
     # the transport action still carries the basis along exactly
-    assert report["transport"]["periodicity_residual"] < 1e-8
+    assert monodromy(model, loop.with_reparam(rep)).periodicity_residual() < 1e-8
+
+
+def test_reparam_actions_computes_no_transport(monkeypatch):
+    """The standard action reads only the core; the transport action's check is the caller's `monodromy`."""
+    model, loop = sphere_model(np.pi / 3, grid=512)
+    basis = eigen_sections(model, loop, monodromy(model, loop), 4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reparam_actions transported a frame")
+
+    for name in ("monodromy", "transport", "transport_frame"):
+        monkeypatch.setattr(geo, name, refuse)
+    for rep in (Reparam("rotation", shift=0.3), Reparam("reflection"), Reparam("sine", amplitude=0.1)):
+        report = reparam_actions(basis, rep)
+        assert set(report) == {"standard_residuals", "degrees"}
+        assert report["standard_residuals"].shape == report["degrees"].shape == (basis.count,)
+
+
+UNREPARAMETRISED = {
+    "torus": lambda: torus_model(winding=(1, 2), grid=64),
+    "sphere": lambda: sphere_model(1.0, winding=2, grid=64),
+    "su2": lambda: su2_model(direction=(1.0, 2.0, 2.0), grid=64),
+}
+
+
+@pytest.mark.parametrize("setup", sorted(UNREPARAMETRISED))
+def test_an_unreparametrised_loop_is_the_identity_bit_for_bit(setup):
+    """sigma(t) = t and sigma' = 1 reproduce the explicit formulas of a loop without a reparametrisation."""
+    model, loop = UNREPARAMETRISED[setup]()
+    assert loop.reparam is None
+    ts = np.linspace(-0.3, 1.7, 33)
+    a0 = model.base_coefficient(loop)
+    assert np.array_equal(loop.sigma(ts), ts)
+    assert np.array_equal(loop.dsigma(ts), np.ones(ts.size))
+    assert np.array_equal(model.coefficients(loop, ts), np.broadcast_to(a0, (ts.size,) + a0.shape))
+    assert np.array_equal(model.transport_matrices(loop, 0.3, ts), one_parameter_path(a0, ts - 0.3).real)
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((3, loop.grid, a0.shape[0])) + 1j * rng.standard_normal((3, loop.grid, a0.shape[0]))
+    assert np.array_equal(geo._connection_term(model, loop, values), values @ a0.T)
 
 
 def test_reparam_mechanics():
@@ -748,7 +789,7 @@ def test_section_index_and_periodicity_match_their_old_constructions(setup):
     assert basis.periodicity_residual() == column_max(data)
     rep = Reparam("sine", 0.1, 0.08)
     moved = monodromy(model, loop.with_reparam(rep))
-    assert reparam_actions(basis, rep)["transport"]["periodicity_residual"] == column_max(moved)
+    assert moved.periodicity_residual() == column_max(moved)
 
 
 def test_floquet_data_invariant_under_rotation():
@@ -816,25 +857,28 @@ def test_complexification_spans_the_same_space():
 def test_conjugated_transport_fails_the_span_checks(monkeypatch):
     """Transporting with W Phi(t) W^-1 (W the Floquet frame) breaks both span records."""
 
-    def conjugated(model, loop, data, mode_bound):
-        path = data.frame @ np.asarray(data.frame_path) @ np.linalg.inv(data.frame)
-        return eigen_sections(model, loop, dataclasses.replace(data, frame_path=path), mode_bound)
+    floquet_core = geo._floquet_core
 
-    monkeypatch.setattr(geo, "eigen_sections", conjugated)
+    def conjugated(frames, data):
+        # reaches every core, the direct sum's full block-diagonal frame included
+        return floquet_core(data.frame @ frames @ np.linalg.inv(data.frame), data)
+
+    monkeypatch.setattr(geo, "_floquet_core", conjugated)
     for name in ("direct-sum-union", "complexification-span"):
-        assert not properties.run_property(name, seed=0).passed, name
+        record = properties.run_property(name, seed=0)
+        assert not record.passed and record.error is None, name
 
 
 def test_floquet_window_structure_fails_for_a_non_orthonormal_frame(monkeypatch):
     floquet = geo.floquet
 
-    def doubled(g, frame_path=None):
-        data = floquet(g, frame_path)
+    def doubled(g):
+        data = floquet(g)
         return dataclasses.replace(data, frame=data.frame * 2.0)  # still an eigenframe, no longer orthonormal
 
     monkeypatch.setattr(geo, "floquet", doubled)
     record = properties.run_property("floquet-window-structure", seed=0)
-    assert not record.passed and record.threshold == 1e-8
+    assert not record.passed and record.error is None and record.threshold == 1e-8
 
 
 def test_cos_gram_positive_fails_for_a_repeated_core_vector(monkeypatch):
@@ -845,7 +889,7 @@ def test_cos_gram_positive_fails_for_a_repeated_core_vector(monkeypatch):
         repeated.append((name, dataclasses.replace(basis, core=core)))
     monkeypatch.setattr(properties, "standard_bases", lambda: repeated)
     record = properties.run_property("cos-gram-positive", seed=0)
-    assert not record.passed and record.threshold == 1e-8
+    assert not record.passed and record.error is None and record.threshold == 1e-8
 
 
 def test_cos_pairing_values_fails_for_a_mixed_core(monkeypatch):
@@ -856,5 +900,5 @@ def test_cos_pairing_values_fails_for_a_mixed_core(monkeypatch):
         mixed.append((name, dataclasses.replace(basis, core=core)))
     monkeypatch.setattr(properties, "standard_bases", lambda: mixed)
     record = properties.run_property("cos-pairing-values", seed=0)
-    assert not record.passed and record.threshold == 1e-10
+    assert not record.passed and record.error is None and record.threshold == 1e-10
     assert record.observed > 0.1
