@@ -29,11 +29,13 @@ Writing the holonomy's eigenvalues e^{2 pi i s_j} with s_j in [-1/2, 1/2), the s
 are periodic and diagonalise the normalised operator (1/2 pi) D with
 eigenvalues i (p - s_j).  Each is the Fourier shift e^{2 pi i p t} c_j(t) of
 one core vector c_j(t) = e^{-2 pi i s_j t} Phi(t) w_j (`_floquet_core`), so a
-`FiberBasis` stores only the core, (grid, n, n), and indexes section (p, j) by the
-integer (p + P) n + j.  The Gram matrix, projections and sections each cost one FFT of
-the core, and `dhat_residuals`, from two, equals the per-section check on the samples,
-bin for bin, by running sums over the bins next to the Nyquist mode, where a
-shifted section's derivative wraps.  The weighted pairing sums cosh((p - s_j) ln r)^2
+`FiberBasis` stores only the core, (n, n, grid) with core[j, :, t] = c_j(t), and indexes
+section (p, j) by the integer (p + P) n + j.  Elementwise work runs along the contiguous
+grid axis: every broadcast, drift and FFT over the core is a pass of grid length, never
+one of length n = 2 or 3, which costs many times more per element.  The Gram matrix,
+projections and sections each cost one FFT of the core, and `dhat_residuals`, from two,
+equals the per-section check on the samples, bin for bin, by running sums over the bins
+next to the Nyquist mode, where a shifted section's derivative wraps.  The weighted pairing sums cosh((p - s_j) ln r)^2
 conj(a) b over coefficients.  A direct sum needs no connection of its own: its frame is
 block-diagonal in the blocks' frames, and `_floquet_core` reads only a frame.
 """
@@ -319,7 +321,7 @@ def _mode_index(mode_bound, n):
 class FiberBasis:
     """Eigen-section basis phi_{p,j}(t) = e^{2 pi i p t} c_j(t) over one loop, stored factorised.
 
-    core has shape (grid, n, n) with core[t, j] = c_j(t) = e^{-2 pi i s_j t}
+    core has shape (n, n, grid) with core[j, :, t] = c_j(t) = e^{-2 pi i s_j t}
     Phi(t) w_j; section (p, j), |p| <= P, has the integer index (p + P) n + j.
     Every section is a Fourier shift of one core vector, so the Gram matrix,
     projections and sections each take one FFT of the core instead of one
@@ -334,29 +336,34 @@ class FiberBasis:
     core: np.ndarray
 
     def __post_init__(self):
+        if self.core.ndim != 3 or self.core.shape[0] != self.core.shape[1]:
+            raise ValueError(f"core of shape {self.core.shape} is not (n, n, grid)")
         if 2 * self.mode_bound + 1 > self.grid:
             raise ValueError(f"mode bound {self.mode_bound} needs 2 * mode_bound + 1 <= grid {self.grid}, or the basis aliases")
 
     @property
     def grid(self):
-        return self.core.shape[0]
+        return self.core.shape[2]
 
     @property
     def count(self):
-        return (2 * self.mode_bound + 1) * self.core.shape[1]
+        return (2 * self.mode_bound + 1) * self.core.shape[0]
 
     def rows(self):
         """Integer mode p and core index j of each section."""
-        return _mode_index(self.mode_bound, self.core.shape[1])
+        return _mode_index(self.mode_bound, self.core.shape[0])
 
     def gram_symbol(self):
         """The blocks F[k], |k| <= 2P, at index k + 2P: F is the FFT of c(t)^H c(t) / grid, read at bin k mod grid.
 
-        The overlap c_j(t)^H c_l(t) is one contraction over the fibre index of a (j, k, t) copy of the core, so the
-        grid is the innermost axis of every array and no per-sample n x n product is formed.
+        The overlap c_j(t)^H c_l(t) is a sum over the fibre index k of (j, 1, t) by (1, l, t) products, each along
+        the contiguous grid axis; no per-sample n x n product is formed.
         """
-        core = np.ascontiguousarray(self.core.transpose(1, 2, 0))  # (j, k, t)
-        spectrum = np.fft.fft(np.einsum("jkt,lkt->jlt", core.conj(), core), axis=2)
+        conj = self.core.conj()
+        overlap = conj[:, None, 0] * self.core[None, :, 0]
+        for k in range(1, self.core.shape[1]):
+            overlap += conj[:, None, k] * self.core[None, :, k]
+        spectrum = np.fft.fft(overlap, axis=2)
         blocks = spectrum[:, :, np.arange(-2 * self.mode_bound, 2 * self.mode_bound + 1) % self.grid] / self.grid
         return blocks.transpose(2, 0, 1)
 
@@ -377,20 +384,20 @@ class FiberBasis:
         if coefficients.shape != (self.count,):
             raise ValueError("coefficient vector has the wrong length")
         modes, cores = self.rows()
-        scattered = np.zeros((self.grid, self.core.shape[1]), dtype=complex)
+        scattered = np.zeros((self.grid, self.core.shape[0]), dtype=complex)
         np.add.at(scattered, (modes % self.grid, cores), coefficients)
         return np.fft.ifft(scattered, axis=0) * self.grid
 
     def section(self, coefficients):
         coefficients = np.asarray(coefficients, dtype=complex)
-        vals = np.einsum("tj,tjk->tk", self._mode_sums(coefficients), self.core)
+        vals = np.einsum("tj,jkt->tk", self._mode_sums(coefficients), self.core)
         return FiberSection(coefficients=coefficients, values=vals)
 
     def project(self, values):
         vals = np.asarray(values, dtype=complex)
-        if vals.shape != (self.grid, self.core.shape[2]):
+        if vals.shape != (self.grid, self.core.shape[1]):
             raise ValueError("sampled section does not match the basis grid")
-        overlap = np.einsum("tjk,tk->tj", self.core.conj(), vals)
+        overlap = np.einsum("jkt,tk->tj", self.core.conj(), vals)
         spectrum = np.fft.fft(overlap, axis=0) / self.grid
         modes, cores = self.rows()
         return spectrum[modes % self.grid, cores]
@@ -409,11 +416,16 @@ class FiberSection:
 
 
 def _floquet_core(frames, data):
-    """Core c_j(t) = e^{-2 pi i s_j t} Phi(t) w_j, shape (grid, n, n), from frame samples Phi(i/grid), i < grid."""
+    """Core c_j(t) = e^{-2 pi i s_j t} Phi(t) w_j, shape (n, n, grid), from frame samples Phi(i/grid), i < grid.
+
+    One complex copy of the frames with the grid innermost, Phi[m, k](t) at [k, m, t]; one product
+    W^T (n x n) by that copy (n x n grid); the drift multiplied in place along t.
+    """
     grid, n = frames.shape[0], data.exponents.size
-    mapped = (frames.reshape(grid * n, n) @ data.frame).reshape(grid, n, n)  # Phi(t) W
-    drift = np.exp(-2j * np.pi * np.outer(np.arange(grid) / grid, data.exponents))
-    return np.ascontiguousarray(mapped.transpose(0, 2, 1) * drift[:, :, None])
+    columns = np.asarray(frames.transpose(2, 1, 0), dtype=complex, order="C").reshape(n, n * grid)
+    core = (data.frame.T @ columns).reshape(n, n, grid)  # (Phi(t) W)[:, j] at [j, :, t]
+    core *= np.exp(-2j * np.pi * np.outer(data.exponents, np.arange(grid) / grid))[:, None, :]
+    return core
 
 
 def eigen_sections(model, loop, data, mode_bound):
@@ -430,13 +442,13 @@ def _derivative_modes(grid):
 
 
 def _connection_term(model, loop, values):
-    """A(t) v(t) on sampled sections of shape (..., grid, n), with A(t) = sigma'(t) A0.
+    """A(t) v(t) on sampled sections stored grid-innermost, shape (..., n, grid), with A(t) = sigma'(t) A0.
 
     The one place the connection coefficient meets the samples: one matrix
-    product by A0 and a per-sample scale.
+    product by A0 and a per-sample scale along t.
     """
-    grid = values.shape[-2]
-    return loop.dsigma(np.arange(grid) / grid)[:, None] * (values @ model.base_coefficient(loop).T)
+    grid = values.shape[-1]
+    return (model.base_coefficient(loop) @ values) * loop.dsigma(np.arange(grid) / grid)
 
 
 def covariant_derivative(model, loop, values):
@@ -444,12 +456,12 @@ def covariant_derivative(model, loop, values):
 
     d/dt is exact on the trigonometric interpolant, Nyquist mode zeroed
     (one FFT there and back); the connection term A(t) v is `_connection_term`,
-    which `dhat_residuals` shares.
+    which `dhat_residuals` shares, on the samples with the grid axis swapped innermost.
     """
     values = np.asarray(values, dtype=complex)
     freqs = _derivative_modes(values.shape[-2])
     deriv = np.fft.ifft((2j * np.pi * freqs)[:, None] * np.fft.fft(values, axis=-2), axis=-2)
-    return deriv - _connection_term(model, loop, values)
+    return deriv - np.swapaxes(_connection_term(model, loop, np.swapaxes(values, -1, -2)), -1, -2)
 
 
 def dhat_residuals(basis):
@@ -463,7 +475,8 @@ def dhat_residuals(basis):
     of b_j, which is exactly i (nu + s_j) C_j - FFT(A(t) c_j(t)) / 2 pi with nu
     the mode number, Nyquist mode zeroed, as in `covariant_derivative`; so the
     check takes two FFTs of the core (C and the connection term's) and never
-    transforms back.  delta_p(g) = nu((g + p) mod grid) - nu(g) - p is
+    transforms back.  It holds -2 pi B_j, so no spectrum is rescaled: the sums
+    read from it are rescaled instead.  delta_p(g) = nu((g + p) mod grid) - nu(g) - p is
     -sign(p) grid on the |p| - 1 bins strictly between the Nyquist bin grid/2
     and grid/2 - p, half that on those two end bins and 0 elsewhere; an odd
     grid has no Nyquist bin, and there delta_p is -sign(p) grid on the |p|
@@ -476,18 +489,17 @@ def dhat_residuals(basis):
     enters a running sum, and an under-resolved basis keeps its large residual.
     The reference power of c_j is Parseval's sum over C_j.
     """
-    core = np.moveaxis(basis.core, 1, 0)  # (j, t, k)
     grid = basis.grid
-    spec_c = np.fft.fft(core, axis=1)
-    spec_b = np.fft.fft(_connection_term(basis.model, basis.loop, core), axis=1) / (-2.0 * np.pi)
-    spec_b += 1j * (_derivative_modes(grid)[None, :, None] + basis.data.exponents[:, None, None]) * spec_c
+    spec_c = np.fft.fft(basis.core, axis=2)  # (j, k, nu)
+    spec_b = np.fft.fft(_connection_term(basis.model, basis.loop, basis.core), axis=2)  # -2 pi B_j
+    spec_b -= 2j * np.pi * (_derivative_modes(grid)[None, None, :] + basis.data.exponents[:, None, None]) * spec_c
     modes, cores = basis.rows()
     # the walk away from the Nyquist bin for p > 0 (side 0) and p < 0 (side 1): step o at index o
     steps = np.arange(basis.mode_bound + 1)
     walk = np.stack([grid // 2 - steps, (grid - grid // 2 + steps) % grid])
     power_c = spec_c.real**2 + spec_c.imag**2
-    mass = np.sum(power_c[:, walk], axis=3)  # (j, side, step)
-    cross = np.sum((spec_b[:, walk].conj() * spec_c[:, walk]).imag, axis=3)
+    mass = np.sum(power_c[:, :, walk], axis=1)  # (j, side, step)
+    cross = np.sum((spec_b[:, :, walk].conj() * spec_c[:, :, walk]).imag, axis=1) / (-2.0 * np.pi)
     sign = np.array([[1.0], [-1.0]])  # sign(p) on each side
     whole = grid**2 * mass + 2.0 * grid * sign * cross  # the change on a bin where |delta| = grid
     half = grid**2 / 4.0 * mass + grid * sign * cross  # and where |delta| = grid / 2
@@ -498,7 +510,7 @@ def dhat_residuals(basis):
     side = (cores, (modes < 0).astype(int))
     change = np.cumsum(whole, axis=2)[side + (np.abs(modes) - 1,)] + half[side + (np.abs(modes),)]
     change[modes == 0] = 0.0
-    power = np.sum(spec_b.real**2 + spec_b.imag**2, axis=(1, 2))[cores] + change
+    power = np.sum(spec_b.real**2 + spec_b.imag**2, axis=(1, 2))[cores] / (4.0 * np.pi**2) + change
     return np.sqrt(np.maximum(power, 0.0) / np.sum(power_c, axis=(1, 2))[cores])
 
 
@@ -633,10 +645,10 @@ def reparam_actions(basis, rep):
     grid = basis.grid
     sig = np.mod(rep.sigma(np.arange(grid) / grid), 1.0)
     modes, cores = basis.rows()
-    pulled_core = trig_interpolate(basis.core, sig)
+    pulled_core = trig_interpolate(np.moveaxis(basis.core, 2, 0), sig)  # (t, j, k)
     pulled = np.exp(2j * np.pi * np.outer(sig, modes))[:, :, None] * pulled_core[:, cores, :]
     moved_mass = np.linalg.norm(np.fft.fft(pulled, axis=0), axis=2)  # (mode, section)
-    core_mass = np.linalg.norm(np.fft.fft(basis.core, axis=0), axis=2)  # (mode, j)
+    core_mass = np.linalg.norm(np.fft.fft(basis.core, axis=2), axis=1).T  # (mode, j)
     carried = core_mass > 1e-10 * np.linalg.norm(core_mass, axis=0)
     # section (p, j) carries mode g exactly where c_j carries mode g - p
     shifted = carried[(np.arange(grid)[:, None] - modes[None, :]) % grid, cores[None, :]]
@@ -679,8 +691,8 @@ def subbundle_counterexample(gamma, beta):
 
 
 def _span_containment(inner, outer):
-    """Max relative distance of the core vectors inner[:, j] from the span of the outer[:, l]."""
-    inner, outer = (c.transpose(1, 0, 2).reshape(c.shape[1], -1) for c in (inner, outer))
+    """Max relative distance of the core vectors inner[j] from the span of the outer[l]."""
+    inner, outer = (c.reshape(c.shape[0], -1) for c in (inner, outer))
     q, _ = np.linalg.qr(outer.T)
     proj = inner @ q.conj() @ q.T
     num = np.linalg.norm(inner - proj, axis=1)
@@ -703,11 +715,11 @@ def direct_sum_union_residual():
     data = [floquet(f[-1]) for f in (frame, *frames)]
     cores = [_floquet_core(f[:-1], d) for f, d in zip((frame, *frames), data)]
     embedded = np.zeros_like(cores[0])
-    embedded[:, :split, :split], embedded[:, split:, split:] = cores[1:]
+    embedded[:split, :split], embedded[split:, split:] = cores[1:]
     exponents = (data[0].exponents, np.concatenate([d.exponents for d in data[1:]]))
     gap = 0.0
     for s in np.unique(np.concatenate(exponents)):
-        a, b = (core[:, np.abs(_window(e - s)) < 1e-8] for core, e in zip((cores[0], embedded), exponents))
+        a, b = (core[np.abs(_window(e - s)) < 1e-8] for core, e in zip((cores[0], embedded), exponents))
         gap = max(gap, _span_containment(a, b), _span_containment(b, a))
     return gap
 

@@ -279,13 +279,18 @@ def _random_transport_loops(rng, per_model):
     return dressed
 
 
+# the reference sphere loop: colatitude 1 rad, winding 2; its holonomy is a rotation by 4 pi (1 - cos 1), so its
+# Floquet frame W is not I, and its exponents are +-w (1 - cos theta), windowed
+SPHERE_THETA, SPHERE_WINDING = 1.0, 2
+
+
 @functools.cache
 def standard_bases():
     """Eigen-section bases, P = 8 on grid 4096, over the three reference geometries (memoised)."""
     out = []
     for name, (model, loop) in (
         ("torus", geo.torus_model(winding=(1, 2))),
-        ("sphere", geo.sphere_model(np.pi / 3)),
+        ("sphere", geo.sphere_model(SPHERE_THETA, winding=SPHERE_WINDING)),
         ("su2", geo.su2_model(direction=(1.0, 2.0, 2.0), winding=1)),
     ):
         out.append((name, geo.eigen_sections(model, loop, geo.monodromy(model, loop), 8)))
@@ -1028,7 +1033,7 @@ def _fiber_torus_exact(rng, trials):
     # flat connection, trivial holonomy: every core vector is a constant unit
     # vector bit for bit, so the sections e^{2 pi i p t} c_j are pure Fourier modes
     worst = 0.0 if np.all(data.exponents == 0.0) else 1.0
-    return worst + float(np.max(np.abs(basis.core - np.eye(2))))
+    return worst + float(np.max(np.abs(basis.core - np.eye(2)[:, :, None])))
 
 
 @_register("dhat-eigenvalue-residual", 1e-6)
@@ -1070,7 +1075,7 @@ def _projection_decay(rng, trials):
     data = geo.monodromy(model, loop)
     ts = np.arange(2048) / 2048
     narrow = geo.eigen_sections(model, loop, data, 1)
-    target = np.exp(0.3 * np.sin(2.0 * np.pi * ts))[:, None] * narrow.core[:, 1]  # section (p = 0, j = 1)
+    target = np.exp(0.3 * np.sin(2.0 * np.pi * ts))[:, None] * narrow.core[1].T  # section (p = 0, j = 1)
     errs = []
     for bound in (2, 4, 8):
         basis = geo.eigen_sections(model, loop, data, bound)
@@ -1090,8 +1095,9 @@ def _cos_pairing_values(rng, trials):
     """
     worst = 0.0
     bases = dict(standard_bases())
-    # section (p = 1, j = 0) on the torus; (p = 0, j = 0) on the sphere, whose exponents both sit at -1/2
-    for name, mode, expected in (("torus", 1, 1.5625), ("sphere", 0, 1.125)):
+    # section (p = 1, j = 0) on the torus; (p = 0, j = 0) on the sphere, whose exponents are the closed-form +-x
+    x = float(geo._window(SPHERE_WINDING * (1.0 - np.cos(SPHERE_THETA))))
+    for name, mode, expected in (("torus", 1, 1.5625), ("sphere", 0, np.cosh(x * np.log(2.0)) ** 2)):
         basis = bases[name]
         modes, cores = basis.rows()
         sec = basis.section(((modes == mode) & (cores == 0)).astype(complex))

@@ -73,7 +73,7 @@ def test_torus_closed_form_is_exactly_the_identity(reparam):
     frame = transport_frame(model, loop)
     assert np.array_equal(frame, np.broadcast_to(eye, frame.shape))
     core = eigen_sections(model, loop, monodromy(model, loop), 3).core
-    assert np.array_equal(core, np.broadcast_to(eye, core.shape))
+    assert np.array_equal(core, np.broadcast_to(eye[:, :, None], core.shape))
 
 
 def test_transport_is_orthogonal():
@@ -307,7 +307,7 @@ def test_torus_basis_is_exactly_fourier():
     assert np.all(data.exponents[cores] == 0.0)
     assert modes.tolist() == np.repeat(np.arange(-3, 4), 2).tolist()
     # each section e^{2 pi i p t} c_j is a pure Fourier mode when c_j(t) = e_j exactly
-    worst = float(np.max(np.abs(basis.core - np.eye(2))))
+    worst = float(np.max(np.abs(basis.core - np.eye(2)[:, :, None])))
     assert worst == 0.0
 
 
@@ -371,7 +371,7 @@ def test_factorised_basis_matches_dense_sections(setup, grid, mode_bound):
 
     dense = dense_sections(basis)
     flat = dense.reshape(basis.count, -1)
-    assert np.max(np.abs(basis.core.transpose(1, 0, 2) - dense[basis.rows()[0] == 0])) <= 1e-12
+    assert np.max(np.abs(basis.core.transpose(0, 2, 1) - dense[basis.rows()[0] == 0])) <= 1e-12
     assert np.max(np.abs(gram - flat.conj() @ flat.T / grid)) <= 1e-12
     assert np.max(np.abs(projected - np.einsum("mtk,tk->m", dense.conj(), sampled) / grid)) <= 1e-12
     expected = np.tensordot(coeffs, dense, axes=(0, 0))
@@ -396,7 +396,7 @@ def test_factorised_basis_matches_dense_sections(setup, grid, mode_bound):
 def gathered_dhat(basis):
     """dhat_residuals with the wrap correction gathered bin by bin: for each mode p, the |p| + 1 bins next to the
     Nyquist bin where the derivative of e^{2 pi i p t} c_j can wrap each add |B + i delta C|^2 - |B|^2."""
-    core = np.moveaxis(basis.core, 1, 0)  # (j, t, k)
+    core = basis.core.transpose(0, 2, 1)  # (j, t, k)
     grid = basis.grid
     defect = covariant_derivative(basis.model, basis.loop, core) / (2.0 * np.pi) + 1j * basis.data.exponents[:, None, None] * core
     spec_b, spec_c = np.fft.fft(defect, axis=1), np.fft.fft(core, axis=1)
@@ -439,6 +439,80 @@ def test_fiber_basis_rejects_an_aliasing_mode_bound():
         eigen_sections(model, loop, data, 8)
     with pytest.raises(ValueError, match="aliases"):
         dataclasses.replace(basis, mode_bound=8)
+
+
+def test_fiber_basis_rejects_a_core_in_the_wrong_layout():
+    model, loop = sphere_model(1.0, winding=2, grid=64)
+    basis = eigen_sections(model, loop, monodromy(model, loop), 4)
+    sample_major = np.ascontiguousarray(basis.core.transpose(2, 0, 1))  # (grid, n, n)
+    for core in (sample_major, basis.core[0], basis.core[:, :, :, None]):
+        with pytest.raises(ValueError, match="is not"):
+            dataclasses.replace(basis, core=core)
+
+
+def sample_major_core(frames, data):
+    """c_j(t) = e^{-2 pi i s_j t} Phi(t) w_j by the sample-major formula: Phi(t) W transposed, times the drift, at [t, j]."""
+    grid, n = frames.shape[0], data.exponents.size
+    mapped = (frames.reshape(grid * n, n) @ data.frame).reshape(grid, n, n)
+    drift = np.exp(-2j * np.pi * np.outer(np.arange(grid) / grid, data.exponents))
+    return mapped.transpose(0, 2, 1) * drift[:, :, None]
+
+
+def standard_loop(name, grid):
+    """The model and loop of one of the `properties.standard_bases()`, on another grid."""
+    basis = dict(properties.standard_bases())[name]
+    return basis.model, dataclasses.replace(basis.loop, grid=grid)
+
+
+CORE_SETUPS = {
+    **{name: (lambda grid, name=name: standard_loop(name, grid)) for name in ("torus", "sphere", "su2")},
+    "sphere+sine": lambda grid: sphere_model(0.7, winding=3, grid=grid, reparam=Reparam("sine", 0.2, 0.1)),
+}
+
+
+@pytest.mark.parametrize("grid", [4096, 129])
+@pytest.mark.parametrize("setup", sorted(CORE_SETUPS))
+def test_floquet_core_is_the_sample_major_formula_stored_grid_innermost(setup, grid):
+    model, loop = CORE_SETUPS[setup](grid)
+    data = monodromy(model, loop)
+    frames = transport_frame(model, loop)[:-1]
+    core = geo._floquet_core(frames, data)
+    n = data.exponents.size
+    assert core.shape == (n, n, grid) and core.flags.c_contiguous
+    assert np.max(np.abs(core.transpose(2, 0, 1) - sample_major_core(frames, data))) <= 1e-15
+    assert np.array_equal(eigen_sections(model, loop, data, 4).core, core)
+
+
+def test_basis_build_and_dhat_peak_memory_stays_at_the_sample_major_multiple():
+    model, loop = su2_model(direction=(1.0, 2.0, 2.0))
+    data = monodromy(model, loop)
+    dhat_residuals(eigen_sections(model, loop, data, 8))  # the FFT plans are cached from here on
+    tracemalloc.start()
+    try:
+        basis = eigen_sections(model, loop, data, 8)
+        dhat_residuals(basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (grid, n, n) layout peaked at 4.78 cores here
+    assert peak <= 4.79 * basis.core.nbytes, peak / basis.core.nbytes
+
+
+def test_a_floquet_frame_mix_up_fails_the_dhat_record(monkeypatch):
+    """The reference sphere has W != I, so a core built with W in place of W^T fails a basis-level record."""
+    floquet_core = geo._floquet_core
+
+    def transposed(frames, data):
+        return floquet_core(frames @ data.frame.T @ np.linalg.inv(data.frame), data)  # Phi(t) W^T in place of Phi(t) W
+
+    monkeypatch.setattr(geo, "_floquet_core", transposed)
+    properties.standard_bases.cache_clear()
+    try:
+        record = properties.run_property("dhat-eigenvalue-residual", seed=0)
+    finally:
+        monkeypatch.undo()
+        properties.standard_bases.cache_clear()
+    assert not record.passed and record.error is None
 
 
 def test_dhat_residuals_small():
@@ -586,7 +660,7 @@ SYMBOL_SETUPS = {
 def test_gram_symbol_checks_equal_their_dense_oracles(setup, mode_bound):
     model, loop = SYMBOL_SETUPS[setup]()
     basis = eigen_sections(model, loop, monodromy(model, loop), mode_bound)
-    assert basis.gram_symbol().shape == (4 * mode_bound + 1,) + basis.core.shape[1:]
+    assert basis.gram_symbol().shape == (4 * mode_bound + 1,) + basis.core.shape[:2]
     assert basis.gram_error() == float(np.max(np.abs(basis.gram() - np.eye(basis.count))))
     for r in (1.5, 2.0, 3.7):
         assert geo.cos_gram_floor(basis, r) == dense_cos_gram_floor(basis, r), r
@@ -601,9 +675,10 @@ def test_gram_symbol_equals_the_per_sample_products(setup):
         basis = eigen_sections(model, moved, monodromy(model, moved), mode_bound)
         # an orthonormal core has a constant overlap; mixing in a moving phase makes every block F[k] differ
         mixed = basis.core.copy()
-        mixed[:, 1] += 0.3 * np.exp(2j * np.pi * np.arange(grid) / grid)[:, None] * mixed[:, 0]
+        mixed[1] += 0.3 * np.exp(2j * np.pi * np.arange(grid) / grid) * mixed[0]
         for core in (basis.core, mixed):
-            spectrum = np.fft.fft(core.conj() @ core.transpose(0, 2, 1), axis=0) / grid
+            samples = np.moveaxis(core, 2, 0)  # (t, j, k)
+            spectrum = np.fft.fft(samples.conj() @ samples.transpose(0, 2, 1), axis=0) / grid
             expected = spectrum[np.arange(-2 * mode_bound, 2 * mode_bound + 1) % grid]
             symbol = dataclasses.replace(basis, core=core).gram_symbol()
             assert np.max(np.abs(symbol - expected)) <= 1e-15, (grid, mode_bound)
@@ -626,7 +701,7 @@ def test_cos_gram_floor_reads_minus_one_when_modes_couple():
     model, loop = sphere_model(np.pi / 3, grid=512)
     basis = eigen_sections(model, loop, monodromy(model, loop), 4)
     bump = 1.0 + 0.5 * np.cos(2.0 * np.pi * np.arange(512) / 512)
-    bumped = dataclasses.replace(basis, core=basis.core * bump[:, None, None])
+    bumped = dataclasses.replace(basis, core=basis.core * bump)
     # c^H c = bump^2 = 9/8 + cos 2 pi t + (1/8) cos 4 pi t: the blocks F[+-1] (index 2P -+ 1) survive the cut
     assert np.allclose(bumped.gram_symbol()[[7, 9]], 0.5 * np.eye(2), atol=1e-14)
     assert geo.cos_gram_floor(bumped, 2.0) == -1.0
@@ -649,7 +724,7 @@ def test_condiff_residuals():
     model, loop = sphere_model(np.pi / 3)
     data = monodromy(model, loop)
     basis = eigen_sections(model, loop, data, 4)
-    values = basis.core[:, 1]  # section (p = 0, j = 1)
+    values = basis.core[1].T  # section (p = 0, j = 1)
     assert condiff_residual(model, loop, Reparam("identity"), values) < 1e-10
     assert condiff_residual(model, loop, Reparam("rotation", shift=0.37), values) < 1e-6
     assert condiff_residual(model, loop, Reparam("sine", amplitude=0.1), values) < 1e-4
@@ -660,7 +735,7 @@ def test_condiff_rejects_orientation_reversal():
     data = monodromy(model, loop)
     basis = eigen_sections(model, loop, data, 2)
     with pytest.raises(ValueError):
-        condiff_residual(model, loop, Reparam("reflection"), basis.core[:, 0])
+        condiff_residual(model, loop, Reparam("reflection"), basis.core[0].T)
 
 
 def test_rotation_preserves_polynomial_basis():
@@ -717,8 +792,8 @@ def test_an_unreparametrised_loop_is_the_identity_bit_for_bit(setup):
     assert np.array_equal(model.coefficients(loop, ts), np.broadcast_to(a0, (ts.size,) + a0.shape))
     assert np.array_equal(model.transport_matrices(loop, 0.3, ts), one_parameter_path(a0, ts - 0.3).real)
     rng = np.random.default_rng(5)
-    values = rng.standard_normal((3, loop.grid, a0.shape[0])) + 1j * rng.standard_normal((3, loop.grid, a0.shape[0]))
-    assert np.array_equal(geo._connection_term(model, loop, values), values @ a0.T)
+    values = rng.standard_normal((3, a0.shape[0], loop.grid)) + 1j * rng.standard_normal((3, a0.shape[0], loop.grid))
+    assert np.array_equal(geo._connection_term(model, loop, values), a0 @ values)
 
 
 def test_reparam_mechanics():
@@ -885,7 +960,7 @@ def test_cos_gram_positive_fails_for_a_repeated_core_vector(monkeypatch):
     repeated = []
     for name, basis in properties.standard_bases():
         core = basis.core.copy()
-        core[:, 1] = core[:, 0]  # section (p, 1) repeats section (p, 0) for every mode p
+        core[1] = core[0]  # section (p, 1) repeats section (p, 0) for every mode p
         repeated.append((name, dataclasses.replace(basis, core=core)))
     monkeypatch.setattr(properties, "standard_bases", lambda: repeated)
     record = properties.run_property("cos-gram-positive", seed=0)
@@ -896,7 +971,7 @@ def test_cos_pairing_values_fails_for_a_mixed_core(monkeypatch):
     mixed = []
     for name, basis in properties.standard_bases():
         core = basis.core.copy()
-        core[:, 1] = core[:, 1] + 0.3 * core[:, 0]  # sections (p, 0) and (p, 1) overlap; coefficients cannot see it
+        core[1] = core[1] + 0.3 * core[0]  # sections (p, 0) and (p, 1) overlap; coefficients cannot see it
         mixed.append((name, dataclasses.replace(basis, core=core)))
     monkeypatch.setattr(properties, "standard_bases", lambda: mixed)
     record = properties.run_property("cos-pairing-values", seed=0)
