@@ -48,7 +48,6 @@ from .spectral import (
     EigenDecomp,
     clustered_eig,
     exp_skew,
-    one_parameter_path,
     exp_chain,
     log_branch,
     central_log,
@@ -87,7 +86,6 @@ from .holonomy import (
     transport,
     transport_defect,
     transport_frame,
-    holonomy,
     floquet,
     monodromy,
     eigen_sections,

@@ -407,8 +407,7 @@ def main(argv=None):
             if flag.check:
                 flag.check(config[key], key)
         config.setdefault("seed", file_defaults.get("seed", SEED.default))  # holonomy takes no --seed
-        merged = {**file_defaults, **config}  # section and holonomy read tol.* keys from the file alone
-        tolerances = ((key.removeprefix("tol."), value) for key, value in merged.items() if key.startswith("tol."))
+        tolerances = ((key.removeprefix("tol."), value) for key, value in config.items() if key.startswith("tol."))
         config["tolerances"] = {name: value for name, value in tolerances if value is not None}
         command = {"verify": cmd_verify, "section": cmd_section, "holonomy": cmd_holonomy, "demo": cmd_demo}
         return command[args.command](config)

@@ -12,16 +12,16 @@ a fixed orthonormal frame, so that parallel transport solves Phi' = A(t) Phi:
   unit direction X in the Lie algebra, left-invariant frame; transport is
   generated by -(pi w) ad_X.
 
-A loop carries its reparametrisation sigma(t) = shift + o t + a sin 2 pi t, o = +-1,
-or a composition of such maps (`BaseLoop.sigma`, the identity when it has none),
-which pulls the coefficient back to sigma'(t) A(sigma(t)).  So A(t) = sigma'(t) A0
-with one constant skew A0, and transport is Phi(t0 -> t) = exp((sigma(t) - sigma(t0)) A0);
-an RK4 integration is only the oracle of `transport_defect`.
+A `ConnectionModel` is the one constant skew coefficient A0 of its unreparametrised loop (`generator`, built once
+by the constructor) and a name.  A loop carries its reparametrisation sigma(t) = shift + o t + a sin 2 pi t, o = +-1,
+or a composition of such maps (`BaseLoop.sigma`, the identity when it has none), which pulls A0 back to
+A(t) = sigma'(t) A0.  So transport is Phi(t0 -> t) = exp((sigma(t) - sigma(t0)) A0), sampled from the spectrum of
+A0 by `_transport_samples`; an RK4 integration is only the oracle of `transport_defect`.
 
 The covariant derivative along the loop is D = d/dt - A(t), with d/dt exact
 on the trigonometric interpolant of sampled sections.  Each step from (model, loop)
 to a fibre basis reads only (model, loop): `holonomy` is Phi(0 -> 1), `monodromy`
-its Floquet data (`floquet`), and `eigen_sections` samples Phi by `transport_frame`.
+its Floquet data (`floquet`), and `eigen_sections` samples Phi(t) W straight into the core.
 Writing the holonomy's eigenvalues e^{2 pi i s_j} with s_j in [-1/2, 1/2), the sections
 
     phi_{p,j}(t) = e^{2 pi i p t} Phi(t) e^{-2 pi i s_j t} w_j
@@ -36,17 +36,17 @@ one of length n = 2 or 3, which costs many times more per element.  The Gram mat
 projections and sections each cost one FFT of the core, and `dhat_residuals`, from two,
 equals the per-section check on the samples, bin for bin, by running sums over the bins
 next to the Nyquist mode, where a shifted section's derivative wraps.  The weighted pairing sums cosh((p - s_j) ln r)^2
-conj(a) b over coefficients.  A direct sum needs no connection of its own: its frame is
-block-diagonal in the blocks' frames, and `_floquet_core` reads only a frame.
+conj(a) b over coefficients.  A direct sum is one more model: its generator is
+block-diagonal in the blocks' generators.
 """
 
+import numbers
 import numpy as np
 from dataclasses import dataclass
 
 from .laurent import CERT_GUARD, certify, laurent_eval
-from .spectral import check_unitary, clustered_eig, one_parameter_path, projector_basis
+from .spectral import SkewSpectrum, check_unitary, clustered_eig, projector_basis
 
-MODEL_TAGS = ("flat-torus-T2", "round-sphere-S2", "group-SU2")
 # Fourier coefficients below this fraction of the largest one are round-off
 # and are left out of trigonometric interpolation
 TRIG_FLOOR = 1e-13
@@ -109,48 +109,26 @@ class _ComposedReparam(Reparam):
         return self.outer.dsigma(self.inner.sigma(ts)) * self.inner.dsigma(ts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConnectionModel:
-    """One of the built-in geometries; supplies connection coefficients."""
+    """A connection along the model loops: the real skew generator A0 of the unreparametrised loop and its name."""
 
     tag: str
-
-    def __post_init__(self):
-        if self.tag not in MODEL_TAGS:
-            raise ValueError(f"unknown model tag {self.tag!r}")
-
-    def base_coefficient(self, loop):
-        """The constant connection matrix of the unreparametrised loop."""
-        if self.tag == "flat-torus-T2":
-            return np.zeros((2, 2))
-        if self.tag == "round-sphere-S2":
-            return -2.0 * np.pi * loop.winding * np.cos(loop.theta) * J0
-        u = np.asarray(loop.direction, dtype=float)
-        u = u / np.linalg.norm(u)
-        return -np.pi * loop.winding * 2.0 * _cross_matrix(u)
+    generator: np.ndarray
 
     def coefficients(self, loop, ts):
         """Batched A(t) = sigma'(t) A0, the pullback of A0 by the loop's reparametrisation."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return loop.dsigma(ts)[:, None, None] * self.base_coefficient(loop)[None, :, :]
-
-    def transport_matrices(self, loop, t0, ts):
-        """Closed-form transport exp((sigma(t) - sigma(t0)) A0) from t0 to each t.
-
-        A vanishing A0 (the torus) gives the identity bit for bit: eigh of the
-        zero matrix returns u = I and mu = 0.
-        """
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return one_parameter_path(self.base_coefficient(loop), loop.sigma(ts) - loop.sigma(float(t0))).real
+        return loop.dsigma(ts)[:, None, None] * self.generator[None, :, :]
 
 
 @dataclass(frozen=True)
 class BaseLoop:
-    """Closed-form base loop parameters plus grid size.
+    """Closed-form base loop parameters, grid size and reparametrisation.
 
-    torus: winding is an integer pair (the loop itself never enters the
-    transport equation since A = 0); sphere: colatitude theta in (0, pi) and
-    integer winding; SU2: unit direction (3 reals) and integer winding.
+    Transport reads only the grid and sigma; the model's generator already holds
+    the rest.  torus: winding is an integer pair; sphere: colatitude theta in
+    (0, pi) and integer winding; SU2: a direction (3 reals) and integer winding.
     Integer windings make gamma(t+1) = gamma(t) exact by construction.
     """
 
@@ -174,18 +152,44 @@ class BaseLoop:
         return np.ones(np.shape(ts)) if self.reparam is None else self.reparam.dsigma(ts)
 
 
+def _integer_winding(winding):
+    """The winding as an int (NumPy integers included): any other value defines no closed loop."""
+    if not isinstance(winding, numbers.Integral):
+        raise ValueError(f"winding must be an integer, not {winding!r}")
+    return int(winding)
+
+
 def torus_model(winding=(1, 0), grid=4096, reparam=None):
-    return ConnectionModel("flat-torus-T2"), BaseLoop(winding=winding, grid=grid, reparam=reparam)
+    return ConnectionModel("flat-torus-T2", np.zeros((2, 2))), BaseLoop(winding=winding, grid=grid, reparam=reparam)
 
 
 def sphere_model(theta, winding=1, grid=4096, reparam=None):
     if not 0.0 < theta < np.pi:
         raise ValueError("colatitude must lie strictly between 0 and pi")
-    return ConnectionModel("round-sphere-S2"), BaseLoop(winding=int(winding), theta=float(theta), grid=grid, reparam=reparam)
+    winding, theta = _integer_winding(winding), float(theta)
+    model = ConnectionModel("round-sphere-S2", -2.0 * np.pi * winding * np.cos(theta) * J0)
+    return model, BaseLoop(winding=winding, theta=theta, grid=grid, reparam=reparam)
 
 
 def su2_model(direction=(0.0, 0.0, 1.0), winding=1, grid=4096, reparam=None):
-    return ConnectionModel("group-SU2"), BaseLoop(winding=int(winding), direction=tuple(direction), grid=grid, reparam=reparam)
+    winding, u = _integer_winding(winding), np.asarray(direction, dtype=float)
+    if u.shape != (3,) or not 0.0 < np.linalg.norm(u) < np.inf:
+        raise ValueError(f"direction must be 3 finite reals, not all zero, not {direction!r}")
+    model = ConnectionModel("group-SU2", -np.pi * winding * 2.0 * _cross_matrix(u / np.linalg.norm(u)))
+    return model, BaseLoop(winding=winding, direction=tuple(direction), grid=grid, reparam=reparam)
+
+
+def _transport_samples(model, loop, t0, ts, columns):
+    """(Phi(t0 -> t) M)[:, j] at [j, :, t] for t in ts, M = columns (n x m): m (n x n) by (n x len(ts)) products.
+
+    (Phi M)_{kj} = sum_a u_{ka} (u^H M)_{aj} e^{-i mu_a (sigma(t) - sigma(t0))} from A0 = u diag(-i mu) u^H, decomposed
+    per call; a vanishing A0 (the torus) gives Phi = I bit for bit, as eigh of the zero matrix returns u = I, mu = 0.
+    """
+    spectrum = SkewSpectrum(model.generator)
+    lift = loop.sigma(np.atleast_1d(ts)) - loop.sigma(float(t0))
+    phases = np.exp(-1j * np.outer(spectrum.mu, lift))
+    weights = (spectrum.u.conj().T @ columns).T[:, None, :] * spectrum.u[None, :, :]  # u_{ka} (u^H M)_{aj} at [j, k, a]
+    return weights @ phases
 
 
 def _rk4_propagators(model, loop, t0, h, steps):
@@ -225,7 +229,7 @@ def transport(model, loop, t0=0.0, t1=1.0, steps=4096):
     written for a step count keep working.  The result is confirmed
     orthogonal/unitary to 1e-8.
     """
-    phi = model.transport_matrices(loop, t0, t1)[0]
+    phi = _transport_samples(model, loop, t0, t1, np.eye(len(model.generator)))[:, :, 0].real.T
     unit = np.linalg.norm(phi.conj().T @ phi - np.eye(phi.shape[0]))
     if unit > 1e-8:
         raise RuntimeError(f"transport lost orthogonality ({unit:.3e})")
@@ -235,7 +239,8 @@ def transport(model, loop, t0=0.0, t1=1.0, steps=4096):
 def transport_defect(model, loop, t0=0.0, t1=1.0, steps=4096):
     """Distance of the closed-form transport from an RK4 integration with `steps` steps."""
     oracle = _chain_product(_rk4_propagators(model, loop, t0, (t1 - t0) / steps, steps))
-    return float(np.linalg.norm(model.transport_matrices(loop, t0, t1)[0] - oracle))
+    phi = _transport_samples(model, loop, t0, t1, np.eye(len(model.generator)))[:, :, 0].real.T
+    return float(np.linalg.norm(phi - oracle))
 
 
 def holonomy(model, loop):
@@ -244,10 +249,11 @@ def holonomy(model, loop):
 
 
 def transport_frame(model, loop, steps=None):
-    """Transported frame Phi(i/steps), i = 0..steps, with Phi(0) = I."""
+    """Transported frame Phi(i/steps), i = 0..steps, with Phi(0) = I: a real (steps + 1, n, n) view of the samples."""
     if steps is None:
         steps = loop.grid
-    return model.transport_matrices(loop, 0.0, np.arange(steps + 1) / steps)
+    eye = np.eye(len(model.generator))
+    return _transport_samples(model, loop, 0.0, np.arange(steps + 1) / steps, eye).real.transpose(2, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -415,23 +421,20 @@ class FiberSection:
     values: np.ndarray
 
 
-def _floquet_core(frames, data):
-    """Core c_j(t) = e^{-2 pi i s_j t} Phi(t) w_j, shape (n, n, grid), from frame samples Phi(i/grid), i < grid.
+def _floquet_core(model, loop, data):
+    """Core c_j(t) = e^{-2 pi i s_j t} Phi(t) w_j on the loop's grid, shape (n, n, grid).
 
-    One complex copy of the frames with the grid innermost, Phi[m, k](t) at [k, m, t]; one product
-    W^T (n x n) by that copy (n x n grid); the drift multiplied in place along t.
+    The transport sampler with M = W gives (Phi(t) W)[:, j] at [j, :, t]; the drift is multiplied in place along t.
     """
-    grid, n = frames.shape[0], data.exponents.size
-    columns = np.asarray(frames.transpose(2, 1, 0), dtype=complex, order="C").reshape(n, n * grid)
-    core = (data.frame.T @ columns).reshape(n, n, grid)  # (Phi(t) W)[:, j] at [j, :, t]
-    core *= np.exp(-2j * np.pi * np.outer(data.exponents, np.arange(grid) / grid))[:, None, :]
+    ts = np.arange(loop.grid) / loop.grid
+    core = _transport_samples(model, loop, 0.0, ts, data.frame)
+    core *= np.exp(-2j * np.pi * np.outer(data.exponents, ts))[:, None, :]
     return core
 
 
 def eigen_sections(model, loop, data, mode_bound):
     """The basis phi_{p,j}(t) = e^{2 pi i p t} c_j(t), |p| <= P, its core sampled on the loop's grid."""
-    core = _floquet_core(transport_frame(model, loop)[:-1], data)
-    return FiberBasis(model=model, loop=loop, data=data, mode_bound=mode_bound, core=core)
+    return FiberBasis(model=model, loop=loop, data=data, mode_bound=mode_bound, core=_floquet_core(model, loop, data))
 
 
 def _derivative_modes(grid):
@@ -448,7 +451,7 @@ def _connection_term(model, loop, values):
     product by A0 and a per-sample scale along t.
     """
     grid = values.shape[-1]
-    return (model.base_coefficient(loop) @ values) * loop.dsigma(np.arange(grid) / grid)
+    return (model.generator @ values) * loop.dsigma(np.arange(grid) / grid)
 
 
 def covariant_derivative(model, loop, values):
@@ -701,19 +704,19 @@ def _span_containment(inner, outer):
 
 
 def direct_sum_union_residual():
-    """Span gap between the Floquet core over a block-diagonal transported frame and the union of the blockwise cores.
+    """Span gap between the Floquet core of a direct sum and the union of the blockwise cores.
 
-    The full frame has no single model, so its core comes straight from `_floquet_core`.  Every basis shifts its
-    core vectors by the same modes p, so the bases agree when, exponent by exponent, the full and embedded core
-    vectors span one space.
+    The direct sum of the torus and a sphere latitude is one more model, its generator block-diagonal in theirs.
+    Every basis shifts its core vectors by the same modes p, so the bases agree when, exponent by exponent, the
+    full and embedded core vectors span one space.
     """
-    grid = 2048
-    frames = [transport_frame(m, loop) for m, loop in (torus_model(grid=grid), sphere_model(np.pi / 3, grid=grid))]
-    split, n = frames[0].shape[1], sum(f.shape[1] for f in frames)
-    frame = np.zeros((grid + 1, n, n))
-    frame[:, :split, :split], frame[:, split:, split:] = frames
-    data = [floquet(f[-1]) for f in (frame, *frames)]
-    cores = [_floquet_core(f[:-1], d) for f, d in zip((frame, *frames), data)]
+    (torus, loop), (sphere, _) = torus_model(grid=2048), sphere_model(np.pi / 3, grid=2048)
+    split, n = len(torus.generator), len(torus.generator) + len(sphere.generator)
+    generator = np.zeros((n, n))
+    generator[:split, :split], generator[split:, split:] = torus.generator, sphere.generator
+    models = (ConnectionModel(f"{torus.tag}+{sphere.tag}", generator), torus, sphere)
+    data = [monodromy(m, loop) for m in models]
+    cores = [_floquet_core(m, loop, d) for m, d in zip(models, data)]
     embedded = np.zeros_like(cores[0])
     embedded[:split, :split], embedded[split:, split:] = cores[1:]
     exponents = (data[0].exponents, np.concatenate([d.exponents for d in data[1:]]))

@@ -21,16 +21,13 @@ reference fibre bases (P = 8, grid 4096) that the fibre-basis records share.
 """
 
 import functools
-import importlib
 import operator
 import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-# the package re-exports a function called `holonomy`, which shadows the
-# submodule attribute, so bind the module itself explicitly
-geo = importlib.import_module(".holonomy", __package__)
+from . import holonomy as geo
 from .laurent import (
     MatrixLoop,
     SampledLoop,
@@ -79,6 +76,7 @@ from .sections import (
 )
 from .spectral import (
     ChartError,
+    SkewSpectrum,
     central_log,
     centralizer_element,
     clustered_eig,
@@ -86,7 +84,6 @@ from .spectral import (
     exp_skew,
     log0_decompose,
     log_branch,
-    one_parameter_path,
     so_log,
     torus_path_factor,
     unitary_structure,
@@ -655,7 +652,7 @@ def _torus_path(rng, trials):
         g = _random_degenerate_unitary(rng, dim) if k % 2 == 0 else random_unitary(rng, dim)
         decomp = clustered_eig(g)
         xi = torus_path_factor(g, rng.uniform(-np.pi, np.pi, size=len(decomp.clusters)))
-        path = one_parameter_path(xi, ts)
+        path = SkewSpectrum(xi).exp(ts)
         u = centralizer_element(g, rng)
         for other in (g, u):
             comm = np.einsum("tij,jk->tik", path, other) - np.einsum("ij,tjk->tik", other, path)

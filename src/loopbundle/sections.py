@@ -35,7 +35,6 @@ from .spectral import (
     clustered_eig,
     exp_chain,
     log_branch,
-    one_parameter_path,
     projector_basis,
     so_log,
 )
@@ -215,8 +214,8 @@ def smooth_section(g, h, grid=1024):
     first = ts < 0.5
     rho = 0.5 * _smoothstep(2.0 * np.where(first, ts, ts - 0.5))
     vals = np.empty((grid, g.shape[0], g.shape[0]), dtype=complex)
-    vals[first] = one_parameter_path(xi, 2.0 * rho[first])
-    vals[~first] = np.einsum("ij,tjk->tik", np.asarray(g, dtype=complex), one_parameter_path(delta, 2.0 * rho[~first]))
+    vals[first] = SkewSpectrum(xi).exp(2.0 * rho[first])
+    vals[~first] = np.einsum("ij,tjk->tik", np.asarray(g, dtype=complex), SkewSpectrum(delta).exp(2.0 * rho[~first]))
     return SampledLoop(values=vals)
 
 

@@ -185,11 +185,6 @@ def exp_skew(xi):
     return SkewSpectrum(xi).exp(1.0)[0]
 
 
-def one_parameter_path(xi, ts):
-    """Batched exp(t xi) for an array of times; shape (len(ts), n, n)."""
-    return SkewSpectrum(xi).exp(ts)
-
-
 def log_branch(g, s=0.0):
     """Branch logarithm with eigenvalues in (s - i pi, s + i pi), cut at -e^s.
 

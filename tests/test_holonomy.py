@@ -1,8 +1,8 @@
 """Parallel transport, Floquet data, fibre bases, weighted pairings, reparametrisations."""
 
 import dataclasses
-import importlib
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -20,7 +20,6 @@ from loopbundle import (
     eigen_sections,
     dhat_residuals,
     floquet,
-    holonomy,
     identity_loop,
     loop_recognition_residual,
     monodromy,
@@ -34,12 +33,10 @@ from loopbundle import (
     transport_defect,
     transport_frame,
 )
+import loopbundle.holonomy as geo
 from loopbundle import properties
-from loopbundle.holonomy import covariant_derivative, trig_interpolate
-from loopbundle.spectral import one_parameter_path
-
-# the package re-exports a function called `holonomy`, which shadows the submodule
-geo = importlib.import_module("loopbundle.holonomy")
+from loopbundle.holonomy import covariant_derivative, holonomy, trig_interpolate
+from loopbundle.spectral import SkewSpectrum
 
 TRANSPORT_TOL = 1e-8
 GRAM_TOL = 1e-8
@@ -54,8 +51,38 @@ def circular_gap(a, b):
     return abs((a - b + np.pi) % (2 * np.pi) - np.pi)
 
 
+def test_the_package_does_not_shadow_its_holonomy_submodule():
+    assert isinstance(geo, types.ModuleType) and geo.holonomy is holonomy
+
+
 # ---------------------------------------------------------------------------
 # transport
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: su2_model(direction=(0.0, 0.0, 0.0)),
+        lambda: su2_model(direction=(np.nan, 0.0, 1.0)),
+        lambda: su2_model(direction=(np.inf, 0.0, 1.0)),
+        lambda: su2_model(direction=(1.0, 0.0)),
+        lambda: su2_model(winding=1.5),
+        lambda: su2_model(winding=2.0),
+        lambda: sphere_model(1.0, winding=1.5),
+        lambda: sphere_model(1.0, winding="2"),
+    ],
+)
+def test_a_model_that_defines_no_closed_loop_is_rejected(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_models_take_numpy_integer_windings():
+    for build in (lambda w: sphere_model(1.0, winding=w), lambda w: su2_model(direction=(1.0, 2.0, 2.0), winding=w)):
+        model, loop = build(np.int64(2))
+        reference, _ = build(2)
+        assert type(loop.winding) is int and loop.winding == 2
+        assert np.array_equal(model.generator, reference.generator)
 
 
 def test_torus_transport_is_exactly_flat():
@@ -140,7 +167,7 @@ def test_transport_frame_matches_matrix_exponential(case):
     _, model, loop = case
     ts = np.arange(65) / 64
     frame = transport_frame(model, loop, steps=64)
-    a0 = model.base_coefficient(loop)
+    a0 = model.generator
     rep = loop.reparam
     lift = rep.sigma(ts) - rep.sigma(0.0) if rep is not None else ts
     expected = np.array([expm(step * a0) for step in lift])
@@ -216,7 +243,7 @@ def test_covariant_derivative_is_exact_on_trigonometric_polynomials():
     phases = np.exp(2j * np.pi * np.outer(ts, modes))
     values = np.einsum("tk,bkj->btj", phases, coeffs)
     deriv = np.einsum("tk,bkj->btj", phases * (2j * np.pi * modes), coeffs)
-    expected = deriv - np.einsum("ij,btj->bti", model.base_coefficient(loop), values)
+    expected = deriv - np.einsum("ij,btj->bti", model.generator, values)
     scale = np.max(np.abs(expected))
     assert np.max(np.abs(covariant_derivative(model, loop, values) - expected)) <= 1e-12 * scale
     for batch in range(3):
@@ -476,7 +503,7 @@ def test_floquet_core_is_the_sample_major_formula_stored_grid_innermost(setup, g
     model, loop = CORE_SETUPS[setup](grid)
     data = monodromy(model, loop)
     frames = transport_frame(model, loop)[:-1]
-    core = geo._floquet_core(frames, data)
+    core = geo._floquet_core(model, loop, data)
     n = data.exponents.size
     assert core.shape == (n, n, grid) and core.flags.c_contiguous
     assert np.max(np.abs(core.transpose(2, 0, 1) - sample_major_core(frames, data))) <= 1e-15
@@ -502,8 +529,9 @@ def test_a_floquet_frame_mix_up_fails_the_dhat_record(monkeypatch):
     """The reference sphere has W != I, so a core built with W in place of W^T fails a basis-level record."""
     floquet_core = geo._floquet_core
 
-    def transposed(frames, data):
-        return floquet_core(frames @ data.frame.T @ np.linalg.inv(data.frame), data)  # Phi(t) W^T in place of Phi(t) W
+    def transposed(model, loop, data):
+        # Phi(t) W^T in place of Phi(t) W; the core reads only the frame and the exponents of its data
+        return floquet_core(model, loop, types.SimpleNamespace(frame=data.frame.T, exponents=data.exponents))
 
     monkeypatch.setattr(geo, "_floquet_core", transposed)
     properties.standard_bases.cache_clear()
@@ -513,6 +541,28 @@ def test_a_floquet_frame_mix_up_fails_the_dhat_record(monkeypatch):
         monkeypatch.undo()
         properties.standard_bases.cache_clear()
     assert not record.passed and record.error is None
+
+
+TRANSPOSED_SAMPLER_FAILS = {"transport-step-doubling", "sphere-latitude-holonomy", "dhat-eigenvalue-residual"}
+
+
+def test_a_transposed_transport_sampler_fails_exactly_its_witness_records(monkeypatch):
+    """Phi(t)^T M in place of Phi(t) M (u-bar in place of u): transport runs backwards along every loop."""
+    sampler = geo._transport_samples
+
+    def transposed(model, loop, t0, ts, columns):
+        phi = sampler(model, loop, t0, ts, np.eye(len(model.generator)))  # Phi[k, l] at [l, k, t]
+        return np.einsum("klt,lj->jkt", phi, columns)  # (Phi^T M)[k, j] = sum_l Phi[l, k] M[l, j] at [j, k, t]
+
+    monkeypatch.setattr(geo, "_transport_samples", transposed)
+    properties.standard_bases.cache_clear()
+    try:
+        records = properties.run_properties(properties.property_names(), seed=0)
+    finally:
+        monkeypatch.undo()
+        properties.standard_bases.cache_clear()
+    assert all(rec.error is None for rec in records)
+    assert {rec.name for rec in records if not rec.passed} == TRANSPOSED_SAMPLER_FAILS
 
 
 def test_dhat_residuals_small():
@@ -786,11 +836,12 @@ def test_an_unreparametrised_loop_is_the_identity_bit_for_bit(setup):
     model, loop = UNREPARAMETRISED[setup]()
     assert loop.reparam is None
     ts = np.linspace(-0.3, 1.7, 33)
-    a0 = model.base_coefficient(loop)
+    a0 = model.generator
     assert np.array_equal(loop.sigma(ts), ts)
     assert np.array_equal(loop.dsigma(ts), np.ones(ts.size))
     assert np.array_equal(model.coefficients(loop, ts), np.broadcast_to(a0, (ts.size,) + a0.shape))
-    assert np.array_equal(model.transport_matrices(loop, 0.3, ts), one_parameter_path(a0, ts - 0.3).real)
+    samples = geo._transport_samples(model, loop, 0.3, ts, np.eye(len(a0)))  # Phi[:, j] at [j, :, t]
+    assert np.max(np.abs(samples.transpose(2, 1, 0) - SkewSpectrum(a0).exp(ts - 0.3))) <= 1e-15
     rng = np.random.default_rng(5)
     values = rng.standard_normal((3, a0.shape[0], loop.grid)) + 1j * rng.standard_normal((3, a0.shape[0], loop.grid))
     assert np.array_equal(geo._connection_term(model, loop, values), a0 @ values)
@@ -934,9 +985,10 @@ def test_conjugated_transport_fails_the_span_checks(monkeypatch):
 
     floquet_core = geo._floquet_core
 
-    def conjugated(frames, data):
-        # reaches every core, the direct sum's full block-diagonal frame included
-        return floquet_core(data.frame @ frames @ np.linalg.inv(data.frame), data)
+    def conjugated(model, loop, data):
+        # W Phi(t) W^-1 in place of Phi(t), so W (Phi(t) w_j) in place of Phi(t) w_j; reaches every core, the direct
+        # sum's block-diagonal model included
+        return data.frame @ floquet_core(model, loop, data)
 
     monkeypatch.setattr(geo, "_floquet_core", conjugated)
     for name in ("direct-sum-union", "complexification-span"):
