@@ -249,11 +249,18 @@ def holonomy(model, loop):
 
 
 def transport_frame(model, loop, steps=None):
-    """Transported frame Phi(i/steps), i = 0..steps, with Phi(0) = I: a real (steps + 1, n, n) view of the samples."""
+    """Transported frame Phi(i/steps), i = 0..steps, with Phi(0) = I: a real (steps + 1, n, n) view of the samples.
+
+    Raises ValueError when the samples are not real to 1e-10, as for a complex
+    generator, whose frame no real view can hold.
+    """
     if steps is None:
         steps = loop.grid
     eye = np.eye(len(model.generator))
-    return _transport_samples(model, loop, 0.0, np.arange(steps + 1) / steps, eye).real.transpose(2, 1, 0)
+    samples = _transport_samples(model, loop, 0.0, np.arange(steps + 1) / steps, eye)
+    if np.max(np.abs(samples.imag)) > 1e-10:
+        raise ValueError(f"model {model.tag!r} transports to complex frames; a frame needs a real generator")
+    return samples.real.transpose(2, 1, 0)
 
 
 @dataclass(frozen=True)

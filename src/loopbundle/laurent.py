@@ -170,18 +170,19 @@ def group_residual(a, group, samples=256):
     """
     if group not in ("U", "SU", "SO"):
         raise ValueError(f"unknown group {group!r}")
-    return sampled_group_residual(laurent_eval(a, np.arange(samples) / samples), group)
+    return float(sampled_group_residual(laurent_eval(a, np.arange(samples) / samples), group))
 
 
 def sampled_group_residual(vals, group):
-    """The `group_residual` measure over given samples vals of shape (samples, n, n)."""
-    gram = np.einsum("mji,mjk->mik", vals.conj(), vals)
-    res = np.linalg.norm(gram - np.eye(vals.shape[1]), axis=(1, 2))
+    """The `group_residual` measure over given samples vals of shape ([k,] samples, n, n), one per entry."""
+    gram = vals.conj().swapaxes(-1, -2) @ vals
+    gram -= np.eye(vals.shape[-1])
+    res = np.sqrt(np.sum(np.square(np.abs(gram)), axis=(-2, -1)))
     if group in ("SU", "SO"):
         res = res + np.abs(np.linalg.det(vals) - 1.0)
     if group == "SO":
-        res = res + np.linalg.norm(vals.imag, axis=(1, 2))
-    return float(res.max())
+        res = res + np.linalg.norm(vals.imag, axis=(-2, -1))
+    return res.max(axis=-1)
 
 
 def fourier_coefficients(values, max_mode):
@@ -237,11 +238,29 @@ def certify(path, degree):
     Samples path (times -> (len, n, n) values) once, on the smallest power of
     two grid >= CERT_GRID with degree < grid/4, and returns `fourier_project`
     of the samples: (MatrixLoop, relative residual), from one FFT.
+
+    A stacked path (times -> (k, len, n, n) values) takes one degree per entry
+    and returns (None, residual per entry): each entry keeps its own grid and
+    window, and the entries sharing a grid are sampled and transformed at once.
     """
-    grid = CERT_GRID
-    while degree >= grid // 4:
-        grid *= 2
-    return fourier_project(SampledLoop(values=path(np.arange(grid) / grid)), degree)
+    degree = np.asarray(degree)
+    grids = np.full(degree.shape, CERT_GRID)
+    while np.any(degree >= grids // 4):
+        grids = np.where(degree >= grids // 4, 2 * grids, grids)
+    if degree.ndim == 0:
+        grid = int(grids)
+        return fourier_project(SampledLoop(values=path(np.arange(grid) / grid)), int(degree))
+    residuals = np.zeros(degree.shape)
+    for grid in sorted(set(grids.tolist())):
+        entries = grids == grid
+        spectrum = path(np.arange(grid) / grid)[entries]
+        np.fft.fft(spectrum, axis=1, out=spectrum)
+        spectrum /= grid
+        mass2 = np.sum(spectrum.real**2 + spectrum.imag**2, axis=(2, 3))
+        outside = np.abs(np.fft.fftfreq(grid, 1.0 / grid)) > degree[entries][:, None]
+        total = np.sqrt(np.sum(mass2, axis=1))
+        residuals[entries] = np.sqrt(np.sum(mass2 * outside, axis=1)) / np.where(total > 0, total, 1.0)
+    return None, residuals
 
 
 def polynomiality_residual(s, max_mode):

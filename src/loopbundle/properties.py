@@ -94,6 +94,8 @@ _REGISTRY = {}
 _COMPARATORS = {"<": operator.lt, "<=": operator.le, ">": operator.gt}
 
 SECTION_THRESHOLDS = {"endpoint": 1e-9, "group": 1e-9, "poly": 1e-8, "det": 1e-10}
+# entries x dim^2 of one stack of section trials (see sweep_sections)
+SECTION_STACK = 128
 # the sweep report key of the worst value each section threshold bounds
 SECTION_MAXIMA = {
     "endpoint": "max_endpoint_err",
@@ -738,45 +740,52 @@ def sweep_sections(group, dims, trials, rng, r=0.0):
     """Randomized section sweep; returns the CLI-facing report dictionary.
 
     r is the branch height for U/SU sections and the eigenvalue-real-part split
-    abscissa for SO.  Constructor rejections at chart boundaries (`ChartError`)
-    are counted; every other error propagates.
+    abscissa for SO.  Every trial's inputs are drawn first, in trial order, so
+    the generator stream does not depend on any outcome.  The trials of one
+    dimension n then run as stacks (`_section_stack`) of at most
+    SECTION_STACK / n^2 entries: a stack sampled at 128 times then holds at most
+    128 SECTION_STACK complex numbers, and larger stacks raise the peak
+    memory more than they save time.  Chart rejections are counted; every
+    other error propagates.  Failures are reported in trial order.
     """
     if group not in ("U", "SU", "SO"):
         raise ValueError(f"unknown group {group!r}")
     branch = np.angle(np.exp(1j * r))  # only e^{i r} sets the cut; keeps the log bounded
     dims = [int(d) for d in (dims if np.iterable(dims) else [dims])]
+    trial_dims = [dims[trial % len(dims)] for trial in range(int(trials))]
+
+    def draw(trial, dim):
+        if group == "U":
+            return (random_unitary(rng, dim),)
+        if group == "SU":
+            return random_special_unitary(rng, dim), random_unit_vector(rng, dim)
+        g = random_special_orthogonal(rng, dim)
+        if trial % 5 == 0:
+            return g, g
+        q = exp_skew(random_skew(rng, dim, real=True, scale=0.12)).real
+        return g, q @ g @ q.T
+
+    construct = {
+        "U": lambda target: un_section(1j * branch, target),
+        "SU": lambda target, v: su_section(1j * branch, target, v),
+        "SO": lambda g, target: so_section(r, g, target),
+    }[group]
+    draws = [draw(trial, dim) for trial, dim in enumerate(trial_dims)]
     rejections = 0
+    records = {}
+    for dim in sorted(set(trial_dims)):
+        same_dim = [trial for trial, d in enumerate(trial_dims) if d == dim]
+        step = max(1, SECTION_STACK // dim**2)
+        for start in range(0, len(same_dim), step):
+            ids = np.array(same_dim[start : start + step])
+            keep, observed = _section_stack(group, construct, [np.stack(x) for x in zip(*(draws[t] for t in ids))])
+            rejections += int(np.count_nonzero(~keep))
+            for i, trial in enumerate(ids[keep].tolist()):
+                records[trial] = {"trial": trial, "dim": dim, **{k: float(v[i]) for k, v in observed.items()}}
     failures = []
     maxima = dict.fromkeys(SECTION_THRESHOLDS, 0.0)
-    completed = 0
-    for trial in range(int(trials)):
-        dim = dims[trial % len(dims)]
-        try:
-            if group == "U":
-                target = random_unitary(rng, dim)
-                element = un_section(1j * branch, target)
-            elif group == "SU":
-                target = random_special_unitary(rng, dim)
-                element = su_section(1j * branch, target, random_unit_vector(rng, dim))
-            else:
-                g = random_special_orthogonal(rng, dim)
-                if trial % 5 == 0:
-                    target = g
-                else:
-                    q = exp_skew(random_skew(rng, dim, real=True, scale=0.12)).real
-                    target = q @ g @ q.T
-                element = so_section(r, g, target)
-        except ChartError:
-            rejections += 1
-            continue
-        completed += 1
-        vals = element.eval(np.arange(128) / 128)
-        endpoint = float(np.linalg.norm(project_path(element) - target))
-        gres = sampled_group_residual(vals, group)
-        _, poly, _ = fiber_certificate(element)
-        entry = {"trial": trial, "dim": dim, "endpoint": endpoint, "group": gres, "poly": poly}
-        if group == "SU":
-            entry["det"] = float(np.max(np.abs(np.linalg.det(vals) - 1.0)))
+    for trial in sorted(records):
+        entry = records[trial]
         for key in SECTION_THRESHOLDS:
             maxima[key] = max(maxima[key], entry.get(key, 0.0))
         if any(entry.get(key, 0.0) > limit for key, limit in SECTION_THRESHOLDS.items()):
@@ -785,12 +794,40 @@ def sweep_sections(group, dims, trials, rng, r=0.0):
         "group": group,
         "dim": dims[0] if len(dims) == 1 else dims,
         "trials": int(trials),
-        "completed": completed,
+        "completed": len(records),
         "rejections": rejections,
         **{SECTION_MAXIMA[key]: maxima[key] for key in SECTION_THRESHOLDS},
         "failures": failures,
         "thresholds": dict(SECTION_THRESHOLDS),
     }
+
+
+def _section_stack(group, construct, inputs):
+    """Build and measure the sections of one stack of trial inputs: (kept entries, record -> value per kept entry).
+
+    A `ChartError` drops the entries its mask marks (all of them if it has no
+    mask) and the constructor reruns on the rest.
+    """
+    keep = np.ones(len(inputs[0]), dtype=bool)
+    while keep.any():
+        try:
+            element = construct(*(x[keep] for x in inputs))
+            break
+        except ChartError as exc:
+            at_chart = np.broadcast_to(True if exc.mask is None else exc.mask, (np.count_nonzero(keep),))
+            keep[np.flatnonzero(keep)[at_chart]] = False
+    else:
+        return keep, {}
+    vals = element.eval(np.arange(128) / 128)
+    target = inputs[1 if group == "SO" else 0][keep]
+    observed = {
+        "endpoint": np.linalg.norm(project_path(element) - target, axis=(-2, -1)),
+        "group": sampled_group_residual(vals, group),
+        "poly": fiber_certificate(element)[1],
+    }
+    if group == "SU":
+        observed["det"] = np.max(np.abs(np.linalg.det(vals) - 1.0), axis=-1)
+    return keep, observed
 
 
 def section_sweep_ratio(report):

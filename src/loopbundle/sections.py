@@ -21,6 +21,11 @@ the fibre above it:
 Membership of a path in the polynomial class is certified numerically: the
 quotient of the path by the central-log path of its projection must be a
 trigonometric polynomial of the predicted degree.
+
+The constructors, `PathElement` and `fiber_certificate` also take a stack of
+inputs of one dimension (a leading axis of k entries) and then build k paths
+at once, each checked on its own; a `ChartError` raised on a stack marks the
+entries at the chart boundary.  A single input is the case without the axis.
 """
 
 import numpy as np
@@ -58,10 +63,10 @@ class PathElement:
                 raise ValueError("cannot infer dimension")
             loop = identity_loop(dim)
         if dim is None:
-            dim = spectra[0].u.shape[0] if spectra else loop.dim
-        for spectrum in spectra:
-            if spectrum.u.shape != (dim, dim):
-                raise ValueError("factor dimension mismatch")
+            dim = spectra[0].u.shape[-1] if spectra else loop.dim
+        shape = spectra[0].u.shape[:-2] + (dim, dim) if spectra else (dim, dim)
+        if any(spectrum.u.shape != shape for spectrum in spectra):
+            raise ValueError("factor dimension mismatch")
         if loop is not None and loop.dim != dim:
             raise ValueError("loop part dimension mismatch")
         if group not in ("U", "SU", "SO"):
@@ -73,15 +78,15 @@ class PathElement:
         self.loop = loop
         ts = np.arange(16) / 16
         vals = self.eval(np.concatenate([ts, ts + 1.0]))
-        low, high = vals[:16], vals[16:]
-        self.projection = high[0] @ np.linalg.inv(low[0])
-        defect = float(np.max(np.linalg.norm(high - self.projection @ low, axis=(1, 2))))
+        low, high = vals[..., :16, :, :], vals[..., 16:, :, :]
+        self.projection = high[..., 0, :, :] @ np.linalg.inv(low[..., 0, :, :])
+        defect = float(np.max(np.linalg.norm(high - self.projection[..., None, :, :] @ low, axis=(-2, -1))))
         if defect > PERIODICITY_TOL:
             raise ValueError(f"path is not quasi-periodic (defect {defect:.3e})")
 
     @property
     def radii(self):
-        """Spectral radius of each factor."""
+        """Spectral radius of each factor (one per entry of a stack)."""
         return [spectrum.radius for spectrum in self.spectra]
 
     def eval(self, ts):
@@ -92,7 +97,7 @@ class PathElement:
         """
         scalar = np.ndim(ts) == 0
         out = _chain_values(self.spectra, self.loop, np.atleast_1d(np.asarray(ts, dtype=float)))
-        return out[0] if scalar else out
+        return out[..., 0, :, :] if scalar else out
 
 
 def _chain_values(spectra, loop, ts):
@@ -128,13 +133,13 @@ def act_group(p, g, conjugate=False):
 
 
 def path_group_residual(p):
-    """Max distance of path values from the tagged group over 256 samples."""
+    """Max distance of path values from the tagged group over 256 samples (one per entry of a stack)."""
     return sampled_group_residual(p.eval(np.arange(256) / 256), p.group)
 
 
 def _degree(radius, loops):
     """Predicted quotient degree: ceil(radius / 2 pi) + CERT_GUARD + the loop parts' degrees."""
-    degree = int(np.ceil(radius / (2.0 * np.pi))) + CERT_GUARD
+    degree = np.ceil(radius / (2.0 * np.pi)).astype(int) + CERT_GUARD
     return degree + sum(loop.degree for loop in loops if loop is not None)
 
 
@@ -145,10 +150,11 @@ def fiber_certificate(p):
     how far the quotient loop is from a trigonometric polynomial of the
     predicted degree.  The quotient exp(-t zeta) alpha(t) is sampled as the
     chain [-zeta, xi_1, ..., xi_m] times the loop part.  Returns (quotient
-    MatrixLoop, relative residual, degree).
+    MatrixLoop, relative residual, degree); a stack gets one residual and one
+    degree per entry and no quotient loop (see `laurent.certify`).
     """
     zeta = SkewSpectrum(central_log(p.projection))
-    degree = _degree(max([zeta.radius] + p.radii), [p.loop])
+    degree = _degree(np.max([zeta.radius] + p.radii, axis=0), [p.loop])
     quotient, residual = certify(lambda ts: _chain_values([-zeta] + p.spectra, p.loop, ts), degree)
     return quotient, residual, degree
 
@@ -257,17 +263,17 @@ def su_section(s, g, v):
     determinant of the whole path at 1.
     """
     g = check_unitary(g)
-    if abs(np.linalg.det(g) - 1.0) > 1e-8:
+    if np.any(np.abs(np.linalg.det(g) - 1.0) > 1e-8):
         raise ValueError("input is not special unitary")
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+    v = np.asarray(v, dtype=complex).reshape(g.shape[:-1])
+    if np.any(np.abs(np.linalg.norm(v, axis=-1) - 1.0) > 1e-10):
         raise ValueError("twist vector must be a unit vector")
     xi = log_branch(g, s)
-    trace = np.trace(xi)
+    trace = np.trace(xi, axis1=-2, axis2=-1)
     k = trace / (2j * np.pi)
-    if abs(k - round(k.real)) > 1e-6:
+    if np.any(np.abs(k - np.round(k.real)) > 1e-6):
         raise ValueError("trace of the branch log is not in 2 pi i Z; not special unitary")
-    twist = -trace * np.outer(v, v.conj())
+    twist = -trace[..., None, None] * (v[..., :, None] * v.conj()[..., None, :])
     return PathElement([xi, twist], group="SU")
 
 
@@ -283,17 +289,21 @@ def so_spectral_split(h, r):
     if not -1.0 <= r <= 1.0:
         raise ValueError("split abscissa must lie in [-1, 1]")
     decomp = clustered_eig(arr)
-    if np.min(np.abs(decomp.values.real - r)) <= 1e-8:
-        raise ChartError("an eigenvalue has real part at the split abscissa")
-    n = arr.shape[0]
+    on_split = np.min(np.abs(decomp.values.real - r), axis=-1) <= 1e-8
+    if np.any(on_split):
+        raise ChartError("an eigenvalue has real part at the split abscissa", on_split)
     low = decomp.compose(decomp.cluster_values.real < r)
     if np.max(np.abs(low.imag)) > 1e-9:
         raise ValueError("low projector failed to be real")
     low = low.real
-    rank = int(round(np.trace(low)))
-    if rank % 2 != 0:
+    if np.any(_rank(low) % 2 != 0):
         raise ValueError("low block has odd rank; input is not special orthogonal")
-    return low, np.eye(n) - low
+    return low, np.eye(arr.shape[-1]) - low
+
+
+def _rank(proj):
+    """Rank of each projector of a stack: its rounded trace."""
+    return np.rint(np.trace(proj, axis1=-2, axis2=-1)).astype(int)
 
 
 def so_section(r, g, h):
@@ -301,26 +311,28 @@ def so_section(r, g, h):
 
     The unitary structure on the low block of h is the polar transport of the
     canonical block structure on the low block of g; the path is
-    exp(t log_0(eps(h))) exp(t pi J_h) with eps(h) = h exp(-pi J_h).
+    exp(t log_0(eps(h))) exp(t pi J_h) with eps(h) = h exp(-pi J_h).  A
+    stack is split by low-block rank, as `projector_basis` takes one rank per stack.
     """
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
     low_g, _ = so_spectral_split(g, r)
     low_h, _ = so_spectral_split(h, r)
-    basis_g = projector_basis(low_g)
-    rank_g, rank_h = basis_g.shape[1], int(round(np.trace(low_h)))
-    if rank_g != rank_h:
-        raise ChartError(f"low-block ranks differ ({rank_g} vs {rank_h}); h is outside the chart of g")
-    n = g.shape[0]
-    if rank_g == 0:
-        j_h = np.zeros((n, n))
-    else:
-        mapped = low_h @ basis_g
-        u, sing, vt = np.linalg.svd(mapped, full_matrices=False)
-        if sing[-1] <= 0 or sing[0] / sing[-1] >= CONDITION_BOUND:
-            raise ChartError("projection between low blocks is not an isomorphism")
+    rank_g = _rank(low_g)
+    mismatch = rank_g != _rank(low_h)
+    if np.any(mismatch):
+        raise ChartError("low-block ranks differ; h is outside the chart of g", mismatch)
+    n = g.shape[-1]
+    j_h = np.zeros(g.shape)
+    singular = np.zeros(rank_g.shape, dtype=bool)
+    for rank in sorted(set(rank_g[rank_g > 0].tolist())):
+        entries = rank_g == rank
+        u, sing, vt = np.linalg.svd(low_h[entries] @ projector_basis(low_g[entries]), full_matrices=False)
+        singular[entries] = sing[..., 0] >= CONDITION_BOUND * sing[..., -1]
         frame_h = u @ vt  # polar orthonormalisation of the transported frame
-        j_h = frame_h @ block_structure(np.eye(rank_g)) @ frame_h.T
+        j_h[entries] = frame_h @ block_structure(np.eye(rank)) @ frame_h.swapaxes(-1, -2)
+    if np.any(singular):
+        raise ChartError("projection between low blocks is not an isomorphism", singular)
     eps = h @ (np.eye(n) - 2.0 * low_h)
     principal = log_branch(eps, 0.0)  # rejects eps(h) with eigenvalue -1, the chart boundary
     if np.max(np.abs(principal.imag)) > 1e-9:

@@ -16,6 +16,11 @@ that spectral projectors stay stable under degeneracy.  On top of it sit
 * unitary structures J_xi of real skew matrices (the +i/-i splitting by the
   sign of the spectrum) and the decomposition of a special orthogonal g with
   1 not in its spectrum as g = exp(xi) with log_0(-g) = xi - pi J_xi.
+
+The checks, the clustered eigendecomposition, `SkewSpectrum`, `exp_chain`,
+`log_branch`, `central_log` and `projector_basis` also take a stack of
+matrices (k, n, n) and then work entry by entry, each with its own clusters,
+tolerances and chart test: a single matrix is the case without the stack axis.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -35,28 +40,43 @@ class ChartError(ValueError):
     """The input lies on the boundary of a chart: a branch cut, a split abscissa, a block mismatch.
 
     Sweeps over random inputs count these as rejections; every other
-    ValueError is a fault.
+    ValueError is a fault.  On a stack, mask marks the entries at the boundary.
     """
+
+    def __init__(self, message, mask=None):
+        super().__init__(message)
+        self.mask = mask
+
+
+def _square(arr):
+    if arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2]:
+        raise ValueError("matrix must be square (or a stack of square matrices)")
+    return arr
+
+
+def _adjoint(arr):
+    return arr.conj().swapaxes(-1, -2)
+
+
+def _fro(arr):
+    """Frobenius norm of each matrix of a stack."""
+    return np.linalg.norm(arr, axis=(-2, -1))
 
 
 def check_skew(xi, real=False):
-    """Validate xi* = -xi (and realness if asked); returns xi as complex array."""
-    arr = np.asarray(xi, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("skew matrix must be square")
-    scale = max(1.0, float(np.linalg.norm(arr)))
-    if np.linalg.norm(arr + arr.conj().T) > SKEW_TOL * scale:
+    """Validate xi* = -xi (and realness if asked) entry by entry; returns xi as complex array."""
+    arr = _square(np.asarray(xi, dtype=complex))
+    scale = np.maximum(1.0, _fro(arr))
+    if np.any(_fro(arr + _adjoint(arr)) > SKEW_TOL * scale):
         raise ValueError("matrix is not skew-hermitian to tolerance")
-    if real and np.max(np.abs(arr.imag)) > SKEW_TOL * scale:
+    if real and np.any(np.max(np.abs(arr.imag), axis=(-2, -1)) > SKEW_TOL * scale):
         raise ValueError("matrix is not real to tolerance")
     return arr
 
 
 def check_unitary(g):
-    arr = np.asarray(g, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("matrix must be square")
-    if np.linalg.norm(arr.conj().T @ arr - np.eye(arr.shape[0])) > UNITARY_TOL:
+    arr = _square(np.asarray(g, dtype=complex))
+    if np.any(_fro(_adjoint(arr) @ arr - np.eye(arr.shape[-1])) > UNITARY_TOL):
         raise ValueError("matrix is not unitary to tolerance")
     return arr
 
@@ -67,6 +87,8 @@ class EigenDecomp:
 
     labels[i] is the cluster of eigenvalue i, clusters numbered by first member.
     Spectral functions f(g) = sum_c f_c P_c are one `compose` of per-cluster values.
+    On a stack every field has the stack axis first and the per-cluster values of
+    an entry with fewer clusters than the most in the stack are padded with 1.
     """
 
     values: np.ndarray = dataclass_field(repr=False)
@@ -86,16 +108,28 @@ class EigenDecomp:
     def cluster_values(self):
         """One eigenvalue per cluster: its mean, renormalised to |value| = 1 (unitary input).
 
-        Summed in index order, as `np.mean` sums clusters of up to three eigenvalues.
+        Summed in index order, as `np.mean` sums clusters of up to three eigenvalues;
+        on a stack each entry's labels are offset by n times its index into one bincount.
         """
-        sums = np.bincount(self.labels, self.values.real) + 1j * np.bincount(self.labels, self.values.imag)
-        means = sums / np.bincount(self.labels)
+        size = self.labels.size
+        slots = _slots(self.labels, self.labels.shape[-1]).ravel()
+        sums = np.bincount(slots, self.values.real.ravel(), size) + 1j * np.bincount(slots, self.values.imag.ravel(), size)
+        count = np.bincount(slots, minlength=size)
+        means = ((sums + (count == 0)) / np.maximum(count, 1)).reshape(self.labels.shape)[..., : self.labels.max() + 1]
         return means / np.abs(means)
 
     def compose(self, per_cluster):
         """V diag(f) V* with f constant on each cluster, i.e. sum_c f_c P_c."""
-        diag = np.asarray(per_cluster, dtype=complex)[self.labels]
-        return (self.vectors * diag[None, :]) @ self.vectors.conj().T
+        per_cluster = np.asarray(per_cluster, dtype=complex)
+        diag = per_cluster.reshape(-1)[_slots(self.labels, per_cluster.shape[-1])]
+        return (self.vectors * diag[..., None, :]) @ _adjoint(self.vectors)
+
+
+def _slots(index, width):
+    """Flat positions of index[..., i] in a (..., width) array: index plus width times the entry's number."""
+    if index.ndim == 1:
+        return index
+    return index + width * np.arange(index.shape[0])[:, None]
 
 
 def _cluster_labels(values):
@@ -104,11 +138,12 @@ def _cluster_labels(values):
     Each squaring of the boolean adjacency (diagonal included) doubles the path
     length it covers; a component is numbered by its first member's rank.
     """
-    reach = np.abs(values[:, None] - values[None, :]) < CLUSTER_TOL
-    for _ in range((len(values) - 1).bit_length()):
+    n = values.shape[-1]
+    reach = np.abs(values[..., :, None] - values[..., None, :]) < CLUSTER_TOL
+    for _ in range((n - 1).bit_length()):
         reach = reach @ reach
-    first = np.argmax(reach, axis=1)
-    return (np.cumsum(first == np.arange(len(values))) - 1)[first]
+    first = np.argmax(reach, axis=-1)
+    return (np.cumsum(first == np.arange(n), axis=-1) - 1).reshape(-1)[_slots(first, n)]
 
 
 def clustered_eig(g):
@@ -122,12 +157,11 @@ def clustered_eig(g):
     input that this basis does not reconstruct to 1e-10 (non-normal input);
     eigenvalues are labelled by cluster (`_cluster_labels`).
     """
-    arr = np.asarray(g, dtype=complex)
+    arr = _square(np.asarray(g, dtype=complex))
     values, vectors = np.linalg.eig(arr)
     z_mat = np.linalg.qr(vectors)[0]
-    scale = max(1.0, float(np.linalg.norm(arr)))
-    recon = (z_mat * values[None, :]) @ z_mat.conj().T
-    if np.linalg.norm(recon - arr) > 1e-10 * scale:
+    recon = (z_mat * values[..., None, :]) @ _adjoint(z_mat)
+    if np.any(_fro(recon - arr) > 1e-10 * np.maximum(1.0, _fro(arr))):
         raise ValueError("input is not normal enough for a spectral decomposition")
     return EigenDecomp(values=values, vectors=z_mat, labels=_cluster_labels(values))
 
@@ -150,8 +184,8 @@ class SkewSpectrum:
 
     @property
     def radius(self):
-        """Largest |eigenvalue| of xi."""
-        return float(np.max(np.abs(self.mu), initial=0.0))
+        """Largest |eigenvalue| of xi (one per entry of a stack)."""
+        return np.max(np.abs(self.mu), axis=-1, initial=0.0)
 
     def exp(self, ts):
         """Batched exp(t xi) for an array of times; shape (len(ts), n, n)."""
@@ -159,21 +193,26 @@ class SkewSpectrum:
 
 
 def exp_chain(spectra, ts):
-    """Batched product exp(t xi_1) ... exp(t xi_m) for an array of times; shape (len(ts), n, n).
+    """Batched product exp(t xi_1) ... exp(t xi_m) for an array of times; shape ([k,] len(ts), n, n).
 
     With xi_i = u_i diag(-i mu_i) u_i* the product is
     u_1 D_1(t) (u_1* u_2) D_2(t) ... D_m(t) u_m*, D_i(t) = diag(e^{-i t mu_i}):
     start from u_1 scaled column-wise by D_1, then each link is one
-    (len(ts) n x n) by (n x n) product followed by a column scaling.
+    ([k,] len(ts) n x n) by ([k,] n x n) product followed by a column scaling.
     """
-    ts = np.asarray(ts, dtype=float)
+    ts = np.reshape(np.asarray(ts, dtype=float), (-1, 1))
+
+    def scaling(spectrum):
+        return np.exp(-1j * ts * spectrum.mu[..., None, :])[..., None, :]
+
     first = spectra[0]
-    n = first.mu.size
-    out = first.u * np.exp(-1j * np.outer(ts, first.mu))[:, None, :]
+    n = first.mu.shape[-1]
+    out = first.u[..., None, :, :] * scaling(first)
+    rows = out.shape[:-3] + (-1, n)
     for prev, spectrum in zip(spectra, spectra[1:]):
-        link = prev.u.conj().T @ spectrum.u
-        out = (out.reshape(-1, n) @ link).reshape(out.shape) * np.exp(-1j * np.outer(ts, spectrum.mu))[:, None, :]
-    return (out.reshape(-1, n) @ spectra[-1].u.conj().T).reshape(out.shape)
+        out = (out.reshape(rows) @ (_adjoint(prev.u) @ spectrum.u)).reshape(out.shape)
+        out *= scaling(spectrum)
+    return (out.reshape(rows) @ _adjoint(spectra[-1].u)).reshape(out.shape)
 
 
 def exp_skew(xi):
@@ -198,10 +237,9 @@ def log_branch(g, s=0.0):
     sigma = s.imag
     decomp = clustered_eig(arr)
     cut = -np.exp(1j * sigma)
-    gaps = np.abs(decomp.values - cut)
-    if np.min(gaps) <= CUT_TOL:
-        bad = decomp.values[int(np.argmin(gaps))]
-        raise ChartError(f"eigenvalue {bad} lies on the branch cut at {cut}")
+    on_cut = np.min(np.abs(decomp.values - cut), axis=-1) <= CUT_TOL
+    if np.any(on_cut):
+        raise ChartError(f"{np.count_nonzero(on_cut)} input(s) with an eigenvalue on the branch cut at {cut}", on_cut)
     theta = np.angle(decomp.cluster_values)
     return decomp.compose(1j * (sigma + (np.mod(theta - sigma + np.pi, 2.0 * np.pi) - np.pi)))
 
@@ -226,20 +264,26 @@ def projector_basis(proj):
     finds rank = trace(P) columns: the remainder projector left after the pass
     would have a diagonal entry of at least 1/n, and that column's remainder
     could only have been larger when it was visited.  A real projector gets a
-    real basis.
+    real basis.  A stack of projectors of one rank gets a stack of bases, each
+    entry keeping the columns of its own pass.
     """
-    n = proj.shape[0]
-    rank = int(round(np.trace(proj).real))
-    basis = np.zeros((n, 0), dtype=proj.dtype)
+    n = proj.shape[-1]
+    ranks = np.rint(np.trace(proj, axis1=-2, axis2=-1).real).astype(int)
+    rank = int(ranks.flat[0])
+    if np.any(ranks != rank):
+        raise ValueError("a stack of projectors must share one rank")
+    basis = np.zeros(proj.shape[:-1] + (rank,), dtype=proj.dtype)
+    found = np.zeros(proj.shape[:-2], dtype=int)
     for k in range(n):
-        v = proj[:, k]
+        if np.all(found == rank):
+            break
+        v = proj[..., :, k, None]
         for _ in range(2):  # second pass restores orthogonality lost to round-off
-            v = v - basis @ (basis.conj().T @ v)
-        norm = np.linalg.norm(v)
-        if norm > 0.5 / np.sqrt(n):
-            basis = np.column_stack([basis, v / norm])
-            if basis.shape[1] == rank:
-                break
+            v = v - basis @ (_adjoint(basis) @ v)
+        norm = np.linalg.norm(v, axis=(-2, -1))
+        keep = (norm > 0.5 / np.sqrt(n)) & (found < rank)
+        basis[keep, :, found[keep]] = v[keep][..., 0] / norm[keep][..., None]
+        found += keep
     return basis
 
 

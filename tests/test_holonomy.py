@@ -174,6 +174,17 @@ def test_transport_frame_matches_matrix_exponential(case):
     assert np.max(np.abs(frame - expected)) < 1e-12
 
 
+def test_transport_frame_rejects_a_complex_generator():
+    """A complex skew-hermitian generator transports to complex frames; their real part is not orthogonal."""
+    _, loop = torus_model(winding=(1, 2), grid=8)
+    complex_model = geo.ConnectionModel("complex", 2j * np.pi * np.diag([0.3, -0.3]))
+    with pytest.raises(ValueError, match="real generator"):
+        transport_frame(complex_model, loop)
+    real_model = geo.ConnectionModel("real", 0.6 * np.pi * np.array([[0.0, -1.0], [1.0, 0.0]]))
+    frame = transport_frame(real_model, loop)
+    assert np.max(np.abs(frame.transpose(0, 2, 1) @ frame - np.eye(2))) < 1e-14
+
+
 @pytest.mark.parametrize("eye", [-np.eye(2), np.eye(3)])
 def test_degenerate_holonomy_frame_is_canonical(eye):
     """Round-off in a +-I holonomy must not rotate the Floquet frame."""

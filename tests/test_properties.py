@@ -154,6 +154,74 @@ def test_section_sweep_lets_non_chart_errors_through(monkeypatch):
     assert not isinstance(info.value, ChartError)
 
 
+def _one_trial_at_a_time(group, dims, trials, rng):
+    """Oracle: the sweep's records with one draw, one constructor call and one measurement per trial (r = 0)."""
+    records = []
+    for trial in range(trials):
+        dim = dims[trial % len(dims)]
+        try:
+            if group == "U":
+                target = props.random_unitary(rng, dim)
+                element = sections.un_section(0.0, target)
+            elif group == "SU":
+                target = props.random_special_unitary(rng, dim)
+                element = sections.su_section(0.0, target, props.random_unit_vector(rng, dim))
+            else:
+                g = target = props.random_special_orthogonal(rng, dim)
+                if trial % 5:
+                    q = props.exp_skew(props.random_skew(rng, dim, real=True, scale=0.12)).real
+                    target = q @ g @ q.T
+                element = sections.so_section(0.0, g, target)
+        except ChartError:
+            continue
+        vals = element.eval(np.arange(128) / 128)
+        entry = {"trial": trial, "dim": dim, "endpoint": float(np.linalg.norm(element.projection - target))}
+        entry["group"] = float(props.sampled_group_residual(vals, group))
+        entry["poly"] = sections.fiber_certificate(element)[1]
+        if group == "SU":
+            entry["det"] = float(np.max(np.abs(np.linalg.det(vals) - 1.0)))
+        records.append(entry)
+    return records
+
+
+def _assert_same_records(stacked, oracle):
+    """Same trials, dimensions and keys in the same order; measured values equal up to their own round-off."""
+    assert [(e["trial"], e["dim"], sorted(e)) for e in stacked] == [(e["trial"], e["dim"], sorted(e)) for e in oracle]
+    for a, b in zip(stacked, oracle):
+        for key in ("endpoint", "group", "poly", "det"):
+            if key in a:
+                assert a[key] == pytest.approx(b[key], rel=1e-9, abs=0.0), (a, b)
+
+
+@pytest.mark.parametrize("group", ["U", "SU", "SO"])
+def test_section_sweep_reports_every_trial_in_order_like_one_trial_at_a_time(group, monkeypatch):
+    monkeypatch.setattr(props, "SECTION_THRESHOLDS", dict.fromkeys(props.SECTION_THRESHOLDS, 0.0))
+    dims, trials = [2, 6, 3], 19  # dim 6 runs as several stacks of SECTION_STACK // 36 trials
+    report = props.sweep_sections(group, dims, trials, np.random.default_rng(7))
+    oracle = _one_trial_at_a_time(group, dims, trials, np.random.default_rng(7))
+    assert report["completed"] == len(oracle) == trials and report["rejections"] == 0
+    assert [e["trial"] for e in report["failures"]] == list(range(trials))  # every record exceeds a zero threshold
+    _assert_same_records(report["failures"], oracle)
+
+
+def test_section_sweep_rejects_exactly_the_trial_on_the_cut(monkeypatch):
+    unitary = props.random_unitary
+
+    def draw(rng, dim):
+        g = unitary(rng, dim)  # drawn for every trial, so the other trials see the same stream
+        draw.calls += 1
+        return np.diag([-1.0, 1.0]).astype(complex) if draw.calls == 3 else g
+
+    draw.calls = 0
+    monkeypatch.setattr(props, "random_unitary", draw)
+    monkeypatch.setattr(props, "SECTION_THRESHOLDS", dict.fromkeys(props.SECTION_THRESHOLDS, 0.0))
+    report = props.sweep_sections("U", 2, 6, np.random.default_rng(8))
+    assert (report["completed"], report["rejections"]) == (5, 1)
+    assert [e["trial"] for e in report["failures"]] == [0, 1, 3, 4, 5]
+    draw.calls = 0
+    _assert_same_records(report["failures"], _one_trial_at_a_time("U", [2], 6, np.random.default_rng(8)))
+
+
 def test_alternative_log_is_a_log_commuting_with_the_central_log():
     from loopbundle.spectral import central_log, exp_skew
 

@@ -208,6 +208,53 @@ def test_clustered_eig_rejects_a_jordan_block():
         clustered_eig(np.exp(0.3j) * np.eye(3) + np.diag([1.0, 1.0], k=1))
 
 
+def _mixed_cluster_stack():
+    """I, -I, a unitary with one doubly degenerate eigenvalue and a generic unitary: 1, 1, 2 and 3 clusters."""
+    rng = np.random.default_rng(41)
+    q = random_unitary(rng, 3)
+    doubled = (q * np.exp(1j * np.array([0.4, 0.4, -2.0]))) @ q.conj().T
+    return np.stack([np.eye(3), -np.eye(3), doubled, random_unitary(rng, 3)]).astype(complex)
+
+
+def test_stacked_clustered_eig_is_the_per_entry_decomposition():
+    stack = _mixed_cluster_stack()
+    decomp = clustered_eig(stack)
+    counts = []
+    for i, g in enumerate(stack):
+        single = clustered_eig(g)
+        assert np.array_equal(decomp.values[i], single.values)
+        assert np.array_equal(decomp.vectors[i], single.vectors)
+        assert np.array_equal(decomp.labels[i], single.labels)
+        count = len(single.clusters)
+        # a bincount without a per-entry offset would pool the clusters of all entries
+        assert np.array_equal(decomp.cluster_values[i, :count], single.cluster_values)
+        assert np.all(decomp.cluster_values[i, count:] == 1.0)
+        per_cluster = np.arange(1.0, decomp.cluster_values.shape[1] + 1)
+        stacked = decomp.compose(np.broadcast_to(per_cluster, decomp.cluster_values.shape))
+        assert np.array_equal(stacked[i], single.compose(per_cluster[:count]))
+        counts.append(count)
+    assert counts == [1, 1, 2, 3]
+
+
+@pytest.mark.parametrize("log", ["log_branch", "central_log"])
+def test_stacked_logs_are_the_per_entry_logs(log):
+    stack = _mixed_cluster_stack()
+    take = {"log_branch": lambda g: log_branch(g, 0.5j), "central_log": central_log}[log]  # the cut -e^{0.5i} misses the stack
+    stacked = take(stack)
+    assert stacked.shape == stack.shape
+    for i, g in enumerate(stack):
+        assert np.array_equal(stacked[i], take(g))
+
+
+def test_a_chart_error_on_a_stack_marks_the_entries_on_the_cut():
+    stack = np.stack([np.eye(2), np.diag([-1.0, 1.0]), np.diag([1j, -1j]), -np.eye(2)])
+    with pytest.raises(ChartError) as info:
+        log_branch(stack, 0.0)
+    assert info.value.mask.tolist() == [False, True, False, True]
+    with pytest.raises(ValueError, match="not unitary"):
+        log_branch(np.stack([np.eye(2), 2.0 * np.eye(2)]), 0.0)  # any faulty entry fails the whole stack
+
+
 @pytest.mark.parametrize("kind", ["skew", "general"])
 def test_taylor_oracle_matches_expm(kind):
     rng = np.random.default_rng(14)
