@@ -22,7 +22,6 @@ from .laurent import (
     laurent_eval,
     sample_loop,
     group_residual,
-    fourier_coefficients,
     fourier_project,
     certify,
     polynomiality_residual,
@@ -51,7 +50,6 @@ from .spectral import (
     exp_chain,
     log_branch,
     central_log,
-    exp_pair_loop,
     unitary_structure,
     log0_decompose,
     so_log,
@@ -71,6 +69,7 @@ from .sections import (
     so_spectral_split,
     so_section,
     path_fiber_quotient,
+    exp_pair_loop,
     fiber_certificate,
 )
 from .holonomy import (

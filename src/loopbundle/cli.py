@@ -212,9 +212,13 @@ def write_csv(path, header, rows):
     _atomic_write(path, buffer.getvalue())
 
 
-def _sibling_csv(out, suffix):
+# the suffix of the CSV that a command writes beside its --out JSON
+SIBLING_CSV = {"verify": "hs", "holonomy": "spectra"}
+
+
+def _sibling_csv(out, command):
     base = out[: -len(".json")] if out.endswith(".json") else out
-    return f"{base}-{suffix}.csv"
+    return f"{base}-{SIBLING_CSV[command]}.csv"
 
 
 def _run_properties(config, names, trials=None):
@@ -248,7 +252,7 @@ def cmd_verify(config):
         report.update(command="verify", trials=trials, tolerance_overrides=config["tolerances"], failures=failures)
         write_json(out, report)
         rows = props.hs_diagnostic_rows(props.child_rng(seed, "cli-hs-diagnostics"))
-        write_csv(_sibling_csv(out, "hs"), ["degree", "dim", "hs_norm", "oracle_norm", "abs_err"], rows)
+        write_csv(_sibling_csv(out, "verify"), ["degree", "dim", "hs_norm", "oracle_norm", "abs_err"], rows)
     return 0 if not failures else 1
 
 
@@ -367,7 +371,7 @@ def cmd_holonomy(config):
         p_col, j_col = basis.rows()
         eigenvalues = p_col - data.exponents[j_col]
         rows = zip(p_col, j_col, eigenvalues, geo.cosh_weight(eigenvalues, r))
-        write_csv(_sibling_csv(out, "spectra"), ["p", "j", "eigenvalue", "weight"], rows)
+        write_csv(_sibling_csv(out, "holonomy"), ["p", "j", "eigenvalue", "weight"], rows)
     ok = all(checks.values())
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
@@ -406,6 +410,10 @@ def main(argv=None):
         for key, flag in flags.items():
             if flag.check:
                 flag.check(config[key], key)
+        if config["out"] and args.command in SIBLING_CSV:
+            sibling = _sibling_csv(config["out"], args.command)
+            if os.path.isdir(sibling):
+                raise ConfigError(f"--out {config['out']} writes its CSV to {sibling}, which is a directory")
         config.setdefault("seed", file_defaults.get("seed", SEED.default))  # holonomy takes no --seed
         tolerances = ((key.removeprefix("tol."), value) for key, value in config.items() if key.startswith("tol."))
         config["tolerances"] = {name: value for name, value in tolerances if value is not None}

@@ -10,9 +10,10 @@ module holds the coefficient arithmetic (convolution product, pointwise
 evaluation), membership residuals for the classical groups, the FFT
 projection, and `certify`, the package's one test that a loop is such a
 trigonometric polynomial: one sample grid, one FFT, one relative residual.
-Its grid is the smallest power of two N >= CERT_GRID with degree < N/4: the
-DFT of a trigonometric polynomial of degree d is exact on N > 2d points, and
-the quarter rule leaves room for the tail window beyond the degree.
+Every residual is `relative_tail`, the one Fourier tail formula.  A
+certificate's grid is the smallest power of two N >= CERT_GRID with degree <
+N/4: the DFT of a trigonometric polynomial of degree d is exact on N > 2d
+points, and the quarter rule leaves room for the tail window beyond the degree.
 
 Conventions: mode indices are integers k, the sample grid has a power-of-two
 size N_s, and samples live at t_i = i / N_s.  A loop tagged as real satisfies
@@ -88,23 +89,17 @@ class MatrixLoop:
 
 @dataclass(frozen=True)
 class SampledLoop:
-    """Loop sampled on the uniform grid t_i = i / N_s, N_s a power of two.
-
-    values has shape (N_s, dim, dim) for matrix loops or (N_s, dim) for
-    vector-valued loops.
-    """
+    """Matrix loop sampled on the uniform grid t_i = i / N_s, N_s a power of two: values (N_s, dim, dim)."""
 
     values: np.ndarray = dataclass_field(repr=False)
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=complex)
-        if arr.ndim not in (2, 3):
-            raise ValueError("values must have shape (N_s, dim) or (N_s, dim, dim)")
+        if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+            raise ValueError("values must have shape (N_s, dim, dim)")
         n_s = arr.shape[0]
         if n_s < 2 or (n_s & (n_s - 1)) != 0:
             raise ValueError(f"grid size {n_s} is not a power of two")
-        if arr.ndim == 3 and arr.shape[1] != arr.shape[2]:
-            raise ValueError("matrix samples must be square")
         object.__setattr__(self, "values", arr)
 
     @property
@@ -185,38 +180,41 @@ def sampled_group_residual(vals, group):
     return res.max(axis=-1)
 
 
-def fourier_coefficients(values, max_mode):
-    """FFT coefficients c_k, |k| <= max_mode, of samples on the uniform grid.
+def _within_quarter(degree, grid):
+    """The quarter rule: a tail window beyond degree d needs d < grid/4."""
+    return np.asarray(degree) < grid // 4
 
-    values has grid length along axis 0.  Returns (coeffs, tail, total) where
-    coeffs has shape (2*max_mode + 1, ...) indexed by k = -max_mode..max_mode,
-    tail = sqrt(sum_{|k| > max_mode} ||c_k||_F^2) and total is the full l2 mass.
+
+def relative_tail(spectrum, degree):
+    """Relative l2 mass of an FFT spectrum outside the modes |k| <= degree, one degree per entry.
+
+    spectrum has the axes of degree first (none for one loop), then the mode
+    axis in FFT order, then the value axes, over which a mode's mass is
+    summed.  Each degree must keep the quarter rule; the zero loop has residual 0.
     """
-    arr = np.asarray(values, dtype=complex)
-    n_s = arr.shape[0]
-    if max_mode >= n_s // 2:
-        raise ValueError(f"mode bound {max_mode} too large for grid {n_s}")
-    spectrum = np.fft.fft(arr, axis=0) / n_s
-    # FFT order: modes 0..max_mode lead, -max_mode..-1 close, the tail lies between
-    mass2 = np.sum(spectrum.real**2 + spectrum.imag**2, axis=tuple(range(1, arr.ndim)))
-    tail = float(np.sqrt(np.sum(mass2[max_mode + 1 : n_s - max_mode])))
-    total = float(np.sqrt(np.sum(mass2)))
-    window = np.concatenate([spectrum[n_s - max_mode :], spectrum[: max_mode + 1]])
-    return window, tail, total
+    degree = np.asarray(degree)
+    grid = spectrum.shape[degree.ndim]
+    if not np.all(_within_quarter(degree, grid)):
+        raise ValueError(f"degree {degree.max()} must be < grid/4 = {grid // 4}")
+    mass2 = np.sum(spectrum.real**2 + spectrum.imag**2, axis=tuple(range(degree.ndim + 1, spectrum.ndim)))
+    outside = np.abs(np.fft.fftfreq(grid, 1.0 / grid)) > degree[..., None]
+    total = np.sqrt(np.sum(mass2, axis=-1))
+    return np.sqrt(np.sum(mass2 * outside, axis=-1)) / np.where(total > 0, total, 1.0)
 
 
 def fourier_project(s, max_mode):
     """Project a sampled matrix loop onto modes |k| <= max_mode.
 
-    Returns (MatrixLoop, residual), residual the relative l2 mass outside the
-    window (tail/total, as `polynomiality_residual`; 0.0 for the zero loop).
-    Exact (to round-off) for trigonometric polynomials of degree below half
-    the grid size.  Coefficients no larger than 1e-14 max(total, 1) times
-    max(1, max_mode / 16) are dropped as round-off.
+    Returns (MatrixLoop, residual), residual the `relative_tail` outside the
+    window.  Exact (to round-off) for trigonometric polynomials of degree below
+    a quarter of the grid size.  Coefficients no larger than 1e-14 max(total, 1)
+    times max(1, max_mode / 16) are dropped as round-off, total the l2 mass.
     """
-    if s.values.ndim != 3:
-        raise ValueError("fourier_project expects matrix samples")
-    window, tail, total = fourier_coefficients(s.values, max_mode)
+    spectrum = np.fft.fft(s.values, axis=0) / s.grid
+    residual = float(relative_tail(spectrum, max_mode))
+    total = float(np.linalg.norm(spectrum))
+    # FFT order: modes 0..max_mode lead, -max_mode..-1 close
+    window = np.concatenate([spectrum[s.grid - max_mode :], spectrum[: max_mode + 1]])
     # the phase error of exp(2 pi i k t) grows like k eps, so the floor grows with the window
     floor = 1e-14 * max(total, 1.0) * max(1.0, max_mode / 16)
     live = np.max(np.abs(window), axis=(1, 2)) > floor
@@ -229,15 +227,15 @@ def fourier_project(s, max_mode):
             mate = coeffs.get(-k, np.zeros_like(value))
             sym[k] = 0.5 * (value + mate.conj())
         coeffs = sym
-    return MatrixLoop(dim=s.dim, coeffs=coeffs, field=tag), (tail / total if total else 0.0)
+    return MatrixLoop(dim=s.dim, coeffs=coeffs, field=tag), residual
 
 
 def certify(path, degree):
     """Polynomiality certificate of the matrix loop t -> path(t) at the given degree.
 
     Samples path (times -> (len, n, n) values) once, on the smallest power of
-    two grid >= CERT_GRID with degree < grid/4, and returns `fourier_project`
-    of the samples: (MatrixLoop, relative residual), from one FFT.
+    two grid >= CERT_GRID that keeps the quarter rule, and returns
+    `fourier_project` of the samples: (MatrixLoop, relative residual), from one FFT.
 
     A stacked path (times -> (k, len, n, n) values) takes one degree per entry
     and returns (None, residual per entry): each entry keeps its own grid and
@@ -245,8 +243,8 @@ def certify(path, degree):
     """
     degree = np.asarray(degree)
     grids = np.full(degree.shape, CERT_GRID)
-    while np.any(degree >= grids // 4):
-        grids = np.where(degree >= grids // 4, 2 * grids, grids)
+    while not np.all(_within_quarter(degree, grids)):
+        grids = np.where(_within_quarter(degree, grids), grids, 2 * grids)
     if degree.ndim == 0:
         grid = int(grids)
         return fourier_project(SampledLoop(values=path(np.arange(grid) / grid)), int(degree))
@@ -255,24 +253,10 @@ def certify(path, degree):
         entries = grids == grid
         spectrum = path(np.arange(grid) / grid)[entries]
         np.fft.fft(spectrum, axis=1, out=spectrum)
-        spectrum /= grid
-        mass2 = np.sum(spectrum.real**2 + spectrum.imag**2, axis=(2, 3))
-        outside = np.abs(np.fft.fftfreq(grid, 1.0 / grid)) > degree[entries][:, None]
-        total = np.sqrt(np.sum(mass2, axis=1))
-        residuals[entries] = np.sqrt(np.sum(mass2 * outside, axis=1)) / np.where(total > 0, total, 1.0)
+        residuals[entries] = relative_tail(spectrum, degree[entries])
     return None, residuals
 
 
 def polynomiality_residual(s, max_mode):
-    """Relative l2 mass of a sampled loop outside modes |k| <= max_mode.
-
-    Accepts matrix- or vector-valued samples.  The bound must stay below a
-    quarter of the grid size so that the tail window is meaningful; the zero
-    loop has residual 0 by convention.
-    """
-    arr = s.values if isinstance(s, SampledLoop) else np.asarray(s, dtype=complex)
-    n_s = arr.shape[0]
-    if max_mode >= n_s // 4:
-        raise ValueError(f"mode bound {max_mode} must be < grid/4 = {n_s // 4}")
-    _, tail, total = fourier_coefficients(arr, max_mode)
-    return tail / total if total else 0.0
+    """The `relative_tail` of a sampled loop outside modes |k| <= max_mode."""
+    return float(relative_tail(np.fft.fft(s.values, axis=0), max_mode))

@@ -65,6 +65,7 @@ from .rand import (
 from .sections import (
     PathElement,
     act_group,
+    exp_pair_loop,
     fiber_certificate,
     junction_mismatch,
     path_fiber_quotient,
@@ -80,7 +81,6 @@ from .spectral import (
     central_log,
     centralizer_element,
     clustered_eig,
-    exp_pair_loop,
     exp_skew,
     log0_decompose,
     log_branch,
@@ -239,10 +239,10 @@ def _alternative_log(rng, g):
     decomp = clustered_eig(g)
     vectors = decomp.vectors.copy()
     theta = np.empty(len(decomp.values))
-    for value, cluster in zip(decomp.cluster_values, decomp.clusters):
+    for cluster in decomp.clusters:
         cols = list(cluster)
         vectors[:, cols] = vectors[:, cols] @ random_unitary(rng, len(cols))
-        theta[cols] = np.angle(value) + 2.0 * np.pi * rng.integers(-2, 3, size=len(cols))
+        theta[cols] = np.angle(decomp.cluster_values[cluster[0]]) + 2.0 * np.pi * rng.integers(-2, 3, size=len(cols))
     return (vectors * (1j * theta)[None, :]) @ vectors.conj().T
 
 

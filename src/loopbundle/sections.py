@@ -41,6 +41,7 @@ from .spectral import (
     exp_chain,
     log_branch,
     projector_basis,
+    projector_rank,
     so_log,
 )
 
@@ -178,6 +179,26 @@ def path_fiber_quotient(a, b):
     return certify(lambda ts: np.linalg.solve(laurent_eval(a.loop, ts), _chain_values(chain, b.loop, ts)), degree)
 
 
+def exp_pair_loop(xi_1, xi_2, degree=None):
+    """Fourier data of the loop t -> exp(-t xi_1) exp(t xi_2).
+
+    The two skew matrices must exponentiate to the same group element (checked
+    to 1e-9); the resulting loop is then a trigonometric polynomial whose
+    degree is bounded by the sum of the spectral radii over 2 pi.  Returns
+    `laurent.certify` of the loop at the given degree, by default that bound
+    plus CERT_GUARD (`_degree`): (MatrixLoop, relative residual).
+    """
+    a = SkewSpectrum(xi_1)
+    b = SkewSpectrum(xi_2)
+    if a.u.shape != b.u.shape:
+        raise ValueError("shape mismatch")
+    if np.linalg.norm(a.exp(1.0) - b.exp(1.0)) > 1e-9:
+        raise ValueError("exp(xi_1) != exp(xi_2); the pair does not define a loop")
+    if degree is None:
+        degree = _degree(a.radius + b.radius, [])
+    return certify(lambda ts: exp_chain([-a, b], ts), degree)
+
+
 def _smoothstep(x):
     """C-infinity step: 0 for x <= 0.05, 1 for x >= 0.95."""
     x = np.asarray(x, dtype=float)
@@ -296,14 +317,9 @@ def so_spectral_split(h, r):
     if np.max(np.abs(low.imag)) > 1e-9:
         raise ValueError("low projector failed to be real")
     low = low.real
-    if np.any(_rank(low) % 2 != 0):
+    if np.any(projector_rank(low) % 2 != 0):
         raise ValueError("low block has odd rank; input is not special orthogonal")
     return low, np.eye(arr.shape[-1]) - low
-
-
-def _rank(proj):
-    """Rank of each projector of a stack: its rounded trace."""
-    return np.rint(np.trace(proj, axis1=-2, axis2=-1)).astype(int)
 
 
 def so_section(r, g, h):
@@ -318,8 +334,8 @@ def so_section(r, g, h):
     h = np.asarray(h, dtype=float)
     low_g, _ = so_spectral_split(g, r)
     low_h, _ = so_spectral_split(h, r)
-    rank_g = _rank(low_g)
-    mismatch = rank_g != _rank(low_h)
+    rank_g = projector_rank(low_g)
+    mismatch = rank_g != projector_rank(low_h)
     if np.any(mismatch):
         raise ChartError("low-block ranks differ; h is outside the chart of g", mismatch)
     n = g.shape[-1]

@@ -11,8 +11,6 @@ that spectral projectors stay stable under degeneracy.  On top of it sit
   with every matrix commuting with g, in particular with every other log;
 * exponentials of skew matrices, batched one-parameter paths exp(t xi) and
   batched products exp(t xi_1) ... exp(t xi_m), all one spectral chain;
-* the loop pairing: two skew logs of the same group element produce the loop
-  t -> exp(-t xi_1) exp(t xi_2), which is always a trigonometric polynomial;
 * unitary structures J_xi of real skew matrices (the +i/-i splitting by the
   sign of the spectrum) and the decomposition of a special orthogonal g with
   1 not in its spectrum as g = exp(xi) with log_0(-g) = xi - pi J_xi.
@@ -26,8 +24,6 @@ tolerances and chart test: a single matrix is the case without the stack axis.
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-
-from .laurent import CERT_GUARD, certify
 
 CLUSTER_TOL = 1e-7
 SKEW_TOL = 1e-10
@@ -86,9 +82,8 @@ class EigenDecomp:
     """Orthonormal eigendecomposition with eigenvalues grouped into clusters.
 
     labels[i] is the cluster of eigenvalue i, clusters numbered by first member.
-    Spectral functions f(g) = sum_c f_c P_c are one `compose` of per-cluster values.
-    On a stack every field has the stack axis first and the per-cluster values of
-    an entry with fewer clusters than the most in the stack are padded with 1.
+    Spectral functions f(g) = sum_c f_c P_c are one `compose` of one value per
+    eigenvalue, constant on each cluster.  On a stack every field has the stack axis first.
     """
 
     values: np.ndarray = dataclass_field(repr=False)
@@ -106,30 +101,19 @@ class EigenDecomp:
 
     @property
     def cluster_values(self):
-        """One eigenvalue per cluster: its mean, renormalised to |value| = 1 (unitary input).
+        """The unit mean of each eigenvalue's cluster (unitary input), with the shape of values.
 
-        Summed in index order, as `np.mean` sums clusters of up to three eigenvalues;
-        on a stack each entry's labels are offset by n times its index into one bincount.
+        The members are summed in index order (a cumsum, started at 0.0), as `np.mean`
+        sums clusters of up to three eigenvalues; `np.sum` pairs terms from four on.
         """
-        size = self.labels.size
-        slots = _slots(self.labels, self.labels.shape[-1]).ravel()
-        sums = np.bincount(slots, self.values.real.ravel(), size) + 1j * np.bincount(slots, self.values.imag.ravel(), size)
-        count = np.bincount(slots, minlength=size)
-        means = ((sums + (count == 0)) / np.maximum(count, 1)).reshape(self.labels.shape)[..., : self.labels.max() + 1]
+        same = self.labels[..., :, None] == self.labels[..., None, :]
+        sums = 0.0 + np.cumsum(np.where(same, self.values[..., None, :], 0.0), axis=-1)[..., -1]
+        means = sums / np.count_nonzero(same, axis=-1)
         return means / np.abs(means)
 
-    def compose(self, per_cluster):
-        """V diag(f) V* with f constant on each cluster, i.e. sum_c f_c P_c."""
-        per_cluster = np.asarray(per_cluster, dtype=complex)
-        diag = per_cluster.reshape(-1)[_slots(self.labels, per_cluster.shape[-1])]
-        return (self.vectors * diag[..., None, :]) @ _adjoint(self.vectors)
-
-
-def _slots(index, width):
-    """Flat positions of index[..., i] in a (..., width) array: index plus width times the entry's number."""
-    if index.ndim == 1:
-        return index
-    return index + width * np.arange(index.shape[0])[:, None]
+    def compose(self, values):
+        """V diag(f) V* with f one value per eigenvalue, constant on each cluster: sum_c f_c P_c."""
+        return (self.vectors * np.asarray(values, dtype=complex)[..., None, :]) @ _adjoint(self.vectors)
 
 
 def _cluster_labels(values):
@@ -143,7 +127,7 @@ def _cluster_labels(values):
     for _ in range((n - 1).bit_length()):
         reach = reach @ reach
     first = np.argmax(reach, axis=-1)
-    return (np.cumsum(first == np.arange(n), axis=-1) - 1).reshape(-1)[_slots(first, n)]
+    return np.take_along_axis(np.cumsum(first == np.arange(n), axis=-1) - 1, first, axis=-1)
 
 
 def clustered_eig(g):
@@ -257,6 +241,11 @@ def central_log(g):
     return decomp.compose(1j * theta)
 
 
+def projector_rank(proj):
+    """Rank of each projector of a stack: its rounded trace."""
+    return np.rint(np.trace(proj, axis1=-2, axis2=-1).real).astype(int)
+
+
 def projector_basis(proj):
     """Orthonormal basis of the range of a projector: Gram-Schmidt of P e_1, P e_2, ...
 
@@ -268,7 +257,7 @@ def projector_basis(proj):
     entry keeping the columns of its own pass.
     """
     n = proj.shape[-1]
-    ranks = np.rint(np.trace(proj, axis1=-2, axis2=-1).real).astype(int)
+    ranks = projector_rank(proj)
     rank = int(ranks.flat[0])
     if np.any(ranks != rank):
         raise ValueError("a stack of projectors must share one rank")
@@ -304,40 +293,20 @@ def block_structure(columns):
     return j
 
 
-def exp_pair_loop(xi_1, xi_2, degree=None):
-    """Fourier data of the loop t -> exp(-t xi_1) exp(t xi_2).
-
-    The two skew matrices must exponentiate to the same group element (checked
-    to 1e-9); the resulting loop is then a trigonometric polynomial whose
-    degree is bounded by the sum of the spectral radii over 2 pi.  Returns
-    `laurent.certify` of the loop at the given degree, by default that bound
-    plus CERT_GUARD: (MatrixLoop, relative residual).
-    """
-    a = SkewSpectrum(xi_1)
-    b = SkewSpectrum(xi_2)
-    if a.u.shape != b.u.shape:
-        raise ValueError("shape mismatch")
-    if np.linalg.norm(a.exp(1.0) - b.exp(1.0)) > 1e-9:
-        raise ValueError("exp(xi_1) != exp(xi_2); the pair does not define a loop")
-    if degree is None:
-        degree = int(np.ceil((a.radius + b.radius) / (2.0 * np.pi))) + CERT_GUARD
-    return certify(lambda ts: exp_chain([-a, b], ts), degree)
-
-
 def torus_path_factor(g, angles):
     """Skew generator of a path inside the centre of the centraliser of g.
 
-    Given one angle per eigenvalue cluster of g, returns xi = sum_c i angle_c P_c
-    built from g's spectral projections.  The path exp(t xi) then commutes
-    with g and with everything commuting with g for every t, and reaches the
-    centre element sum_c e^{i angle_c} P_c at t = 1.
+    Given one angle per eigenvalue cluster of g, in label order, returns
+    xi = sum_c i angle_c P_c built from g's spectral projections.  The path
+    exp(t xi) then commutes with g and with everything commuting with g for
+    every t, and reaches the centre element sum_c e^{i angle_c} P_c at t = 1.
     """
     arr = check_unitary(g)
     decomp = clustered_eig(arr)
     angles = np.asarray(angles, dtype=float)
     if angles.size != len(decomp.clusters):
         raise ValueError("need exactly one angle per eigenvalue cluster")
-    return decomp.compose(1j * angles)
+    return decomp.compose(1j * angles[decomp.labels])
 
 
 def centralizer_element(g, rng):

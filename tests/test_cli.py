@@ -94,7 +94,7 @@ REPARAM_RECORDS = {"reparam-rotation-preserves", "reparam-generic-breaks", "repa
 def test_a_runner_that_raises_fails_its_records_and_the_batch_goes_on(monkeypatch, tmp_path, capsys):
     def drift_free(model, loop, data):
         # the core without its e^{-2 pi i s_j t} drift, in every basis and in the direct sum's:
-        # reparam_actions then raises on a section's degree
+        # reparam_actions then raises on a section's degree (the quarter rule of laurent.relative_tail)
         return cli.geo._transport_samples(model, loop, 0.0, np.arange(loop.grid) / loop.grid, data.frame)
 
     others = [name for name in cli.props.property_names() if name not in READS_A_BASIS]
@@ -114,7 +114,7 @@ def test_a_runner_that_raises_fails_its_records_and_the_batch_goes_on(monkeypatc
     for name in REPARAM_RECORDS:
         rec = records[name]
         assert rec["observed"] is None and rec["passed"] is False
-        assert rec["error"].startswith("ValueError: section degree")
+        assert rec["error"].startswith("ValueError: degree ") and " must be < grid/4 = " in rec["error"]
         assert f"FAIL {name}: raised {rec['error']}" in lines
     failed = {name for name, rec in records.items() if not rec["passed"]}
     assert failed == REPARAM_RECORDS | {"dhat-eigenvalue-residual", "condiff-generic"}
@@ -344,6 +344,26 @@ def test_out_into_missing_directory_is_config_error(tmp_path, capsys, argv):
 
 def test_out_naming_a_directory_is_config_error(tmp_path):
     assert cli.main(["section", "--dim", "2", "--trials", "2", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, sibling",
+    [
+        (["verify", "--trials", "1"], "r-hs.csv"),
+        (["holonomy", "--grid", "64", "--modes", "1"], "r-spectra.csv"),
+    ],
+)
+def test_out_whose_sibling_csv_is_a_directory_is_config_error(tmp_path, capsys, monkeypatch, argv, sibling):
+    """The CSV beside the JSON is checked before any work runs: one config error line, exit 2, no report."""
+    (tmp_path / sibling).mkdir()
+    out = tmp_path / "r.json"
+    monkeypatch.setattr(cli.props, "run_properties", lambda *args, **kwargs: pytest.fail("verify ran"))
+    monkeypatch.setattr(cli.geo, "monodromy", lambda *args, **kwargs: pytest.fail("holonomy ran"))
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("config error: ") and sibling in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -36,6 +36,7 @@ from loopbundle import (
 import loopbundle.holonomy as geo
 from loopbundle import properties
 from loopbundle.holonomy import covariant_derivative, holonomy, trig_interpolate
+from loopbundle.laurent import relative_tail
 from loopbundle.spectral import SkewSpectrum
 
 TRANSPORT_TOL = 1e-8
@@ -816,6 +817,24 @@ def test_generic_reparam_breaks_polynomial_basis():
     assert report["standard_residuals"].min() > 1e-3
     # the transport action still carries the basis along exactly
     assert monodromy(model, loop.with_reparam(rep)).periodicity_residual() < 1e-8
+
+
+@pytest.mark.parametrize("kind", ["sphere", "su2"])
+def test_each_reparam_residual_is_the_shared_tail_of_its_pulled_section(kind):
+    """Residual s is `relative_tail` of e^{2 pi i p sigma} c_j o sigma at degree s, bit for bit, one section at a time."""
+    rep = Reparam("sine", shift=0.2, amplitude=0.08)
+    model, loop = sphere_model(np.pi / 3, grid=256) if kind == "sphere" else su2_model(direction=(1.0, 2.0, 2.0), grid=256)
+    basis = eigen_sections(model, loop, monodromy(model, loop), 3)
+    report = reparam_actions(basis, rep)
+    sig = np.mod(rep.sigma(np.arange(basis.grid) / basis.grid), 1.0)
+    pulled_core = trig_interpolate(np.moveaxis(basis.core, 2, 0), sig)  # (t, j, k)
+    modes, cores = basis.rows()
+    phases = np.exp(2j * np.pi * np.outer(modes, sig))  # one batch, as np.exp may round a lone row differently
+    assert report["standard_residuals"].min() > 1e-3  # every section has a tail to read
+    for index, j in enumerate(cores):
+        section = phases[index][:, None] * pulled_core[:, j, :]
+        tail = relative_tail(np.fft.fft(section, axis=0), report["degrees"][index])
+        assert report["standard_residuals"][index] == tail
 
 
 def test_reparam_actions_computes_no_transport(monkeypatch):

@@ -8,7 +8,6 @@ from loopbundle import (
     MatrixLoop,
     SampledLoop,
     certify,
-    fourier_coefficients,
     fourier_project,
     group_residual,
     identity_loop,
@@ -17,7 +16,7 @@ from loopbundle import (
     polynomiality_residual,
     sample_loop,
 )
-from loopbundle.laurent import CERT_GRID
+from loopbundle.laurent import CERT_GRID, relative_tail
 
 GRID = 1024
 EXACT_TOL = 1e-12
@@ -184,16 +183,25 @@ def test_fourier_project_rejects_aliasing_degree():
         fourier_project(s, 32)
 
 
+def _fft_tail(values, max_mode):
+    """Oracle: (tail, total) l2 masses of the normalised FFT, the tail sliced out of FFT order."""
+    spectrum = np.fft.fft(values, axis=0) / values.shape[0]
+    mass2 = np.abs(spectrum.reshape(values.shape[0], -1)) ** 2
+    return np.sqrt(mass2[max_mode + 1 : values.shape[0] - max_mode].sum()), np.sqrt(mass2.sum())
+
+
 def test_fourier_project_residual_is_the_relative_tail():
     rng = np.random.default_rng(19)
     ts = np.arange(GRID) / GRID
     weights = 3.0 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     s = SampledLoop(values=np.exp(0.2 * np.sin(2 * np.pi * ts))[:, None, None] * weights)
-    _, tail, total = fourier_coefficients(s.values, 2)
+    tail, total = _fft_tail(s.values, 2)
     assert total > 2.0  # the absolute and relative tails differ
     for max_mode in (2, 4):
-        assert fourier_project(s, max_mode)[1] == polynomiality_residual(s, max_mode)
-    assert fourier_project(s, 2)[1] == tail / total
+        residual = fourier_project(s, max_mode)[1]
+        assert residual == polynomiality_residual(s, max_mode)
+        assert residual == relative_tail(np.fft.fft(s.values, axis=0), max_mode)
+    assert fourier_project(s, 2)[1] == pytest.approx(tail / total, rel=4 * np.finfo(float).eps, abs=0.0)
     assert fourier_project(SampledLoop(values=np.zeros((GRID, 2, 2))), 2)[1] == 0.0
 
 
@@ -224,6 +232,27 @@ def test_certify_samples_once_on_the_quarter_rule_grid(degree, grid):
     assert abs(loop.coeff(degree)[0, 0] - 1.0) < 1e-12
 
 
+def test_stacked_certify_is_the_single_path_certify_entry_by_entry():
+    """A stack over grids 64 and 128 reads the single-path certificate's tail, entry for entry, bit for bit."""
+    rng = np.random.default_rng(44)
+    exponents = np.array([3.0, 3.3, 17.0, 24.6, 2.5])
+    degrees = np.array([5, 5, 20, 28, 15])  # grids 64, 64, 128, 128, 64
+    weights = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+    grids = []
+
+    def stacked(ts):
+        grids.append(len(ts))
+        return np.exp(2j * np.pi * exponents[:, None] * ts)[:, :, None, None] * weights[:, None]
+
+    _, residuals = certify(stacked, degrees)
+    assert grids == [64, 128]
+    assert residuals[0] < 1e-12 and residuals[2] < 1e-12 and min(residuals[[1, 3, 4]]) > 1e-4
+    for i, degree in enumerate(degrees):
+        _, single = certify(lambda ts: stacked(ts)[i], degree)
+        assert residuals[i] == single
+    assert grids[2:] == [64, 64, 128, 128, 64]
+
+
 @pytest.mark.parametrize("offset", [1e-3, 0.5])
 def test_certify_detects_a_non_integer_exponent_on_its_floor_grid(offset):
     """e^{2 pi i (3 + a) t} is no trigonometric polynomial; the CERT_GRID certificate reads its tail."""
@@ -238,7 +267,7 @@ def test_slow_tail_matches_bessel_expansion():
     """exp(0.2 sin 2pi t) has |c_k| = I_k(0.2); both tail routes must agree."""
     ts = np.arange(GRID) / GRID
     s = SampledLoop(values=np.exp(0.2 * np.sin(2 * np.pi * ts))[:, None, None])
-    _, tail, _ = fourier_coefficients(s.values, 2)
+    tail, _ = _fft_tail(s.values, 2)
     assert tail == pytest.approx(SLOW_TAIL_ABS_N2, rel=1e-6)
     rel2 = polynomiality_residual(s, 2)
     rel4 = polynomiality_residual(s, 4)

@@ -125,9 +125,12 @@ def test_cluster_labels_match_union_find_on_unitaries():
 
 
 def _looped_cluster_values(decomp):
-    """Oracle: the per-cluster mean, one np.mean per cluster."""
-    means = np.array([np.mean(decomp.values[list(c)]) for c in decomp.clusters])
-    return means / np.abs(means)
+    """Oracle: the cluster mean of each eigenvalue, one np.mean per cluster."""
+    out = np.empty(len(decomp.values), dtype=complex)
+    for cluster in decomp.clusters:
+        mean = np.mean(decomp.values[list(cluster)])
+        out[list(cluster)] = mean / np.abs(mean)
+    return out
 
 
 def _looped_compose(decomp, per_cluster):
@@ -147,8 +150,9 @@ def test_compose_and_cluster_values_equal_the_per_cluster_loops():
     for g in inputs:
         decomp = clustered_eig(g)
         assert decomp.cluster_values.tobytes() == _looped_cluster_values(decomp).tobytes()
-        for per_cluster in (1j * np.angle(decomp.cluster_values), rng.standard_normal(len(decomp.clusters))):
-            assert decomp.compose(per_cluster).tobytes() == _looped_compose(decomp, per_cluster).tobytes()
+        first = [cluster[0] for cluster in decomp.clusters]
+        for per_cluster in (1j * np.angle(decomp.cluster_values[first]), rng.standard_normal(len(decomp.clusters))):
+            assert decomp.compose(per_cluster[decomp.labels]).tobytes() == _looped_compose(decomp, per_cluster).tobytes()
 
 
 def test_cluster_values_of_large_clusters_agree_with_the_mean_to_round_off():
@@ -225,14 +229,13 @@ def test_stacked_clustered_eig_is_the_per_entry_decomposition():
         assert np.array_equal(decomp.values[i], single.values)
         assert np.array_equal(decomp.vectors[i], single.vectors)
         assert np.array_equal(decomp.labels[i], single.labels)
-        count = len(single.clusters)
-        # a bincount without a per-entry offset would pool the clusters of all entries
-        assert np.array_equal(decomp.cluster_values[i, :count], single.cluster_values)
-        assert np.all(decomp.cluster_values[i, count:] == 1.0)
-        per_cluster = np.arange(1.0, decomp.cluster_values.shape[1] + 1)
-        stacked = decomp.compose(np.broadcast_to(per_cluster, decomp.cluster_values.shape))
-        assert np.array_equal(stacked[i], single.compose(per_cluster[:count]))
-        counts.append(count)
+        # a mean over the whole stack would pool the clusters of all entries
+        assert np.array_equal(decomp.cluster_values[i], single.cluster_values)
+        per_cluster = np.arange(1.0, decomp.labels.max() + 2)
+        stacked = decomp.compose(per_cluster[decomp.labels])
+        assert np.array_equal(stacked[i], single.compose(per_cluster[single.labels]))
+        counts.append(len(single.clusters))
+    assert decomp.cluster_values.shape == decomp.values.shape
     assert counts == [1, 1, 2, 3]
 
 
