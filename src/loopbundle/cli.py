@@ -79,6 +79,12 @@ def _positive(value, key):
         raise ConfigError(f"--{key} must be a positive integer, not {value}")
 
 
+def _non_negative(value, key):
+    """Reject a negative seed, which no generator seed sequence takes."""
+    if value < 0:
+        raise ConfigError(f"--{key} must be a non-negative integer, not {value}")
+
+
 def _finite(value, key):
     """Reject nan and infinite values, which float() accepts; unset (None) values pass."""
     if value is not None and not np.isfinite(value):
@@ -110,7 +116,7 @@ def _parse_winding(text):
 # type converts the text of a flag or config value; check(value, key) raises ConfigError
 Flag = collections.namedtuple("Flag", "type default help check", defaults=(None,))
 
-SEED = Flag(int, 0, "root seed of every random draw")
+SEED = Flag(int, 0, "root seed of every random draw, >= 0", _non_negative)
 OUT = Flag(str, None, "write a JSON report here (verify and holonomy add a CSV beside it)", _output_path)
 TOLERANCES = {f"tol.{name}": Flag(float, None, argparse.SUPPRESS, _finite) for name in props.property_names()}
 TOL_HELP = "; --tol.<name> X overrides one property's threshold"

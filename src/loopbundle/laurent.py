@@ -168,16 +168,29 @@ def group_residual(a, group, samples=256):
     return float(sampled_group_residual(laurent_eval(a, np.arange(samples) / samples), group))
 
 
-def sampled_group_residual(vals, group):
-    """The `group_residual` measure over given samples vals of shape ([k,] samples, n, n), one per entry."""
+def group_defects(vals, group):
+    """Per-sample distances of vals ([k,] samples, n, n) from the group, by kind, in summation order.
+
+    "unitary" is the Frobenius norm of v* v - I; SU and SO add "det", |det v - 1|;
+    SO adds "real", the Frobenius norm of the imaginary part.  Each determinant
+    is taken once, so a caller that also reports the determinant reads it here.
+    """
     gram = vals.conj().swapaxes(-1, -2) @ vals
     gram -= np.eye(vals.shape[-1])
-    res = np.sqrt(np.sum(np.square(np.abs(gram)), axis=(-2, -1)))
+    defects = {"unitary": np.sqrt(np.sum(np.square(np.abs(gram)), axis=(-2, -1)))}
     if group in ("SU", "SO"):
-        res = res + np.abs(np.linalg.det(vals) - 1.0)
+        defects["det"] = np.abs(np.linalg.det(vals) - 1.0)
     if group == "SO":
-        res = res + np.linalg.norm(vals.imag, axis=(-2, -1))
-    return res.max(axis=-1)
+        defects["real"] = np.linalg.norm(vals.imag, axis=(-2, -1))
+    return defects
+
+
+def sampled_group_residual(vals, group):
+    """The `group_residual` measure over given samples vals of shape ([k,] samples, n, n), one per entry.
+
+    The sum of the `group_defects` of each sample, maximised over the samples.
+    """
+    return sum(group_defects(vals, group).values()).max(axis=-1)
 
 
 def _within_quarter(degree, grid):

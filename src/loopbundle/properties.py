@@ -32,12 +32,12 @@ from .laurent import (
     MatrixLoop,
     SampledLoop,
     fourier_project,
+    group_defects,
     group_residual,
     laurent_eval,
     laurent_mul,
     polynomiality_residual,
     sample_loop,
-    sampled_group_residual,
 )
 from .modes import (
     LoopVector,
@@ -56,11 +56,14 @@ from .modes import (
     trivial_shift_data,
 )
 from .rand import (
+    gaussian,
+    haar_special_orthogonal,
+    haar_unitary,
     random_skew,
     random_special_orthogonal,
-    random_special_unitary,
-    random_unit_vector,
     random_unitary,
+    skew_part,
+    unit_vectors,
 )
 from .sections import (
     PathElement,
@@ -95,7 +98,7 @@ _COMPARATORS = {"<": operator.lt, "<=": operator.le, ">": operator.gt}
 
 SECTION_THRESHOLDS = {"endpoint": 1e-9, "group": 1e-9, "poly": 1e-8, "det": 1e-10}
 # entries x dim^2 of one stack of section trials (see sweep_sections)
-SECTION_STACK = 128
+SECTION_STACK = 256
 # the sweep report key of the worst value each section threshold bounds
 SECTION_MAXIMA = {
     "endpoint": "max_endpoint_err",
@@ -155,8 +158,15 @@ def property_names():
 
 
 def child_rng(seed, name):
-    """Deterministic per-property generator: f(global seed, property name)."""
-    return np.random.default_rng((int(seed) % (2**32), zlib.crc32(name.encode("ascii"))))
+    """Deterministic per-property generator: f(global seed, property name).
+
+    The seed enters whole, with no reduction mod 2**32, so a seed of 2**32 or
+    more does not alias a smaller one; a negative seed raises ValueError.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, not {seed}")
+    return np.random.default_rng((seed, zlib.crc32(name.encode("ascii"))))
 
 
 def run_properties(names, seed=0, trials=None, thresholds=None):
@@ -740,45 +750,33 @@ def sweep_sections(group, dims, trials, rng, r=0.0):
     """Randomized section sweep; returns the CLI-facing report dictionary.
 
     r is the branch height for U/SU sections and the eigenvalue-real-part split
-    abscissa for SO.  Every trial's inputs are drawn first, in trial order, so
-    the generator stream does not depend on any outcome.  The trials of one
-    dimension n then run as stacks (`_section_stack`) of at most
-    SECTION_STACK / n^2 entries: a stack sampled at 128 times then holds at most
-    128 SECTION_STACK complex numbers, and larger stacks raise the peak
-    memory more than they save time.  Chart rejections are counted; every
-    other error propagates.  Failures are reported in trial order.
+    abscissa for SO.  Every trial's raw normals are drawn first, in trial
+    order, so the generator stream does not depend on any outcome; each
+    dimension's draws are then factorised in one stacked call
+    (`_section_inputs`).  The trials of one dimension n run as stacks
+    (`_section_stack`) of at most SECTION_STACK / n^2 entries: a stack sampled
+    at 128 times then holds at most 128 SECTION_STACK complex numbers, and
+    larger stacks raise the peak memory more than they save time.  Chart
+    rejections are counted; every other error propagates.  Failures are
+    reported in trial order.
     """
     if group not in ("U", "SU", "SO"):
         raise ValueError(f"unknown group {group!r}")
     branch = np.angle(np.exp(1j * r))  # only e^{i r} sets the cut; keeps the log bounded
     dims = [int(d) for d in (dims if np.iterable(dims) else [dims])]
     trial_dims = [dims[trial % len(dims)] for trial in range(int(trials))]
-
-    def draw(trial, dim):
-        if group == "U":
-            return (random_unitary(rng, dim),)
-        if group == "SU":
-            return random_special_unitary(rng, dim), random_unit_vector(rng, dim)
-        g = random_special_orthogonal(rng, dim)
-        if trial % 5 == 0:
-            return g, g
-        q = exp_skew(random_skew(rng, dim, real=True, scale=0.12)).real
-        return g, q @ g @ q.T
-
     construct = {
         "U": lambda target: un_section(1j * branch, target),
         "SU": lambda target, v: su_section(1j * branch, target, v),
         "SO": lambda g, target: so_section(r, g, target),
     }[group]
-    draws = [draw(trial, dim) for trial, dim in enumerate(trial_dims)]
     rejections = 0
     records = {}
-    for dim in sorted(set(trial_dims)):
-        same_dim = [trial for trial, d in enumerate(trial_dims) if d == dim]
+    for dim, (same_dim, inputs) in _section_inputs(group, trial_dims, rng).items():
         step = max(1, SECTION_STACK // dim**2)
         for start in range(0, len(same_dim), step):
-            ids = np.array(same_dim[start : start + step])
-            keep, observed = _section_stack(group, construct, [np.stack(x) for x in zip(*(draws[t] for t in ids))])
+            ids = same_dim[start : start + step]
+            keep, observed = _section_stack(group, construct, [x[start : start + step] for x in inputs])
             rejections += int(np.count_nonzero(~keep))
             for i, trial in enumerate(ids[keep].tolist()):
                 records[trial] = {"trial": trial, "dim": dim, **{k: float(v[i]) for k, v in observed.items()}}
@@ -802,11 +800,51 @@ def sweep_sections(group, dims, trials, rng, r=0.0):
     }
 
 
+def _section_inputs(group, trial_dims, rng):
+    """The constructor inputs of every trial: {dim: (its trials, inputs stacked over them)}, dims ascending.
+
+    Each trial draws its raw normals in trial order (SU adds the twist vector;
+    SO, unless trial % 5 == 0, a perturbation generator, and its target is
+    q g q^T with q = exp of that generator's skew part).  Each dimension's
+    draws then take one stacked factorisation: entry by entry the `rand`
+    helpers and `exp_skew` per trial, bit for bit but for SU(1), whose
+    column fix numpy rounds differently in a contiguous run.
+    """
+    raw = []
+    for trial, dim in enumerate(trial_dims):
+        square = (dim, dim)
+        if group == "SO":
+            raw.append((gaussian(rng, square, real=True), gaussian(rng, square, real=True) if trial % 5 else None))
+        else:
+            raw.append((gaussian(rng, square), gaussian(rng, dim) if group == "SU" else None))
+    inputs = {}
+    for dim in sorted(set(trial_dims)):
+        ids = np.array([trial for trial, d in enumerate(trial_dims) if d == dim])
+        first = np.stack([raw[trial][0] for trial in ids])
+        second = [raw[trial][1] for trial in ids]
+        if group == "U":
+            inputs[dim] = ids, (haar_unitary(first),)
+        elif group == "SU":
+            inputs[dim] = ids, (haar_unitary(first, special=True), unit_vectors(np.stack(second)))
+        else:
+            g = haar_special_orthogonal(first)
+            target = g.copy()
+            moved = np.array([a is not None for a in second])
+            if moved.any():
+                xi = skew_part(np.stack([a for a in second if a is not None]), scale=0.12)
+                q = SkewSpectrum(xi).exp(1.0)[:, 0].real
+                target[moved] = q @ g[moved] @ q.swapaxes(-1, -2)
+            inputs[dim] = ids, (g, target)
+    return inputs
+
+
 def _section_stack(group, construct, inputs):
     """Build and measure the sections of one stack of trial inputs: (kept entries, record -> value per kept entry).
 
     A `ChartError` drops the entries its mask marks (all of them if it has no
-    mask) and the constructor reruns on the rest.
+    mask) and the constructor reruns on the rest.  The group defects of the
+    samples are taken once: SU's det record reads the determinants that its
+    group residual sums.
     """
     keep = np.ones(len(inputs[0]), dtype=bool)
     while keep.any():
@@ -818,15 +856,15 @@ def _section_stack(group, construct, inputs):
             keep[np.flatnonzero(keep)[at_chart]] = False
     else:
         return keep, {}
-    vals = element.eval(np.arange(128) / 128)
+    defects = group_defects(element.eval(np.arange(128) / 128), group)
     target = inputs[1 if group == "SO" else 0][keep]
     observed = {
         "endpoint": np.linalg.norm(project_path(element) - target, axis=(-2, -1)),
-        "group": sampled_group_residual(vals, group),
+        "group": sum(defects.values()).max(axis=-1),
         "poly": fiber_certificate(element)[1],
     }
     if group == "SU":
-        observed["det"] = np.max(np.abs(np.linalg.det(vals) - 1.0), axis=-1)
+        observed["det"] = defects["det"].max(axis=-1)
     return keep, observed
 
 

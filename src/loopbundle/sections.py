@@ -327,18 +327,22 @@ def so_section(r, g, h):
 
     The unitary structure on the low block of h is the polar transport of the
     canonical block structure on the low block of g; the path is
-    exp(t log_0(eps(h))) exp(t pi J_h) with eps(h) = h exp(-pi J_h).  A
-    stack is split by low-block rank, as `projector_basis` takes one rank per stack.
+    exp(t log_0(eps(h))) exp(t pi J_h) with eps(h) = h exp(-pi J_h).  g and
+    h are split in one `so_spectral_split` call on their concatenated stack.
+    A stack is split by low-block rank, as `projector_basis` takes one rank per stack.
     """
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
-    low_g, _ = so_spectral_split(g, r)
-    low_h, _ = so_spectral_split(h, r)
+    pair = np.stack([g, h])
+    n = g.shape[-1]
+    try:
+        low_g, low_h = so_spectral_split(pair.reshape(-1, n, n), r)[0].reshape(pair.shape)
+    except ChartError as exc:
+        raise ChartError(str(exc), np.any(np.reshape(exc.mask, pair.shape[:-2]), axis=0)) from None
     rank_g = projector_rank(low_g)
     mismatch = rank_g != projector_rank(low_h)
     if np.any(mismatch):
         raise ChartError("low-block ranks differ; h is outside the chart of g", mismatch)
-    n = g.shape[-1]
     j_h = np.zeros(g.shape)
     singular = np.zeros(rank_g.shape, dtype=bool)
     for rank in sorted(set(rank_g[rank_g > 0].tolist())):

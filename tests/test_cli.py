@@ -200,6 +200,30 @@ def test_config_can_force_failure_via_tolerance(tmp_path):
     assert cli.main(["--config", str(cfg), "verify"]) == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "section", "demo"])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_negative_seed_is_config_error(tmp_path, capsys, command, where):
+    argv = [command, "counterexample"] if command == "demo" else [command]
+    if where == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        cfg = tmp_path / "negative.cfg"
+        cfg.write_text("seed=-1\n")
+        argv = ["--config", str(cfg)] + argv
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "config error: --seed must be a non-negative integer, not -1\n"
+
+
+def test_a_seed_of_two_to_the_32_is_not_seed_zero(tmp_path):
+    reports = {}
+    for seed in ("0", "4294967296"):
+        out = tmp_path / f"u-{seed}.json"
+        assert cli.main(["section", "--dim", "3", "--trials", "4", "--seed", seed, "--out", str(out)]) == 0
+        reports[seed] = read_json(out)
+    assert reports["4294967296"]["seed"] == 4294967296
+    assert reports["4294967296"]["report"] != reports["0"]["report"]
+
+
 def test_section_sweep_su(tmp_path):
     out = tmp_path / "su.json"
     code = cli.main(["section", "--group", "SU", "--dim", "2", "--trials", "10",

@@ -2,13 +2,15 @@
 
 import collections
 import dataclasses
+import zlib
 
 import numpy as np
 import pytest
 
-from loopbundle import ChartError, cli
+from loopbundle import ChartError, cli, rand, sections
 from loopbundle import properties as props
-from loopbundle import sections
+from loopbundle.laurent import sampled_group_residual
+from loopbundle.spectral import exp_skew
 
 
 # every registered record as (name, threshold, comparator), in registry order; a
@@ -154,29 +156,34 @@ def test_section_sweep_lets_non_chart_errors_through(monkeypatch):
     assert not isinstance(info.value, ChartError)
 
 
+def _draw_one_trial(group, trial, dim, rng):
+    """Oracle: one trial's constructor inputs from the one-matrix `rand` helpers and `exp_skew`."""
+    if group == "U":
+        return (rand.random_unitary(rng, dim),)
+    if group == "SU":
+        return rand.random_special_unitary(rng, dim), rand.random_unit_vector(rng, dim)
+    g = rand.random_special_orthogonal(rng, dim)
+    if trial % 5 == 0:
+        return g, g
+    q = exp_skew(rand.random_skew(rng, dim, real=True, scale=0.12)).real
+    return g, q @ g @ q.T
+
+
 def _one_trial_at_a_time(group, dims, trials, rng):
     """Oracle: the sweep's records with one draw, one constructor call and one measurement per trial (r = 0)."""
+    construct = {"U": sections.un_section, "SU": sections.su_section, "SO": sections.so_section}[group]
     records = []
     for trial in range(trials):
         dim = dims[trial % len(dims)]
+        inputs = _draw_one_trial(group, trial, dim, rng)
         try:
-            if group == "U":
-                target = props.random_unitary(rng, dim)
-                element = sections.un_section(0.0, target)
-            elif group == "SU":
-                target = props.random_special_unitary(rng, dim)
-                element = sections.su_section(0.0, target, props.random_unit_vector(rng, dim))
-            else:
-                g = target = props.random_special_orthogonal(rng, dim)
-                if trial % 5:
-                    q = props.exp_skew(props.random_skew(rng, dim, real=True, scale=0.12)).real
-                    target = q @ g @ q.T
-                element = sections.so_section(0.0, g, target)
+            element = construct(0.0, *inputs)
         except ChartError:
             continue
+        target = inputs[-1] if group == "SO" else inputs[0]
         vals = element.eval(np.arange(128) / 128)
         entry = {"trial": trial, "dim": dim, "endpoint": float(np.linalg.norm(element.projection - target))}
-        entry["group"] = float(props.sampled_group_residual(vals, group))
+        entry["group"] = float(sampled_group_residual(vals, group))
         entry["poly"] = sections.fiber_certificate(element)[1]
         if group == "SU":
             entry["det"] = float(np.max(np.abs(np.linalg.det(vals) - 1.0)))
@@ -196,7 +203,9 @@ def _assert_same_records(stacked, oracle):
 @pytest.mark.parametrize("group", ["U", "SU", "SO"])
 def test_section_sweep_reports_every_trial_in_order_like_one_trial_at_a_time(group, monkeypatch):
     monkeypatch.setattr(props, "SECTION_THRESHOLDS", dict.fromkeys(props.SECTION_THRESHOLDS, 0.0))
-    dims, trials = [2, 6, 3], 19  # dim 6 runs as several stacks of SECTION_STACK // 36 trials
+    dims = [2, 6, 3]
+    per_stack = max(1, props.SECTION_STACK // 36)
+    trials = 3 * per_stack + 2  # dim 6 gets per_stack + 1 trials, so it runs as two stacks
     report = props.sweep_sections(group, dims, trials, np.random.default_rng(7))
     oracle = _one_trial_at_a_time(group, dims, trials, np.random.default_rng(7))
     assert report["completed"] == len(oracle) == trials and report["rejections"] == 0
@@ -204,22 +213,83 @@ def test_section_sweep_reports_every_trial_in_order_like_one_trial_at_a_time(gro
     _assert_same_records(report["failures"], oracle)
 
 
+@pytest.mark.parametrize("seed", [5, 12])
+@pytest.mark.parametrize("group", ["U", "SU", "SO"])
+def test_stacked_section_draws_are_the_per_trial_draws(group, seed):
+    trial_dims = [1 + (5 * trial) % 6 for trial in range(40)]  # dims 1-6, interleaved
+    rng = np.random.default_rng(seed)
+    inputs = props._section_inputs(group, trial_dims, rng)
+    oracle_rng = np.random.default_rng(seed)
+    oracle = [_draw_one_trial(group, trial, dim, oracle_rng) for trial, dim in enumerate(trial_dims)]
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state  # the stream position is pinned
+    assert list(inputs) == sorted(set(trial_dims))
+    for dim, (ids, stacked) in inputs.items():
+        assert ids.tolist() == [trial for trial, d in enumerate(trial_dims) if d == dim]
+        for i, trial in enumerate(ids.tolist()):
+            for x, y in zip(stacked, oracle[trial], strict=True):
+                if group == "SU" and dim == 1 and x.ndim == 3:
+                    # numpy rounds a product of complex numbers differently in a contiguous
+                    # run and alone: the SU(1) column fix of a stack differs in the last bit
+                    np.testing.assert_allclose(x[i], y, rtol=0.0, atol=4 * np.finfo(float).eps)
+                else:
+                    assert np.array_equal(x[i], y) and x[i].dtype == y.dtype, (dim, trial)
+
+
+def test_an_su_stack_takes_one_determinant_of_its_samples(monkeypatch):
+    _, inputs = props._section_inputs("SU", [3] * 5, np.random.default_rng(9))[3]
+    det = np.linalg.det
+    sample_dets = []
+
+    def counted(a):
+        if np.ndim(a) == 4:
+            sample_dets.append(np.shape(a))
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
+    keep, observed = props._section_stack("SU", lambda g, v: sections.su_section(0.0, g, v), inputs)
+    assert sample_dets == [(5, 128, 3, 3)]
+    monkeypatch.undo()
+    vals = sections.su_section(0.0, *inputs).eval(np.arange(128) / 128)
+    assert keep.all()
+    assert observed["group"].tolist() == sampled_group_residual(vals, "SU").tolist()
+    assert observed["det"].tolist() == np.max(np.abs(np.linalg.det(vals) - 1.0), axis=-1).tolist()
+
+
 def test_section_sweep_rejects_exactly_the_trial_on_the_cut(monkeypatch):
-    unitary = props.random_unitary
+    factorise = rand.haar_unitary
 
-    def draw(rng, dim):
-        g = unitary(rng, dim)  # drawn for every trial, so the other trials see the same stream
-        draw.calls += 1
-        return np.diag([-1.0, 1.0]).astype(complex) if draw.calls == 3 else g
+    def draw(z, special=False):
+        u = factorise(z, special)
+        stack = u.reshape((-1,) + u.shape[-2:])  # one matrix or a stack, in trial order
+        third = 2 - draw.seen
+        if 0 <= third < len(stack):
+            stack[third] = np.diag([-1.0, 1.0])  # on the cut of the principal branch
+        draw.seen += len(stack)
+        return u
 
-    draw.calls = 0
-    monkeypatch.setattr(props, "random_unitary", draw)
+    draw.seen = 0
+    monkeypatch.setattr(props, "haar_unitary", draw)  # the sweep's stacked factorisation
+    monkeypatch.setattr(rand, "haar_unitary", draw)  # the oracle's per-trial helper
     monkeypatch.setattr(props, "SECTION_THRESHOLDS", dict.fromkeys(props.SECTION_THRESHOLDS, 0.0))
     report = props.sweep_sections("U", 2, 6, np.random.default_rng(8))
     assert (report["completed"], report["rejections"]) == (5, 1)
     assert [e["trial"] for e in report["failures"]] == [0, 1, 3, 4, 5]
-    draw.calls = 0
+    draw.seen = 0
     _assert_same_records(report["failures"], _one_trial_at_a_time("U", [2], 6, np.random.default_rng(8)))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**32 - 1])
+def test_child_rng_keeps_the_stream_of_every_32_bit_seed(seed):
+    name = "cli-section-SU"
+    kept = np.random.default_rng((seed, zlib.crc32(name.encode("ascii"))))  # the mapping these seeds always had
+    assert props.child_rng(seed, name).random(8).tolist() == kept.random(8).tolist()
+
+
+def test_child_rng_neither_aliases_a_large_seed_nor_wraps_a_negative_one():
+    name = "cli-section-U"
+    assert props.child_rng(2**32, name).random(8).tolist() != props.child_rng(0, name).random(8).tolist()
+    with pytest.raises(ValueError, match="non-negative"):
+        props.child_rng(-1, name)
 
 
 def test_alternative_log_is_a_log_commuting_with_the_central_log():

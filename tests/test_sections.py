@@ -228,6 +228,19 @@ def test_so_section_rejects_orthogonal_low_blocks():
         so_section(0.0, g, h)
 
 
+def test_a_split_on_the_abscissa_marks_its_pair_whichever_side_it_is_on():
+    on_split = np.eye(4)
+    on_split[:2, :2] = rotation(np.pi / 2)  # eigenvalues +-i, real part 0: the split abscissa
+    clean = np.eye(4)
+    clean[:2, :2] = rotation(2.5)
+    with pytest.raises(ChartError) as info:
+        so_section(0.0, np.stack([on_split, clean, clean]), np.stack([clean, on_split, clean]))
+    assert info.value.mask.tolist() == [True, True, False]
+    with pytest.raises(ChartError) as info:
+        so_section(0.0, clean, on_split)
+    assert np.ndim(info.value.mask) == 0 and bool(info.value.mask)
+
+
 def test_input_errors_are_not_chart_errors():
     with pytest.raises(ValueError) as info:
         su_section(0.0, np.diag([1.0, 1j]), np.array([1.0, 0.0]))
