@@ -105,12 +105,32 @@ def _output_path(out, key):
 
 
 def _parse_winding(text):
-    parts = str(text).split(",")
+    """One integer, or a comma list of integers as a tuple."""
     try:
-        return tuple(int(part) for part in parts)
+        parts = tuple(int(part) for part in str(text).split(","))
     except ValueError:
         # argparse prints this message; for ValueError it would print the function's name
         raise argparse.ArgumentTypeError(f"winding must be an integer or comma pair: {text!r}") from None
+    return parts[0] if len(parts) == 1 else parts
+
+
+def _torus_model(winding, grid):
+    """The torus of --winding, where one integer p means the pair (p, 0)."""
+    return geo.torus_model(winding=(winding, 0) if isinstance(winding, int) else winding, grid=grid)
+
+
+# --model name -> (constructor, {model flag it takes: its default}); a model flag not in its row is an error
+MODELS = {
+    "torus": (_torus_model, {"winding": (1, 0)}),
+    "sphere": (geo.sphere_model, {"theta": np.pi / 3, "winding": 1}),
+    "su2": (geo.su2_model, {"winding": 1}),
+}
+MODEL_FLAGS = sorted({key for _, taken in MODELS.values() for key in taken})
+
+
+def _model_name(value, key):
+    if value not in MODELS:
+        raise ConfigError(f"--{key} must be one of {', '.join(MODELS)}, not {value!r}")
 
 
 # type converts the text of a flag or config value; check(value, key) raises ConfigError
@@ -137,7 +157,7 @@ COMMANDS = {
         "out": OUT,
     }),
     "holonomy": ("monodromy, Floquet exponents and fibre basis over one loop", {
-        "model": Flag(str, "sphere", "torus, sphere or su2"),
+        "model": Flag(str, "sphere", ", ".join(MODELS), _model_name),
         "theta": Flag(float, None, "sphere colatitude in (0, pi), default pi/3; sphere only"),
         "winding": Flag(_parse_winding, None, "integer (or comma pair for the torus)"),
         "r": Flag(float, 2.0, "annulus parameter for the weighted pairing, > 1", _finite),
@@ -297,32 +317,18 @@ def cmd_section(config):
 
 
 def _build_model(config):
-    model_name = config["model"]
     grid = config["grid"]
     if grid < 1 or grid & (grid - 1):
         raise ConfigError(f"--grid must be a power of two, not {grid}")
     if 2 * config["modes"] + 1 > grid:
         raise ConfigError(f"--modes {config['modes']} needs 2 * modes + 1 <= --grid {grid}, or the basis aliases")
-    if model_name not in ("torus", "sphere", "su2"):
-        raise ConfigError(f"model must be torus, sphere or su2, not {model_name!r}")
-    theta = config["theta"]
-    if theta is not None and model_name != "sphere":
-        raise ConfigError(f"theta is the sphere's colatitude; the {model_name} model has none")
-    winding = config["winding"]
-    if model_name == "torus":
-        pair = winding if winding is not None else (1, 0)
-        if len(pair) > 2:
-            raise ConfigError(f"the torus takes one or two winding integers, not {len(pair)}")
-        if len(pair) == 1:
-            pair = (pair[0], 0)
-        return geo.torus_model(winding=tuple(pair), grid=grid)
-    if winding is not None and len(winding) != 1:
-        raise ConfigError(f"the {model_name} model takes one winding integer, not {len(winding)}")
-    w = winding[0] if winding else 1
-    if model_name == "su2":
-        return geo.su2_model(direction=(0.0, 0.0, 1.0), winding=w, grid=grid)
+    build, params = MODELS[config["model"]]
+    given = {key: config[key] for key in MODEL_FLAGS if config[key] is not None}
+    untaken = sorted(given.keys() - params.keys())
+    if untaken:
+        raise ConfigError(f"the {config['model']} model takes no --{untaken[0]}")
     try:
-        return geo.sphere_model(np.pi / 3 if theta is None else theta, winding=w, grid=grid)
+        return build(grid=grid, **{**params, **given})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -350,15 +356,10 @@ def cmd_holonomy(config):
         "cos_gram_positive": geo.cos_gram_floor(basis, r) > HOLONOMY_CHECK_THRESHOLDS["cos_gram"],
     }
     payload = {
-        "schema": 1,
+        "schema": 2,
         "command": "holonomy",
         "model": model.tag,
-        "loop": {
-            "winding": loop.winding,
-            "theta": loop.theta,
-            "direction": list(loop.direction),
-            "grid": loop.grid,
-        },
+        "loop": {"grid": loop.grid, **dict(model.params)},
         "r": r,
         "mode_bound": mode_bound,
         "holonomy": {"re": data.holonomy.real, "im": data.holonomy.imag},

@@ -13,7 +13,8 @@ a fixed orthonormal frame, so that parallel transport solves Phi' = A(t) Phi:
   generated by -(pi w) ad_X.
 
 A `ConnectionModel` is the one constant skew coefficient A0 of its unreparametrised loop (`generator`, built once
-by the constructor) and a name.  A loop carries its reparametrisation sigma(t) = shift + o t + a sin 2 pi t, o = +-1,
+by the constructor), a name, and the parameters the constructor read (`params`: winding, colatitude, direction).
+A `BaseLoop` is only a sample grid and a reparametrisation sigma(t) = shift + o t + a sin 2 pi t, o = +-1,
 or a composition of such maps (`BaseLoop.sigma`, the identity when it has none), which pulls A0 back to
 A(t) = sigma'(t) A0.  So transport is Phi(t0 -> t) = exp((sigma(t) - sigma(t0)) A0), sampled from the spectrum of
 A0 by `_transport_samples`; an RK4 integration is only the oracle of `transport_defect`.
@@ -43,6 +44,7 @@ block-diagonal in the blocks' generators.
 import numbers
 import numpy as np
 from dataclasses import dataclass
+from functools import cached_property
 
 from .laurent import CERT_GUARD, certify, laurent_eval, relative_tail
 from .spectral import SkewSpectrum, check_unitary, clustered_eig, projector_basis
@@ -111,10 +113,11 @@ class _ComposedReparam(Reparam):
 
 @dataclass(frozen=True, eq=False)
 class ConnectionModel:
-    """A connection along the model loops: the real skew generator A0 of the unreparametrised loop and its name."""
+    """A connection along the model loops: its name, the skew generator A0 of the unreparametrised loop, its params."""
 
     tag: str
     generator: np.ndarray
+    params: tuple = ()
 
     def coefficients(self, loop, ts):
         """Batched A(t) = sigma'(t) A0, the pullback of A0 by the loop's reparametrisation."""
@@ -124,24 +127,17 @@ class ConnectionModel:
 
 @dataclass(frozen=True)
 class BaseLoop:
-    """Closed-form base loop parameters, grid size and reparametrisation.
+    """A model loop as transport reads it: the sample grid and the reparametrisation (None for the identity).
 
-    Transport reads only the grid and sigma; the model's generator already holds
-    the rest.  torus: winding is an integer pair; sphere: colatitude theta in
-    (0, pi) and integer winding; SU2: a direction (3 reals) and integer winding.
-    Integer windings make gamma(t+1) = gamma(t) exact by construction.
+    The geometry (winding, colatitude, direction) is the model's: its generator holds it and its params name it.
     """
 
-    winding: object = 1
-    theta: float = np.pi / 2
-    direction: tuple = (0.0, 0.0, 1.0)
     grid: int = 4096
     reparam: object = None
 
     def with_reparam(self, rep):
-        if self.reparam is not None:
-            rep = self.reparam.compose(rep)
-        return BaseLoop(self.winding, self.theta, self.direction, self.grid, rep)
+        """The loop reparametrised by rep after its own reparametrisation: t -> self.sigma(rep.sigma(t))."""
+        return BaseLoop(self.grid, rep if self.reparam is None else self.reparam.compose(rep))
 
     def sigma(self, ts):
         """The loop's reparametrisation sigma at each t: t itself when it has none."""
@@ -160,23 +156,29 @@ def _integer_winding(winding):
 
 
 def torus_model(winding=(1, 0), grid=4096, reparam=None):
-    return ConnectionModel("flat-torus-T2", np.zeros((2, 2))), BaseLoop(winding=winding, grid=grid, reparam=reparam)
+    """The flat torus along a loop of integer winding (p, q); A0 = 0, so the winding lives only in params."""
+    if np.ndim(winding) != 1 or len(winding) != 2:
+        raise ValueError(f"the torus winding must be a pair of integers, not {winding!r}")
+    params = (("winding", tuple(map(_integer_winding, winding))),)
+    return ConnectionModel("flat-torus-T2", np.zeros((2, 2)), params), BaseLoop(grid, reparam)
 
 
 def sphere_model(theta, winding=1, grid=4096, reparam=None):
     if not 0.0 < theta < np.pi:
         raise ValueError("colatitude must lie strictly between 0 and pi")
     winding, theta = _integer_winding(winding), float(theta)
-    model = ConnectionModel("round-sphere-S2", -2.0 * np.pi * winding * np.cos(theta) * J0)
-    return model, BaseLoop(winding=winding, theta=theta, grid=grid, reparam=reparam)
+    generator = -2.0 * np.pi * winding * np.cos(theta) * J0
+    params = (("theta", theta), ("winding", winding))
+    return ConnectionModel("round-sphere-S2", generator, params), BaseLoop(grid, reparam)
 
 
 def su2_model(direction=(0.0, 0.0, 1.0), winding=1, grid=4096, reparam=None):
     winding, u = _integer_winding(winding), np.asarray(direction, dtype=float)
     if u.shape != (3,) or not 0.0 < np.linalg.norm(u) < np.inf:
         raise ValueError(f"direction must be 3 finite reals, not all zero, not {direction!r}")
-    model = ConnectionModel("group-SU2", -np.pi * winding * 2.0 * _cross_matrix(u / np.linalg.norm(u)))
-    return model, BaseLoop(winding=winding, direction=tuple(direction), grid=grid, reparam=reparam)
+    generator = -np.pi * winding * 2.0 * _cross_matrix(u / np.linalg.norm(u))
+    params = (("direction", tuple(u.tolist())), ("winding", winding))
+    return ConnectionModel("group-SU2", generator, params), BaseLoop(grid, reparam)
 
 
 def _transport_samples(model, loop, t0, ts, columns):
@@ -365,11 +367,13 @@ class FiberBasis:
         """Integer mode p and core index j of each section."""
         return _mode_index(self.mode_bound, self.core.shape[0])
 
+    @cached_property
     def gram_symbol(self):
         """The blocks F[k], |k| <= 2P, at index k + 2P: F is the FFT of c(t)^H c(t) / grid, read at bin k mod grid.
 
         The overlap c_j(t)^H c_l(t) is a sum over the fibre index k of (j, 1, t) by (1, l, t) products, each along
-        the contiguous grid axis; no per-sample n x n product is formed.
+        the contiguous grid axis; no per-sample n x n product is formed.  The blocks are built on first access and
+        kept read-only: every Gram check of the basis reads them, and none can change them for another.
         """
         conj = self.core.conj()
         overlap = conj[:, None, 0] * self.core[None, :, 0]
@@ -377,19 +381,21 @@ class FiberBasis:
             overlap += conj[:, None, k] * self.core[None, :, k]
         spectrum = np.fft.fft(overlap, axis=2)
         blocks = spectrum[:, :, np.arange(-2 * self.mode_bound, 2 * self.mode_bound + 1) % self.grid] / self.grid
-        return blocks.transpose(2, 0, 1)
+        blocks = blocks.transpose(2, 0, 1)
+        blocks.flags.writeable = False
+        return blocks
 
     def gram(self):
         """The block-Toeplitz basis Gram G[(p,j),(q,l)] = F[p - q]_{jl}."""
         modes, cores = self.rows()
         lags = modes[:, None] - modes[None, :] + 2 * self.mode_bound
-        return self.gram_symbol()[lags, cores[:, None], cores[None, :]]
+        return self.gram_symbol[lags, cores[:, None], cores[None, :]]
 
     def gram_error(self):
         """max |F[k] - delta_k I| over |k| <= 2P; every block occurs in the Gram, so this is max |G - I|."""
-        symbol = self.gram_symbol()
-        symbol[2 * self.mode_bound] -= np.eye(symbol.shape[1])
-        return float(np.max(np.abs(symbol)))
+        deviation = self.gram_symbol.copy()
+        deviation[2 * self.mode_bound] -= np.eye(deviation.shape[1])
+        return float(np.max(np.abs(deviation)))
 
     def _mode_sums(self, coefficients):
         """(t, j) = sum_p c_{p,j} e^{2 pi i p t} on the grid, from one inverse FFT."""
@@ -587,8 +593,8 @@ def cos_gram_floor(basis, r):
     For a unitary transport with an orthonormal frame the cut F[0] is diagonal, so every block scales to I and the
     floor is 1 to round-off whatever r is; only a repeated or mode-coupling core moves it.
     """
-    symbol = basis.gram_symbol()
-    symbol[np.abs(symbol) <= TRIG_FLOOR * np.abs(symbol).max(axis=(0, 1))] = 0.0
+    symbol = basis.gram_symbol
+    symbol = np.where(np.abs(symbol) <= TRIG_FLOOR * np.abs(symbol).max(axis=(0, 1)), 0.0, symbol)
     centre = 2 * basis.mode_bound
     if np.any(symbol[:centre]) or np.any(symbol[centre + 1 :]):
         return -1.0

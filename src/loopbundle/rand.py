@@ -67,10 +67,6 @@ def random_unitary(rng, n):
     return haar_unitary(gaussian(rng, (n, n)))
 
 
-def random_special_unitary(rng, n):
-    return haar_unitary(gaussian(rng, (n, n)), special=True)
-
-
 def random_special_orthogonal(rng, n):
     return haar_special_orthogonal(gaussian(rng, (n, n), real=True))
 
@@ -78,7 +74,3 @@ def random_special_orthogonal(rng, n):
 def random_skew(rng, n, real=False, scale=1.0):
     """Random skew-symmetric (real) or skew-hermitian (complex) matrix."""
     return skew_part(gaussian(rng, (n, n), real=real), scale)
-
-
-def random_unit_vector(rng, n):
-    return unit_vectors(gaussian(rng, n))

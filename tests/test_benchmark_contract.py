@@ -65,3 +65,27 @@ def test_sections_workload_ops_pass():
     ops = [workload.run(seeds, index) for index in range(len(workload.groups))]
     assert [op.kind for op in ops] == ["U", "SU", "SO"]
     assert all(op.ok for op in ops), [op.detail for op in ops if not op.ok]
+
+
+def test_rk4_step_counter_reads_the_loop_grid():
+    """With no `steps`, the tracer counts one step per sample of `loop.grid` for `transport_frame`."""
+    geo = importlib.import_module("loopbundle.holonomy")
+    model, loop = geo.sphere_model(1.0, grid=512)
+    count = perfbench_module("tracer")._rk4_steps(geo.transport_frame, 1)
+    assert count((model, loop), {}) == ("holonomy.rk4_steps", loop.grid)
+
+
+def test_holonomy_objects_keep_what_the_workload_reads():
+    """The constructor keywords the `holonomy` workload passes, and the attributes and calls it reads back."""
+    geo = importlib.import_module("loopbundle.holonomy")
+    reparam = geo.Reparam("sine", shift=0.3, amplitude=0.05)
+    built = [
+        geo.torus_model(winding=(1, -2), grid=256, reparam=reparam),
+        geo.sphere_model(1.0, winding=2, grid=256, reparam=reparam),
+        geo.su2_model(direction=(0.6, 0.0, 0.8), winding=3, grid=256, reparam=reparam),
+    ]
+    assert [model.tag.split("-")[1] for model, _ in built] == ["torus", "sphere", "SU2"]
+    for model, loop in built:
+        assert loop.grid == 256 and loop.reparam is reparam
+        basis = geo.eigen_sections(model, loop, geo.monodromy(model, loop), 2)
+        assert basis.gram().shape == (basis.count, basis.count)

@@ -267,7 +267,7 @@ def test_holonomy_sphere_report(tmp_path):
                      "--modes", "4", "--r", "2", "--out", str(out)])
     assert code == 0
     payload = read_json(out)
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     assert payload["model"] == "round-sphere-S2"
     assert payload["exponents"] == [-0.5, -0.5]
     assert all(payload["checks"].values())
@@ -287,9 +287,20 @@ def test_holonomy_torus_is_flat(tmp_path):
     assert code == 0
     payload = read_json(out)
     assert payload["exponents"] == [0.0, 0.0]
-    assert payload["loop"]["winding"] == [1, 2]
+    assert payload["loop"] == {"grid": 512, "winding": [1, 2]}
     hol = np.array(payload["holonomy"]["re"]) + 1j * np.array(payload["holonomy"]["im"])
     assert np.max(np.abs(hol - np.eye(2))) == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(cli.MODELS))
+def test_holonomy_report_loop_is_the_grid_and_the_model_params(name, tmp_path):
+    out = tmp_path / f"{name}.json"
+    assert cli.main(["holonomy", "--model", name, "--out", str(out)]) == 0
+    build, defaults = cli.MODELS[name]
+    model, loop = build(grid=4096, **defaults)
+    payload = read_json(out)
+    assert payload["schema"] == 2 and payload["model"] == model.tag
+    assert payload["loop"] == json.loads(json.dumps({"grid": loop.grid, **dict(model.params)}))
 
 
 def test_holonomy_deterministic_bytes(tmp_path):
@@ -463,6 +474,11 @@ def test_nonfinite_tolerance_is_config_error(tmp_path, capsys, via_config, value
     assert err.count("\n") == 1 and err.startswith("config error:") and "tol.cosh-inequality" in err
 
 
+# a value each model flag accepts, so that only the model's not taking it can fail
+MODEL_FLAG_VALUES = {"theta": "1.0", "winding": "1"}
+UNTAKEN_MODEL_FLAGS = [(name, key) for name in sorted(cli.MODELS) for key in cli.MODEL_FLAGS if key not in cli.MODELS[name][1]]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -475,8 +491,8 @@ def test_nonfinite_tolerance_is_config_error(tmp_path, capsys, via_config, value
         ["holonomy", "--model", "torus", "--winding", "1,2,3"],
         ["holonomy", "--model", "sphere", "--winding", "2,5"],
         ["holonomy", "--model", "su2", "--winding", "2,5"],
-        ["holonomy", "--model", "torus", "--theta", "1.0"],
-        ["holonomy", "--model", "su2", "--theta", "1.0"],
+        # every model flag given to a model that does not take it
+        *[["holonomy", "--model", name, f"--{key}", MODEL_FLAG_VALUES[key]] for name, key in UNTAKEN_MODEL_FLAGS],
         # an empty --out names no file, so it must not run and skip the report
         ["verify", "--out", ""],
         ["section", "--trials", "1", "--out", ""],
@@ -572,7 +588,7 @@ FLAG_VALUES = {
     "group": st.sampled_from(["U", "SU", "SO", "Sp"]),
     "dim": st.integers(1, 4).map(str),
     "r": st.floats(-1.0, 6.0).map(repr),
-    "model": st.sampled_from(["torus", "sphere", "su2"]),
+    "model": st.sampled_from(sorted(cli.MODELS)),
     "theta": st.floats(0.0, 3.2).map(repr),
     "winding": st.lists(st.integers(-5, 5), min_size=1, max_size=2).map(lambda ws: ",".join(map(str, ws))),
     "modes": st.integers(1, 12).map(str),

@@ -71,6 +71,10 @@ def test_the_package_does_not_shadow_its_holonomy_submodule():
         lambda: su2_model(winding=2.0),
         lambda: sphere_model(1.0, winding=1.5),
         lambda: sphere_model(1.0, winding="2"),
+        lambda: torus_model(winding=(1.5, 0)),
+        lambda: torus_model(winding=5),
+        lambda: torus_model(winding=(1, 2, 3)),
+        lambda: torus_model(winding="ab"),
     ],
 )
 def test_a_model_that_defines_no_closed_loop_is_rejected(build):
@@ -79,10 +83,17 @@ def test_a_model_that_defines_no_closed_loop_is_rejected(build):
 
 
 def test_models_take_numpy_integer_windings():
-    for build in (lambda w: sphere_model(1.0, winding=w), lambda w: su2_model(direction=(1.0, 2.0, 2.0), winding=w)):
-        model, loop = build(np.int64(2))
+    builds = [
+        (lambda w: torus_model(winding=(w, np.int32(0))), (2, 0)),
+        (lambda w: sphere_model(1.0, winding=w), 2),
+        (lambda w: su2_model(direction=(1.0, 2.0, 2.0), winding=w), 2),
+    ]
+    for build, expected in builds:
+        model, _ = build(np.int64(2))
         reference, _ = build(2)
-        assert type(loop.winding) is int and loop.winding == 2
+        winding = dict(model.params)["winding"]
+        assert winding == expected
+        assert all(type(w) is int for w in (winding if isinstance(winding, tuple) else (winding,)))
         assert np.array_equal(model.generator, reference.generator)
 
 
@@ -722,7 +733,9 @@ SYMBOL_SETUPS = {
 def test_gram_symbol_checks_equal_their_dense_oracles(setup, mode_bound):
     model, loop = SYMBOL_SETUPS[setup]()
     basis = eigen_sections(model, loop, monodromy(model, loop), mode_bound)
-    assert basis.gram_symbol().shape == (4 * mode_bound + 1,) + basis.core.shape[:2]
+    assert basis.gram_symbol.shape == (4 * mode_bound + 1,) + basis.core.shape[:2]
+    # built once per basis, and no check may write into the blocks the next one reads
+    assert basis.gram_symbol is basis.gram_symbol and not basis.gram_symbol.flags.writeable
     assert basis.gram_error() == float(np.max(np.abs(basis.gram() - np.eye(basis.count))))
     for r in (1.5, 2.0, 3.7):
         assert geo.cos_gram_floor(basis, r) == dense_cos_gram_floor(basis, r), r
@@ -742,7 +755,7 @@ def test_gram_symbol_equals_the_per_sample_products(setup):
             samples = np.moveaxis(core, 2, 0)  # (t, j, k)
             spectrum = np.fft.fft(samples.conj() @ samples.transpose(0, 2, 1), axis=0) / grid
             expected = spectrum[np.arange(-2 * mode_bound, 2 * mode_bound + 1) % grid]
-            symbol = dataclasses.replace(basis, core=core).gram_symbol()
+            symbol = dataclasses.replace(basis, core=core).gram_symbol
             assert np.max(np.abs(symbol - expected)) <= 1e-15, (grid, mode_bound)
 
 
@@ -751,7 +764,7 @@ def test_gram_symbol_peak_memory_stays_below_four_cores():
     basis = eigen_sections(model, loop, monodromy(model, loop), 8)
     tracemalloc.start()
     try:
-        basis.gram_symbol()
+        basis.gram_symbol
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -765,7 +778,7 @@ def test_cos_gram_floor_reads_minus_one_when_modes_couple():
     bump = 1.0 + 0.5 * np.cos(2.0 * np.pi * np.arange(512) / 512)
     bumped = dataclasses.replace(basis, core=basis.core * bump)
     # c^H c = bump^2 = 9/8 + cos 2 pi t + (1/8) cos 4 pi t: the blocks F[+-1] (index 2P -+ 1) survive the cut
-    assert np.allclose(bumped.gram_symbol()[[7, 9]], 0.5 * np.eye(2), atol=1e-14)
+    assert np.allclose(bumped.gram_symbol[[7, 9]], 0.5 * np.eye(2), atol=1e-14)
     assert geo.cos_gram_floor(bumped, 2.0) == -1.0
 
 

@@ -157,11 +157,11 @@ def test_section_sweep_lets_non_chart_errors_through(monkeypatch):
 
 
 def _draw_one_trial(group, trial, dim, rng):
-    """Oracle: one trial's constructor inputs from the one-matrix `rand` helpers and `exp_skew`."""
+    """Oracle: one trial's constructor inputs from one-matrix `rand` draws and `exp_skew`."""
     if group == "U":
         return (rand.random_unitary(rng, dim),)
     if group == "SU":
-        return rand.random_special_unitary(rng, dim), rand.random_unit_vector(rng, dim)
+        return rand.haar_unitary(rand.gaussian(rng, (dim, dim)), special=True), rand.unit_vectors(rand.gaussian(rng, dim))
     g = rand.random_special_orthogonal(rng, dim)
     if trial % 5 == 0:
         return g, g

@@ -32,15 +32,23 @@ def _unit_vector(rng, n):
     return v / np.linalg.norm(v)
 
 
+def _haar_special_unitary(rng, n):
+    return rand.haar_unitary(rand.gaussian(rng, (n, n)), special=True)
+
+
+def _unit_vectors(rng, n):
+    return rand.unit_vectors(rand.gaussian(rng, n))
+
+
 RECIPES = [
     (rand.random_unitary, _unitary),
-    (rand.random_special_unitary, _special_unitary),
+    (_haar_special_unitary, _special_unitary),
     (rand.random_special_orthogonal, _special_orthogonal),
-    (rand.random_unit_vector, _unit_vector),
+    (_unit_vectors, _unit_vector),
 ]
 
 
-@pytest.mark.parametrize("helper, recipe", RECIPES, ids=[helper.__name__ for helper, _ in RECIPES])
+@pytest.mark.parametrize("helper, recipe", RECIPES, ids=[helper.__name__.lstrip("_") for helper, _ in RECIPES])
 def test_each_helper_is_its_per_matrix_recipe(helper, recipe):
     ours, theirs = np.random.default_rng(21), np.random.default_rng(21)
     for n in [1, 2, 3, 4, 5, 6] * 4:

@@ -27,11 +27,12 @@ from loopbundle import (
 from loopbundle import sections as sections_module
 from loopbundle.laurent import DEFAULT_GRID, SampledLoop, certify, fourier_project
 from loopbundle.rand import (
+    gaussian,
+    haar_unitary,
     random_skew,
     random_special_orthogonal,
-    random_special_unitary,
-    random_unit_vector,
     random_unitary,
+    unit_vectors,
 )
 from loopbundle.spectral import SkewSpectrum
 
@@ -127,7 +128,7 @@ def test_su_section_determinant_on_grid():
     ts = np.linspace(0.0, 1.0, 17)
     done = 0
     while done < 20:
-        g = random_special_unitary(rng, 3)
+        g = haar_unitary(gaussian(rng, (3, 3)), special=True)
         v = rng.normal(size=3) + 1j * rng.normal(size=3)
         v /= np.linalg.norm(v)
         try:
@@ -286,9 +287,9 @@ def test_fiber_quotient_chain_matches_the_batched_solve(monkeypatch):
     checked = 0
     while checked < 6:
         dim = int(rng.integers(2, 5))
-        g = random_special_unitary(rng, dim)
+        g = haar_unitary(gaussian(rng, (dim, dim)), special=True)
         try:
-            a = su_section(0.0, g, random_unit_vector(rng, dim))  # two non-commuting factors
+            a = su_section(0.0, g, unit_vectors(gaussian(rng, dim)))  # two non-commuting factors
         except ChartError:
             continue
         b = PathElement([central_log(g)])
@@ -391,7 +392,7 @@ def _chain_sections(rng, dim):
     unitary = un_section(0.0, random_unitary(rng, dim))
     return [
         unitary,
-        su_section(0.0, random_special_unitary(rng, dim), random_unit_vector(rng, dim)),
+        su_section(0.0, haar_unitary(gaussian(rng, (dim, dim)), special=True), unit_vectors(gaussian(rng, dim))),
         so_section(0.0, base, q @ base @ q.T),
         act_group(unitary, random_unitary(rng, dim)),
     ]
@@ -461,7 +462,8 @@ def test_certificate_coefficients_match_a_fine_grid_projection(group, monkeypatc
                 if group == "U":
                     p = un_section(1j * np.pi * cut, random_unitary(rng, dim))
                 elif group == "SU":
-                    p = su_section(1j * np.pi * cut, random_special_unitary(rng, dim), random_unit_vector(rng, dim))
+                    g = haar_unitary(gaussian(rng, (dim, dim)), special=True)
+                    p = su_section(1j * np.pi * cut, g, unit_vectors(gaussian(rng, dim)))
                 else:
                     g = random_special_orthogonal(rng, dim)
                     q = exp_skew(random_skew(rng, dim, real=True, scale=0.12)).real
@@ -490,7 +492,7 @@ def test_eval_and_projection_match_expm_products(group):
             q = exp_skew(random_skew(rng, dim, real=True, scale=0.12)).real
             p = so_section(0.0, base, q @ base @ q.T)
         elif group == "SU":
-            p = su_section(0.0, random_special_unitary(rng, dim), random_unit_vector(rng, dim))
+            p = su_section(0.0, haar_unitary(gaussian(rng, (dim, dim)), special=True), unit_vectors(gaussian(rng, dim)))
         else:
             p = un_section(0.0, random_unitary(rng, dim))
         factors = p.factors
