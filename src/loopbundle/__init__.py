@@ -1,17 +1,16 @@
 """Polynomial loop groups, weighted mode spaces and holonomy fibre bases.
 
-The package is organised in five layers:
+The package has eight layers, each importing only from the layers before it:
 
-* laurent: matrix-valued trigonometric (Laurent) polynomials, sampling,
-  Fourier projection, polynomiality residuals and certificates;
-* modes: weighted sequence models of loop vectors, the mode derivative,
-  cosh weights, the polarization and Hilbert-Schmidt diagnostics;
-* spectral: branch/central logarithms, skew exponentials, unitary
-  structures and the polynomial pairing of matched logs;
-* sections: quasi-periodic path elements over the classical groups with
-  explicit local sections and polynomiality certificates;
-* holonomy: parallel transport in model geometries, Floquet data,
-  eigen-section bases and the weighted inner product.
+* laurent: matrix-valued trigonometric (Laurent) polynomials, sampling, Fourier projection, polynomiality certificates;
+* rand: seeded Haar samplers for U(n), SU(n), SO(n), unit vectors and skew matrices;
+* modes: weighted sequence models of loop vectors, the mode derivative, cosh weights, polarization and HS diagnostics;
+* spectral: clustered eigendecompositions, branch/central logarithms, skew exponentials and unitary structures;
+* sections: quasi-periodic path elements over the classical groups, explicit local sections and the polynomial
+  pairing of matched logs;
+* holonomy: parallel transport in model geometries, Floquet data, eigen-section bases and the weighted inner product;
+* properties: the registered property checks (an observed residual against a threshold) and the sweeps behind them;
+* cli: the `loopbundle` command (verify, section, holonomy, demo) and its JSON/CSV reports.
 """
 
 from .laurent import (

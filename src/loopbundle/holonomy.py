@@ -52,9 +52,6 @@ from .spectral import SkewSpectrum, check_unitary, clustered_eig, projector_basi
 # Fourier coefficients below this fraction of the largest one are round-off
 # and are left out of trigonometric interpolation
 TRIG_FLOOR = 1e-13
-# a cluster of holonomy eigenvalues counts as one degenerate eigenvalue only
-# while its mean eigenvalue moves the cluster's frame by at most this much
-DEGENERATE_TOL = 1e-10
 J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
@@ -224,15 +221,22 @@ def _chain_product(mats):
     return mats[0]
 
 
+def _real_frames(model, samples):
+    """The real part of transport samples; ValueError when they are not real to 1e-10, as for a complex generator."""
+    if np.max(np.abs(samples.imag)) > 1e-10:
+        raise ValueError(f"model {model.tag!r} transports to complex frames; a frame needs a real generator")
+    return samples.real
+
+
 def transport(model, loop, t0=0.0, t1=1.0, steps=4096):
     """Parallel transport matrix from time t0 to t1 along the loop, in closed form.
 
     The closed form needs no grid: `steps` is accepted and ignored, so calls
-    written for a step count keep working.  The result is confirmed
-    orthogonal/unitary to 1e-8.
+    written for a step count keep working.  Raises ValueError for a complex
+    generator, as `transport_frame` does; the result is confirmed orthogonal to 1e-8.
     """
-    phi = _transport_samples(model, loop, t0, t1, np.eye(len(model.generator)))[:, :, 0].real.T
-    unit = np.linalg.norm(phi.conj().T @ phi - np.eye(phi.shape[0]))
+    phi = _real_frames(model, _transport_samples(model, loop, t0, t1, np.eye(len(model.generator))))[:, :, 0].T
+    unit = np.linalg.norm(phi.T @ phi - np.eye(phi.shape[0]))
     if unit > 1e-8:
         raise RuntimeError(f"transport lost orthogonality ({unit:.3e})")
     return phi
@@ -252,16 +256,12 @@ def holonomy(model, loop):
 def transport_frame(model, loop, steps=None):
     """Transported frame Phi(i/steps), i = 0..steps, with Phi(0) = I: a real (steps + 1, n, n) view of the samples.
 
-    Raises ValueError when the samples are not real to 1e-10, as for a complex
-    generator, whose frame no real view can hold.
+    Raises ValueError for a complex generator, whose frame no real view can hold.
     """
     if steps is None:
         steps = loop.grid
-    eye = np.eye(len(model.generator))
-    samples = _transport_samples(model, loop, 0.0, np.arange(steps + 1) / steps, eye)
-    if np.max(np.abs(samples.imag)) > 1e-10:
-        raise ValueError(f"model {model.tag!r} transports to complex frames; a frame needs a real generator")
-    return samples.real.transpose(2, 1, 0)
+    samples = _transport_samples(model, loop, 0.0, np.arange(steps + 1) / steps, np.eye(len(model.generator)))
+    return _real_frames(model, samples).transpose(2, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -294,29 +294,21 @@ def _window(x):
 def floquet(g):
     """Floquet exponents s_j in [-1/2, 1/2) and eigenframe of a holonomy matrix.
 
-    Eigenvalues are clustered as in the spectral helpers; columns are ordered
-    by exponent.  Inside a degenerate cluster the orthonormal eigenbasis of
-    `clustered_eig` depends on the round-off in g, so the frame there is the
-    deterministic basis of the cluster's spectral projector from
-    `projector_basis` (for g = +-I the standard basis) with the cluster's mean
-    exponent.  A cluster that g does not act on as that mean to DEGENERATE_TOL
-    (a rotation by 3e-8 rad, say) is resolved: there the columns of that
-    orthonormal eigenbasis are eigenvectors to round-off and keep their own
-    exponents.  Rejects matrices that are not unitary/orthogonal to 1e-8.
+    Eigenvalues are clustered as in the spectral helpers (`CLUSTER_TOL`), each
+    member taking its cluster's mean exponent; columns are ordered by exponent.
+    A cluster of more than one member is degenerate to round-off, and its
+    frame is the deterministic basis of its spectral projector from
+    `projector_basis` (for g = +-I the standard basis), not the eigenbasis of
+    `clustered_eig`, which depends on the round-off in g.  Rejects matrices
+    that are not unitary/orthogonal to 1e-8.
     """
     arr = check_unitary(g)
     decomp = clustered_eig(arr)
-    lam = decomp.cluster_values
-    exps = _window(np.angle(lam) / (2.0 * np.pi))
+    exps = _window(np.angle(decomp.cluster_values) / (2.0 * np.pi))
     vectors = decomp.vectors.copy()
     for cluster in decomp.clusters:
-        cols = list(cluster)
         if len(cluster) > 1:
-            basis = projector_basis(decomp.projector(cluster))
-            if np.linalg.norm(arr @ basis - lam[cluster[0]] * basis) <= DEGENERATE_TOL:
-                vectors[:, cols] = basis
-            else:
-                exps[cols] = _window(np.angle(decomp.values[cols]) / (2.0 * np.pi))
+            vectors[:, list(cluster)] = projector_basis(decomp.projector(cluster))
     order = np.lexsort((np.arange(exps.size), exps))
     return MonodromyData(holonomy=arr, exponents=exps[order], frame=vectors[:, order])
 

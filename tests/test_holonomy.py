@@ -37,7 +37,7 @@ import loopbundle.holonomy as geo
 from loopbundle import properties
 from loopbundle.holonomy import covariant_derivative, holonomy, trig_interpolate
 from loopbundle.laurent import relative_tail
-from loopbundle.spectral import SkewSpectrum
+from loopbundle.spectral import CLUSTER_TOL, SkewSpectrum
 
 TRANSPORT_TOL = 1e-8
 GRAM_TOL = 1e-8
@@ -197,6 +197,14 @@ def test_transport_frame_rejects_a_complex_generator():
     assert np.max(np.abs(frame.transpose(0, 2, 1) @ frame - np.eye(2))) < 1e-14
 
 
+def test_transport_rejects_a_complex_generator():
+    """The imaginary part of a small complex generator is not dropped: transport raises as transport_frame does."""
+    model, loop = geo.ConnectionModel("c", 1e-5j * np.diag([1.0, -1.0])), geo.BaseLoop(64)
+    for call in (transport, transport_frame, monodromy):
+        with pytest.raises(ValueError, match="real generator"):
+            call(model, loop)
+
+
 @pytest.mark.parametrize("eye", [-np.eye(2), np.eye(3)])
 def test_degenerate_holonomy_frame_is_canonical(eye):
     """Round-off in a +-I holonomy must not rotate the Floquet frame."""
@@ -211,21 +219,28 @@ def test_degenerate_holonomy_frame_is_canonical(eye):
     assert np.max(np.abs(frames[0] - np.eye(n))) < 1e-9
 
 
+@pytest.mark.parametrize("gap", [6e-8, 0.5 * CLUSTER_TOL, 2.0 * CLUSTER_TOL], ids=["6e-8", "half-tol", "twice-tol"])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_near_degenerate_holonomy_keeps_its_exponents(sign):
-    """A rotation by 3e-8 rad clusters its eigenvalues but is not +-I: the frame must stay an eigenframe."""
-    angle = 3e-8
+def test_near_degenerate_holonomy_keeps_its_exponents(sign, gap):
+    """A rotation of +-I whose eigenvalues are gap apart, so near +-I but not equal to it.
+
+    Below CLUSTER_TOL the pair is one cluster: both get the mean exponent and the projector frame,
+    an eigenframe up to the gap.  Above it each keeps its own exponent and eigenvector to round-off.
+    """
+    angle = gap / 2.0
     g = sign * np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
     data = floquet(g)
     defect = g @ data.frame - data.frame * np.exp(2j * np.pi * data.exponents)[None, :]
-    assert np.linalg.norm(defect) < 1e-14
-    turn = angle / (2.0 * np.pi) + (0.5 if sign < 0 else 0.0)
-    expected = np.sort(np.mod(np.array([turn, -turn]) + 0.5, 1.0) - 0.5)
+    clustered = gap < CLUSTER_TOL
+    assert np.linalg.norm(defect) < (gap if clustered else 1e-14)
+    turn = 0.0 if clustered else angle / (2.0 * np.pi)
+    shift = 0.5 if sign < 0 else 0.0
+    expected = np.sort(np.mod(np.array([shift + turn, shift - turn]) + 0.5, 1.0) - 0.5)
     assert np.max(np.abs(data.exponents - expected)) < 1e-15
 
 
 def test_monodromy_of_a_nearly_trivial_latitude():
-    """theta = 1e-4 gives a holonomy rotation of about 3e-8 rad, inside one eigenvalue cluster."""
+    """theta = 1e-4 gives a holonomy rotation of about 3e-8 rad, whose eigenvalues are two clusters."""
     model, loop = sphere_model(1e-4, grid=64)
     data = monodromy(model, loop)
     turn = 1.0 - np.cos(1e-4)

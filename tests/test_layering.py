@@ -11,19 +11,30 @@ LAYERS = ["laurent", "rand", "modes", "spectral", "sections", "holonomy", "prope
 PACKAGE = pathlib.Path(loopbundle.__file__).parent
 
 
-def _imported_modules(path):
-    """The package modules that the module at path imports, at any depth of its syntax tree."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    found = set()
+def _package_imports(tree):
+    """(import node, package modules it names) for each import of the package in a module's syntax tree, at any depth."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             # from .x import y names module x; from . import x, y names modules x and y
-            found.update([node.module.split(".")[0]] if node.module else [alias.name for alias in node.names])
+            yield node, [node.module.split(".")[0]] if node.module else [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").startswith("loopbundle."):
-            found.add(node.module.split(".")[1])
+            yield node, [node.module.split(".")[1]]
         elif isinstance(node, ast.Import):
-            found.update(alias.name.split(".")[1] for alias in node.names if alias.name.startswith("loopbundle."))
-    return found
+            names = [alias.name.split(".")[1] for alias in node.names if alias.name.startswith("loopbundle.")]
+            if names:
+                yield node, names
+
+
+def _imported_modules(path):
+    """The package modules that the module at path imports, at any depth of its syntax tree."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {name for _, names in _package_imports(tree) for name in names}
+
+
+def _nested_import_lines(path):
+    """Line numbers of the package imports in the module at path that are not module-level statements."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [node.lineno for node, _ in _package_imports(tree) if node not in tree.body]
 
 
 def test_every_module_has_a_layer():
@@ -40,3 +51,15 @@ def test_the_scan_sees_nested_and_package_imports(tmp_path):
     source = "import numpy\nfrom . import holonomy as geo\n\ndef f():\n    from .rand import x\n    import loopbundle.cli\n"
     (tmp_path / "probe.py").write_text(source, encoding="utf-8")
     assert _imported_modules(tmp_path / "probe.py") == {"holonomy", "rand", "cli"}
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_package_imports_sit_at_module_level(name):
+    """A function-level import hides a dependency from a reader of the module's header."""
+    assert _nested_import_lines(PACKAGE / f"{name}.py") == []
+
+
+def test_the_level_scan_sees_only_nested_package_imports(tmp_path):
+    source = "import numpy\nfrom . import holonomy as geo\n\ndef f():\n    import json\n    from .rand import x\n"
+    (tmp_path / "probe.py").write_text(source, encoding="utf-8")
+    assert _nested_import_lines(tmp_path / "probe.py") == [6]

@@ -98,8 +98,8 @@ CLUSTER_CASES = {
     "distinct": np.exp(1j * np.array([0.1, 1.0, 2.0, -1.5])),
     "repeats": np.array([1j, 1j, -1.0, 1j, -1.0]),
     "plus-minus-one": np.array([1.0, -1.0, 1.0, -1.0], dtype=complex),
-    "chain": np.array([1.0, 1.0 + 6e-8, 1.0 + 1.2e-7], dtype=complex),
-    "chain-middle-last": np.array([1.0 + 1.2e-7, 1.0, 1.0 + 6e-8], dtype=complex),
+    "chain": 1.0 + 0.6 * CLUSTER_TOL * np.array([0.0, 1.0, 2.0], dtype=complex),
+    "chain-middle-last": 1.0 + 0.6 * CLUSTER_TOL * np.array([2.0, 0.0, 1.0], dtype=complex),
 }
 
 
@@ -111,7 +111,7 @@ def test_cluster_labels_match_union_find(name):
     assert [labels[c[0]] for c in clusters] == list(range(len(clusters)))  # numbered by first member
     assert EigenDecomp(values, np.eye(len(values)), labels).clusters == clusters
     if name.startswith("chain"):
-        assert len(clusters) == 1  # the ends are 1.2e-7 apart and link only through the middle value
+        assert len(clusters) == 1  # the ends are 1.2 CLUSTER_TOL apart and link only through the middle value
 
 
 def test_cluster_labels_match_union_find_on_unitaries():
@@ -598,6 +598,56 @@ def test_so_log_roundtrip():
         xi = so_log(g)
         assert np.max(np.abs(xi.imag)) < 1e-12
         assert np.max(np.abs(exp_skew(xi) - g)) < ROUNDTRIP_TOL
+
+
+NEAR_GAPS = np.logspace(-12, -7, 11)
+
+
+def _near_degenerate_unitary(c, eps):
+    """A 3 x 3 unitary with eigenvalues e^{i(c +- eps)} and e^{-1.1 i} in a fixed random eigenbasis."""
+    v = random_unitary(np.random.default_rng(5), 3)
+    return (v * np.exp(1j * np.array([c + eps, c - eps, -1.1]))) @ v.conj().T
+
+
+@pytest.mark.parametrize("c", [0.3, np.pi - 1e-3], ids=["c=0.3", "c=pi-1e-3"])
+@pytest.mark.parametrize("log", [log_branch, central_log], ids=["log_branch", "central_log"])
+def test_logs_invert_the_exponential_on_near_degenerate_unitaries(log, c):
+    """A pair closer than CLUSTER_TOL gets its mean log, off by under the gap; a wider pair keeps its own logs."""
+    for eps in NEAR_GAPS:
+        g = _near_degenerate_unitary(c, eps)
+        assert np.linalg.norm(expm(log(g)) - g) <= 1e-10, eps
+
+
+def _log0_xi(g):
+    return log0_decompose(g)[0]
+
+
+@pytest.mark.parametrize("log", [so_log, _log0_xi, central_log], ids=["so_log", "log0_decompose", "central_log"])
+def test_logs_invert_the_exponential_on_a_near_degenerate_so4_pair(log):
+    """A Haar-conjugated SO(4) rotation by the angles 0.7 and 0.7 + eps."""
+    q = random_special_orthogonal(np.random.default_rng(6), 4)
+    for eps in NEAR_GAPS:
+        core = np.zeros((4, 4))
+        core[:2, :2] = rotation(0.7)
+        core[2:, 2:] = rotation(0.7 + eps)
+        g = q @ core @ q.T
+        assert np.linalg.norm(expm(log(g)) - g) <= 1e-10, eps
+
+
+@pytest.mark.parametrize("log", [so_log, _log0_xi], ids=["so_log", "log0_decompose"])
+def test_orthogonal_logs_near_minus_one_invert_the_exponential(log):
+    """Haar-conjugated SO(2k) with blocks R(pi - delta): the real log is ill-conditioned as delta -> 0, its exp is not.
+
+    Eigenvector round-off leaves the spectral log complex by up to about 1e-5 here; its real part is the log.
+    """
+    rng = np.random.default_rng(63)
+    for delta in np.logspace(-14, -4, 41):
+        for half in (1, 2, 3):
+            q = random_special_orthogonal(rng, 2 * half)
+            g = q @ np.kron(np.eye(half), rotation(np.pi - delta)) @ q.T
+            xi = log(g)
+            assert np.max(np.abs(xi + xi.T)) < 1e-12
+            assert np.linalg.norm(expm(xi) - g) <= 1e-9, (delta, half)
 
 
 def test_torus_path_stays_central():
