@@ -28,6 +28,7 @@ import tempfile
 import numpy as np
 
 from . import properties as props
+from .modes import cosh_weight
 
 geo = props.geo
 
@@ -341,7 +342,7 @@ def cmd_holonomy(config):
         raise ConfigError("the annulus parameter --r must exceed 1")
     mode_bound = config["modes"]
     with np.errstate(over="ignore"):
-        top_weight = geo.cosh_weight(mode_bound + 0.5, r)
+        top_weight = cosh_weight(mode_bound + 0.5, r) ** 2
     if not np.isfinite(top_weight):
         raise ConfigError(f"pairing weight cosh((P + 1/2) ln r)^2 overflows at --modes {mode_bound} --r {r}")
     data = geo.monodromy(model, loop)
@@ -375,9 +376,7 @@ def cmd_holonomy(config):
     out = config["out"]
     if out:
         write_json(out, payload)
-        p_col, j_col = basis.rows()
-        eigenvalues = p_col - data.exponents[j_col]
-        rows = zip(p_col, j_col, eigenvalues, geo.cosh_weight(eigenvalues, r))
+        rows = zip(*basis.rows(), basis.eigenvalues, basis.pairing_weights(r))
         write_csv(_sibling_csv(out, "holonomy"), ["p", "j", "eigenvalue", "weight"], rows)
     ok = all(checks.values())
     print("PASS" if ok else "FAIL")

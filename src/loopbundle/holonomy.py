@@ -36,8 +36,9 @@ grid axis: every broadcast, drift and FFT over the core is a pass of grid length
 one of length n = 2 or 3, which costs many times more per element.  The Gram matrix,
 projections and sections each cost one FFT of the core, and `dhat_residuals`, from two,
 equals the per-section check on the samples, bin for bin, by running sums over the bins
-next to the Nyquist mode, where a shifted section's derivative wraps.  The weighted pairing sums cosh((p - s_j) ln r)^2
-conj(a) b over coefficients.  A direct sum is one more model: its generator is
+next to the Nyquist mode, where a shifted section's derivative wraps.  The weighted pairing of two coefficient vectors
+sums conj(a) b against `FiberBasis.pairing_weights`, cosh((p - s_j) ln r)^2 from `modes.cosh_weight` at the section
+eigenvalues p - s_j (`FiberBasis.eigenvalues`).  A direct sum is one more model: its generator is
 block-diagonal in the blocks' generators.
 """
 
@@ -47,6 +48,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .laurent import CERT_GUARD, certify, laurent_eval, relative_tail
+from .modes import cosh_weight
 from .spectral import SkewSpectrum, check_unitary, clustered_eig, projector_basis
 
 # Fourier coefficients below this fraction of the largest one are round-off
@@ -318,11 +320,6 @@ def monodromy(model, loop):
     return floquet(holonomy(model, loop))
 
 
-def _mode_index(mode_bound, n):
-    """Integer mode p and core index j of each section, in basis order: index = (p + P) * n + j."""
-    return np.repeat(np.arange(-mode_bound, mode_bound + 1), n), np.tile(np.arange(n), 2 * mode_bound + 1)
-
-
 @dataclass(frozen=True)
 class FiberBasis:
     """Eigen-section basis phi_{p,j}(t) = e^{2 pi i p t} c_j(t) over one loop, stored factorised.
@@ -356,8 +353,19 @@ class FiberBasis:
         return (2 * self.mode_bound + 1) * self.core.shape[0]
 
     def rows(self):
-        """Integer mode p and core index j of each section."""
-        return _mode_index(self.mode_bound, self.core.shape[0])
+        """Integer mode p and core index j of each section, in basis order: index = (p + P) * n + j."""
+        bound, n = self.mode_bound, self.core.shape[0]
+        return np.repeat(np.arange(-bound, bound + 1), n), np.tile(np.arange(n), 2 * bound + 1)
+
+    @property
+    def eigenvalues(self):
+        """p - s_j per section in basis order: (1/2 pi) D phi_{p,j} = i (p - s_j) phi_{p,j}."""
+        modes, cores = self.rows()
+        return modes - self.data.exponents[cores]
+
+    def pairing_weights(self, r):
+        """cosh((p - s_j) ln r)^2 per section in basis order: the weighted pairing's diagonal, for r > 1."""
+        return cosh_weight(self.eigenvalues, r) ** 2
 
     @cached_property
     def gram_symbol(self):
@@ -549,30 +557,17 @@ def loop_recognition_residual(basis, coefficients):
     return _relative_rms(defect, u @ data.frame.T)
 
 
-def cosh_weight(eigenvalues, r):
-    """The pairing weight cosh(x ln r)^2 at each x = p - s_j, for an annulus parameter r > 1."""
-    if r <= 1.0:
-        raise ValueError("annulus parameter must exceed 1")
-    return np.cosh(np.asarray(eigenvalues) * np.log(r)) ** 2
-
-
-def cos_inner_product(a, b, data, r):
-    """Weighted pairing sum_{p,j} cosh((p - s_j) ln r)^2 conj(a_{p,j}) b_{p,j}."""
-    ca = np.asarray(a.coefficients)
-    cb = np.asarray(b.coefficients)
-    if ca.shape != cb.shape:
-        raise ValueError("sections live over different bases")
-    n = data.exponents.size
-    if ca.size % n or ((ca.size // n) % 2) == 0:
-        raise ValueError("coefficient length does not match the exponent count")
-    modes, cores = _mode_index((ca.size // n - 1) // 2, n)
-    return complex(np.sum(cosh_weight(modes - data.exponents[cores], r) * ca.conj() * cb))
+def cos_inner_product(basis, a, b, r):
+    """Weighted pairing sum_{p,j} cosh((p - s_j) ln r)^2 conj(a_{p,j}) b_{p,j} of two coefficient vectors over basis."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != (basis.count,) or b.shape != (basis.count,):
+        raise ValueError(f"coefficient vectors of shapes {a.shape}, {b.shape} do not match the {basis.count} sections")
+    return complex(np.sum(basis.pairing_weights(r) * a.conj() * b))
 
 
 def cos_gram(basis, r):
     """Gram matrix of the basis sections under the weighted pairing: diagonal by design."""
-    modes, cores = basis.rows()
-    return np.diag(cosh_weight(modes - basis.data.exponents[cores], r).astype(complex))
+    return np.diag(basis.pairing_weights(r).astype(complex))
 
 
 def cos_gram_floor(basis, r):
@@ -585,15 +580,14 @@ def cos_gram_floor(basis, r):
     For a unitary transport with an orthonormal frame the cut F[0] is diagonal, so every block scales to I and the
     floor is 1 to round-off whatever r is; only a repeated or mode-coupling core moves it.
     """
+    weights = basis.pairing_weights(r)  # read first, so that r is checked where modes couple too
     symbol = basis.gram_symbol
     symbol = np.where(np.abs(symbol) <= TRIG_FLOOR * np.abs(symbol).max(axis=(0, 1)), 0.0, symbol)
     centre = 2 * basis.mode_bound
     if np.any(symbol[:centre]) or np.any(symbol[centre + 1 :]):
         return -1.0
     block = symbol[centre]
-    modes, cores = basis.rows()
-    weights = cosh_weight(modes - basis.data.exponents[cores], r).reshape(-1, 1, block.shape[0])
-    weighted = (block.conj().T * weights) @ block
+    weighted = (block.conj().T * weights.reshape(-1, 1, block.shape[0])) @ block
     scale = np.sqrt(np.diagonal(weighted, axis1=1, axis2=2).real)
     if not np.all(scale > 0.0):
         return -1.0
@@ -625,7 +619,11 @@ def trig_interpolate(values, new_ts):
 
 
 def condiff_residual(model, loop, rep, values):
-    """Relative defect of the chain rule D_{gamma o sigma}(a o sigma) = ((D a) o sigma) sigma'."""
+    """Relative defect of the chain rule D_{gamma o sigma}(a o sigma) = ((D a) o sigma) sigma'.
+
+    Each of the two `trig_interpolate` calls costs evaluation points x kept modes x channels: grid^2 per channel
+    when the values are not band-limited (a core without its drift keeps 4,096 modes at 4,096 points).
+    """
     ts = np.arange(values.shape[0]) / values.shape[0]
     dsig = rep.dsigma(ts)
     if rep.orientation < 0 or np.min(dsig) <= 0:
@@ -647,7 +645,9 @@ def reparam_actions(basis, rep):
     break it.  (The transport action carries the coefficients unchanged to the basis
     over the reparametrised loop: its one check is that loop's `monodromy` periodicity.)
     The pullback of section e^{2 pi i p t} c_j is e^{2 pi i p sigma} c_j o sigma,
-    so the core is resampled once and a section's degree is its core's band shifted by p.
+    so the core is resampled once and a section's degree is its core's band shifted by p.  That one
+    `trig_interpolate` call costs evaluation points x kept modes x channels: grid^2 per channel on a core that is
+    not band-limited (4,096 modes at 4,096 points for a core without its drift).
     """
     grid = basis.grid
     sig = np.mod(rep.sigma(np.arange(grid) / grid), 1.0)

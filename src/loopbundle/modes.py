@@ -9,7 +9,8 @@ coefficient family (a_p)_{|p| <= P}.  On top of that sit:
 * the shifted mode derivative that multiplies the mode (p, j) written in a
   chosen orthonormal frame {v_j} with shifts {s_j} by i (p + s_j);
 * the cosh re-weighting  e_{p,j} -> cosh((p + s_j) ln r) e_{p,j}  which is an
-  isometric isomorphism from the weighted space onto the plain one;
+  isometric isomorphism from the weighted space onto the plain one; its weight
+  `cosh_weight` is the package's one cosh(x ln r), which the fibre bases read too;
 * the polarization that multiplies mode p by i sign(p) (sign(0) = +1);
 * multiplication operators by polynomial matrix loops, together with the
   Hilbert-Schmidt size of their commutator with the polarization.  Finiteness
@@ -96,6 +97,8 @@ def trivial_shift_data(dim, shifts=None):
 def basis_vector(dim, p, j, mode_bound=None, frame=None):
     """The loop e_{p,j} = v_j z^p as a LoopVector (v_j standard unless frame given)."""
     bound = abs(p) if mode_bound is None else mode_bound
+    if abs(p) > bound or not 0 <= j < dim:
+        raise ValueError(f"no basis vector e_{{{p},{j}}} with |p| <= {bound} and 0 <= j < {dim}")
     arr = np.zeros((2 * bound + 1, dim), dtype=complex)
     v = np.eye(dim)[:, j] if frame is None else frame.basis[:, j]
     arr[p + bound] = v
@@ -140,22 +143,21 @@ def apply_mode_derivative(v, s):
     return _frame_scale(v, s, lambda p, sj: 1j * (p + sj))
 
 
-def _check_weight_base(r):
+def cosh_weight(x, r):
+    """cosh(x ln r) at each x, the co-orthogonal weight of a mode with shifted eigenvalue x; needs r > 1."""
     if r <= 1.0:
         raise ValueError("weight parameter must satisfy r > 1")
-    return np.log(float(r))
+    return np.cosh(np.asarray(x) * np.log(float(r)))
 
 
 def apply_cosh_weight(v, s, r):
     """Mode (p, j) scales by cosh((p + s_j) ln r); isometry onto the plain norm."""
-    log_r = _check_weight_base(r)
-    return _frame_scale(v, s, lambda p, sj: np.cosh((p + sj) * log_r))
+    return _frame_scale(v, s, lambda p, sj: cosh_weight(p + sj, r))
 
 
 def apply_cosh_weight_inverse(v, s, r):
     """Inverse of apply_cosh_weight (divides by the same cosh weights)."""
-    log_r = _check_weight_base(r)
-    return _frame_scale(v, s, lambda p, sj: np.cosh((p + sj) * log_r), divide=True)
+    return _frame_scale(v, s, lambda p, sj: cosh_weight(p + sj, r), divide=True)
 
 
 def apply_polarization(v):
@@ -231,11 +233,12 @@ def conjugated_hs_tail(a, s, r, mode_bound):
     sequence is Cauchy (eventually constant), and as r -> 1 the limit value
     recovers hs_commutator_norm(a).
     """
-    log_r = _check_weight_base(r)
+    # row q + span holds cosh((q + s_j) ln r) for every mode q + k reached; built first, so a constant loop checks r too
+    span = mode_bound + max(map(abs, a.coeffs), default=0)
+    weights = cosh_weight(np.arange(-span, span + 1)[:, None] + s.shifts, r)
     if s.dim != a.dim:
         raise ValueError(f"dimension mismatch {s.dim} != {a.dim}")
     frame = s.basis
-    shifts = s.shifts
     per_mode = np.zeros(mode_bound + 1)
     for k, ak in a.coeffs.items():
         ak_frame = frame.conj().T @ ak @ frame
@@ -244,8 +247,8 @@ def conjugated_hs_tail(a, s, r, mode_bound):
             if sign_jump == 0.0:
                 continue
             # ratio of cosh weights, rows j' of ak_frame target mode q + k
-            num = np.cosh((q + shifts) * log_r)
-            den = np.cosh((q + k + shifts) * log_r)
+            num = weights[q + span]
+            den = weights[q + k + span]
             ratios = np.abs(ak_frame) ** 2 * (num[None, :] ** 2)
             ratios = ratios / (den[:, None] ** 2)
             per_mode[abs(q)] += sign_jump**2 * float(np.sum(ratios))

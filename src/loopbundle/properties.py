@@ -1169,31 +1169,27 @@ def _cos_pairing_values(rng, trials):
     bases = dict(standard_bases())
     # section (p = 1, j = 0) on the torus; (p = 0, j = 0) on the sphere, whose exponents are the closed-form +-x
     x = float(geo._window(SPHERE_WINDING * (1.0 - np.cos(SPHERE_THETA))))
-    for name, mode, expected in (("torus", 1, 1.5625), ("sphere", 0, np.cosh(x * np.log(2.0)) ** 2)):
+    for name, mode, expected in (("torus", 1, 1.5625), ("sphere", 0, (4.0**x + 2.0 + 4.0**-x) / 4.0)):
         basis = bases[name]
         modes, cores = basis.rows()
-        sec = basis.section(((modes == mode) & (cores == 0)).astype(complex))
-        value = geo.cos_inner_product(sec, sec, basis.data, 2.0)
-        worst = max(worst, abs(value - expected))
+        spot = ((modes == mode) & (cores == 0)).astype(complex)
+        worst = max(worst, abs(geo.cos_inner_product(basis, spot, spot, 2.0) - expected))
     for basis in bases.values():
-        modes, cores = basis.rows()
-        x = modes - basis.data.exponents[cores]
-        decay = np.exp(-0.6 * np.abs(modes))
+        x = basis.eigenvalues
+        decay = np.exp(-0.6 * np.abs(basis.rows()[0]))
         for _ in range(_default(trials, 1)):
-            a, b = (
-                basis.section((rng.standard_normal(basis.count) + 1j * rng.standard_normal(basis.count)) * decay)
-                for _ in range(2)
-            )
+            a, b = (rng.standard_normal(basis.count) + 1j * rng.standard_normal(basis.count) for _ in range(2))
+            a, b = a * decay, b * decay
 
             def circle(rho):
                 """Grid-quadrature L2 pairing of the two sections continued to the circle |z| = rho."""
-                u, v = (basis.section(sec.coefficients * rho**x).values for sec in (a, b))
+                u, v = (basis.section(c * rho**x).values for c in (a, b))
                 return np.sum(u.conj() * v) / basis.grid
 
             unit = circle(1.0)  # the unit circle serves every r
             for r in (2.0, 3.7):
                 annulus = 0.25 * circle(r) + 0.5 * unit + 0.25 * circle(1.0 / r)
-                exact, aa, bb = (geo.cos_inner_product(u, v, basis.data, r) for u, v in ((a, b), (a, a), (b, b)))
+                exact, aa, bb = (geo.cos_inner_product(basis, u, v, r) for u, v in ((a, b), (a, a), (b, b)))
                 worst = max(worst, abs(annulus - exact) / np.sqrt(aa.real * bb.real))
     return worst
 
@@ -1203,10 +1199,9 @@ def _cos_pairing_r_one(rng, trials):
     worst = 0.0
     for _, basis in standard_bases():
         for _ in range(_default(trials, 2)):
-            a = basis.section(rng.standard_normal(basis.count) + 1j * rng.standard_normal(basis.count))
-            b = basis.section(rng.standard_normal(basis.count) + 1j * rng.standard_normal(basis.count))
-            weighted = geo.cos_inner_product(a, b, basis.data, 1.0 + 1e-9)
-            plain = complex(np.sum(a.coefficients.conj() * b.coefficients))
+            a, b = (rng.standard_normal(basis.count) + 1j * rng.standard_normal(basis.count) for _ in range(2))
+            weighted = geo.cos_inner_product(basis, a, b, 1.0 + 1e-9)
+            plain = complex(np.sum(a.conj() * b))
             worst = max(worst, abs(weighted - plain) / max(abs(plain), 1.0))
     return worst
 

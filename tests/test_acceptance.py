@@ -229,8 +229,7 @@ def test_criterion_11_weighted_pairing():
         row = int(np.where(basis.rows()[0] == 1)[0][0])
         coeffs = np.zeros(basis.count, dtype=complex)
         coeffs[row] = 1.0
-        section = basis.section(coeffs)
-        spot = cos_inner_product(section, section, data, 2.0)
+        spot = cos_inner_product(basis, coeffs, coeffs, 2.0)
 
         smodel, sloop = sphere_model(np.pi / 3)
         sdata = monodromy(smodel, sloop)
@@ -238,8 +237,7 @@ def test_criterion_11_weighted_pairing():
         srow = int(np.where(sbasis.rows()[0] == 0)[0][0])
         scoeffs = np.zeros(sbasis.count, dtype=complex)
         scoeffs[srow] = 1.0
-        ssec = sbasis.section(scoeffs)
-        sphere_spot = cos_inner_product(ssec, ssec, sdata, 2.0)
+        sphere_spot = cos_inner_product(sbasis, scoeffs, scoeffs, 2.0)
         gram_rec = props.run_property("cos-gram-positive", seed=0)
         return spot, sphere_spot, gram_rec
 

@@ -5,6 +5,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from loopbundle.properties import property_names
@@ -89,3 +90,7 @@ def test_holonomy_objects_keep_what_the_workload_reads():
         assert loop.grid == 256 and loop.reparam is reparam
         basis = geo.eigen_sections(model, loop, geo.monodromy(model, loop), 2)
         assert basis.gram().shape == (basis.count, basis.count)
+        # the workload gates on the weighted pairing's diagonal: one weight per section, each cosh^2 >= 1
+        weights = np.diag(geo.cos_gram(basis, 2.0)).real
+        assert weights.shape == (basis.count,) and np.all(weights >= 1.0)
+        assert np.array_equal(weights, basis.pairing_weights(2.0))

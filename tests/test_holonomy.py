@@ -37,6 +37,14 @@ import loopbundle.holonomy as geo
 from loopbundle import properties
 from loopbundle.holonomy import covariant_derivative, holonomy, trig_interpolate
 from loopbundle.laurent import relative_tail
+from loopbundle.modes import (
+    apply_cosh_weight,
+    apply_cosh_weight_inverse,
+    basis_vector,
+    conjugated_hs_tail,
+    l2_norm,
+    trivial_shift_data,
+)
 from loopbundle.spectral import CLUSTER_TOL, SkewSpectrum
 
 TRANSPORT_TOL = 1e-8
@@ -688,8 +696,7 @@ def test_pairing_spot_value_torus():
     row = int(np.where(basis.rows()[0] == 1)[0][0])
     coeffs = np.zeros(basis.count, dtype=complex)
     coeffs[row] = 1.0
-    section = basis.section(coeffs)
-    value = cos_inner_product(section, section, data, 2.0)
+    value = cos_inner_product(basis, coeffs, coeffs, 2.0)
     assert abs(value - 1.5625) < 1e-10
 
 
@@ -700,9 +707,8 @@ def test_pairing_spot_value_sphere():
     row = int(np.where(basis.rows()[0] == 0)[0][0])
     coeffs = np.zeros(basis.count, dtype=complex)
     coeffs[row] = 1.0
-    section = basis.section(coeffs)
     # exponent -1/2 shifts the weight to cosh(ln 2 / 2)^2 = 9/8
-    value = cos_inner_product(section, section, data, 2.0)
+    value = cos_inner_product(basis, coeffs, coeffs, 2.0)
     assert abs(value - 1.125) < 1e-10
 
 
@@ -710,9 +716,9 @@ def test_pairing_requires_annulus():
     model, loop = torus_model(winding=(1, 0), grid=512)
     data = monodromy(model, loop)
     basis = eigen_sections(model, loop, data, 2)
-    section = basis.section(np.eye(basis.count)[0].astype(complex))
+    coeffs = np.eye(basis.count)[0].astype(complex)
     with pytest.raises(ValueError):
-        cos_inner_product(section, section, data, 1.0)
+        cos_inner_product(basis, coeffs, coeffs, 1.0)
 
 
 def test_cos_gram_positive_definite():
@@ -728,7 +734,7 @@ def dense_cos_gram_floor(basis, r):
     rows = basis.gram().T.copy()
     rows[np.abs(rows) <= geo.TRIG_FLOOR * np.abs(rows).max(axis=1, keepdims=True)] = 0.0
     modes, cores = basis.rows()
-    weighted = (rows.conj() * geo.cosh_weight(modes - basis.data.exponents[cores], r)) @ rows.T
+    weighted = (rows.conj() * np.cosh((modes - basis.data.exponents[cores]) * np.log(r)) ** 2) @ rows.T
     scale = np.sqrt(np.diag(weighted).real)
     if not np.all(scale > 0.0):
         return -1.0
@@ -801,9 +807,59 @@ def test_pairing_approaches_plain_l2_at_r_one():
     model, loop = torus_model(winding=(1, 0), grid=512)
     data = monodromy(model, loop)
     basis = eigen_sections(model, loop, data, 3)
-    section = basis.section(np.eye(basis.count)[1].astype(complex))
-    value = cos_inner_product(section, section, data, 1.0 + 1e-8)
+    coeffs = np.eye(basis.count)[1].astype(complex)
+    value = cos_inner_product(basis, coeffs, coeffs, 1.0 + 1e-8)
     assert abs(value - 1.0) < 1e-6
+
+
+def _weight_probe_basis():
+    model, loop = sphere_model(np.pi / 3, grid=64)
+    return eigen_sections(model, loop, monodromy(model, loop), 2)
+
+
+WEIGHT_ENTRY_POINTS = {
+    "apply_cosh_weight": lambda basis, r: apply_cosh_weight(basis_vector(2, 1, 0), trivial_shift_data(2), r),
+    "apply_cosh_weight_inverse": lambda basis, r: apply_cosh_weight_inverse(
+        basis_vector(2, 1, 0), trivial_shift_data(2), r
+    ),
+    # a constant loop couples no modes, so the tail evaluates no ratio of weights; r is still checked on entry
+    "conjugated_hs_tail-constant": lambda basis, r: conjugated_hs_tail(
+        MatrixLoop(dim=2, field="complex", coeffs={0: np.eye(2)}), trivial_shift_data(2), r, 4
+    ),
+    "conjugated_hs_tail": lambda basis, r: conjugated_hs_tail(
+        MatrixLoop(dim=2, field="complex", coeffs={1: np.eye(2)}), trivial_shift_data(2), r, 4
+    ),
+    "cos_inner_product": lambda basis, r: cos_inner_product(basis, np.ones(basis.count), np.ones(basis.count), r),
+    "cos_gram": lambda basis, r: cos_gram(basis, r),
+    "cos_gram_floor": lambda basis, r: geo.cos_gram_floor(basis, r),
+    "FiberBasis.pairing_weights": lambda basis, r: basis.pairing_weights(r),
+}
+
+
+@pytest.mark.parametrize("r", [1.0, 0.5])
+@pytest.mark.parametrize("name", sorted(WEIGHT_ENTRY_POINTS))
+def test_every_weight_entry_point_rejects_r_at_most_one(name, r):
+    """One rule, one message: `modes.cosh_weight` holds the package's only r > 1 check of the cosh weight."""
+    basis = _weight_probe_basis()
+    with pytest.raises(ValueError, match=r"^weight parameter must satisfy r > 1$"):
+        WEIGHT_ENTRY_POINTS[name](basis, r)
+
+
+@pytest.mark.parametrize("r", [1.5, 2.0, 3.7])
+def test_fibre_pairing_weights_are_the_mode_space_cosh_weights(r):
+    """The modes convention p + shift with shift = -s_j meets the fibre's p - s_j, section by section."""
+    for _, basis in properties.standard_bases():
+        n, bound = basis.core.shape[0], basis.mode_bound
+        shifts = trivial_shift_data(n, -basis.data.exponents)
+        weights = basis.pairing_weights(r)
+        for p in range(-bound, bound + 1):
+            for j in range(n):
+                weighted = apply_cosh_weight(basis_vector(n, p, j, mode_bound=bound), shifts, r)
+                assert weights[(p + bound) * n + j] == pytest.approx(l2_norm(weighted) ** 2, rel=1e-14, abs=0.0)
+        ones = np.ones(basis.count)
+        for a, b in ((ones[1:], ones[1:]), (ones, np.ones(basis.count + 1)), (ones.reshape(-1, 1), ones)):
+            with pytest.raises(ValueError):
+                cos_inner_product(basis, a, b, r)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,16 @@ def test_weighted_norm_requires_annulus():
         l2r_norm(basis_vector(1, 0, 0), 1.0)
 
 
+@pytest.mark.parametrize(
+    "dim,p,j,bound",
+    [(2, -5, 0, 2), (2, 3, 0, 2), (2, 0, -1, 1), (2, 0, 2, 1), (1, 0, 1, None)],
+)
+def test_basis_vector_rejects_indices_outside_its_window(dim, p, j, bound):
+    """|p| > mode_bound or j outside [0, dim) names no basis vector; a negative index must not wrap to another."""
+    with pytest.raises(ValueError, match="no basis vector"):
+        basis_vector(dim, p, j, mode_bound=bound)
+
+
 def test_mode_derivative_unit_shift():
     s = trivial_shift_data(1)
     out = apply_mode_derivative(basis_vector(1, 1, 0), s)
