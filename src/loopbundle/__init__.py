@@ -77,7 +77,6 @@ from .holonomy import (
     Reparam,
     MonodromyData,
     FiberBasis,
-    FiberSection,
     torus_model,
     sphere_model,
     su2_model,

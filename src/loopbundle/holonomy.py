@@ -407,9 +407,9 @@ class FiberBasis:
         return np.fft.ifft(scattered, axis=0) * self.grid
 
     def section(self, coefficients):
+        """The (grid, n) samples of the section with the given coefficients over the basis."""
         coefficients = np.asarray(coefficients, dtype=complex)
-        vals = np.einsum("tj,jkt->tk", self._mode_sums(coefficients), self.core)
-        return FiberSection(coefficients=coefficients, values=vals)
+        return np.einsum("tj,jkt->tk", self._mode_sums(coefficients), self.core)
 
     def project(self, values):
         vals = np.asarray(values, dtype=complex)
@@ -423,14 +423,6 @@ class FiberBasis:
     def periodicity_residual(self):
         """`MonodromyData.periodicity_residual` of the basis's Floquet data."""
         return self.data.periodicity_residual()
-
-
-@dataclass(frozen=True)
-class FiberSection:
-    """A section in coefficient form over a FiberBasis plus its sampled values."""
-
-    coefficients: np.ndarray
-    values: np.ndarray
 
 
 def _floquet_core(model, loop, data):
@@ -536,10 +528,13 @@ def _relative_rms(defect, reference):
 
 
 def project_section(basis, values):
-    """Coefficients of a sampled section with round-trip reconstruction error."""
+    """Coefficients of sampled section values and their round-trip error.
+
+    Returns (coefficients over the basis, relative RMS by which the section
+    they give misses the values).
+    """
     coeffs = basis.project(values)
-    err = _relative_rms(basis.section(coeffs).values - values, values)
-    return FiberSection(coefficients=coeffs, values=np.asarray(values, dtype=complex)), err
+    return coeffs, _relative_rms(basis.section(coeffs) - values, values)
 
 
 def loop_recognition_residual(basis, coefficients):
@@ -582,6 +577,8 @@ def cos_gram_floor(basis, r):
     """
     weights = basis.pairing_weights(r)  # read first, so that r is checked where modes couple too
     symbol = basis.gram_symbol
+    # the scale is per core column, not the whole symbol's: the Gram is read after normalising each section to unit
+    # diagonal, so whether an entry is round-off must not change when one core is rescaled against the others
     symbol = np.where(np.abs(symbol) <= TRIG_FLOOR * np.abs(symbol).max(axis=(0, 1)), 0.0, symbol)
     centre = 2 * basis.mode_bound
     if np.any(symbol[:centre]) or np.any(symbol[centre + 1 :]):
@@ -607,6 +604,8 @@ def trig_interpolate(values, new_ts):
     coeffs = np.fft.fft(values.reshape(n, -1), axis=0) / n
     freqs = np.fft.fftfreq(n, d=1.0 / n)
     peak = np.abs(coeffs).max(axis=1)
+    # the scale is the peak mode, not the l2 mass: a dropped mode moves every interpolated sample by its own size, so
+    # the peak bounds the pointwise error; a floor on the l2 mass cuts a full spectrum elsewhere and moves condiff
     keep = peak > TRIG_FLOOR * peak.max()
     coeffs, freqs = coeffs[keep], freqs[keep]
     new_ts = np.asarray(new_ts, dtype=float)
@@ -656,6 +655,9 @@ def reparam_actions(basis, rep):
     # section-major, so that each section's spectrum is summed as a lone section's would be
     pulled = np.exp(2j * np.pi * np.outer(modes, sig))[:, :, None] * pulled_core[cores]  # (section, t, k)
     core_mass = np.linalg.norm(np.fft.fft(basis.core, axis=2), axis=1).T  # (mode, j)
+    # the floor sets the degree at which each residual is read, so it sits above round-off: a reparametrised core
+    # is not band-limited, and 1e-13 instead of 1e-10 of its l2 mass counts modes of its decaying tail as carried
+    # (su2 under a sine reparametrisation, grid 4096, P = 8: degree 20 instead of 18)
     carried = core_mass > 1e-10 * np.linalg.norm(core_mass, axis=0)
     # section (p, j) carries mode g exactly where c_j carries mode g - p
     shifted = carried[(np.arange(grid)[:, None] - modes[None, :]) % grid, cores[None, :]]
@@ -666,12 +668,13 @@ def reparam_actions(basis, rep):
 
 
 def subbundle_counterexample(gamma, beta):
-    """Residual report for the phase-twisted loop t -> e^{2 pi i gamma(t)} beta(t).
+    """Certificate report {"residual", "is_counterexample"} for the twisted loop t -> e^{2 pi i gamma(t)} beta(t).
 
     gamma is a callable lift with integer winding, called point by point; beta
     a scalar loop.  The twist of a polynomial loop stays polynomial exactly
-    when gamma is linear; the report flags a counterexample when the
-    `certify` residual at degree deg(beta) + CERT_GUARD + |winding| exceeds 1e-3.
+    when gamma is linear; "residual" is the `certify` residual at degree
+    deg(beta) + CERT_GUARD + |winding|, and the report flags a counterexample
+    when it exceeds 1e-3.
     """
     if beta.dim != 1:
         raise ValueError("the demonstration uses scalar loops")
@@ -684,14 +687,8 @@ def subbundle_counterexample(gamma, beta):
         return np.exp(2j * np.pi * gvals)[:, None, None] * laurent_eval(beta, ts)
 
     degree = beta.degree + CERT_GUARD + abs(int(round(wind)))
-    _, residual = certify(twisted, degree)
-    return {
-        "residual": float(residual),
-        "degree": int(degree),
-        "winding": int(round(wind)),
-        "threshold": 1e-3,
-        "is_counterexample": bool(residual > 1e-3),
-    }
+    residual = float(certify(twisted, degree))
+    return {"residual": residual, "is_counterexample": residual > 1e-3}
 
 
 def _span_containment(inner, outer):

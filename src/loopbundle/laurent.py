@@ -228,7 +228,9 @@ def fourier_project(s, max_mode):
     total = float(np.linalg.norm(spectrum))
     # FFT order: modes 0..max_mode lead, -max_mode..-1 close
     window = np.concatenate([spectrum[s.grid - max_mode :], spectrum[: max_mode + 1]])
-    # the phase error of exp(2 pi i k t) grows like k eps, so the floor grows with the window
+    # the phase error of exp(2 pi i k t) grows like k eps, so the floor grows with the window; it is absolute below
+    # unit mass, so a near-zero loop keeps no round-off, and sits at FFT round-off, far below the other floors,
+    # because the kept coefficients are a MatrixLoop that later products treat as exact
     floor = 1e-14 * max(total, 1.0) * max(1.0, max_mode / 16)
     live = np.max(np.abs(window), axis=(1, 2)) > floor
     coeffs = {k: window[i] for i, k in enumerate(range(-max_mode, max_mode + 1)) if live[i]}
@@ -244,30 +246,28 @@ def fourier_project(s, max_mode):
 
 
 def certify(path, degree):
-    """Polynomiality certificate of the matrix loop t -> path(t) at the given degree.
+    """Polynomiality certificate of the matrix loop t -> path(t): its relative tail beyond the degree.
 
-    Samples path (times -> (len, n, n) values) once, on the smallest power of
-    two grid >= CERT_GRID that keeps the quarter rule, and returns
-    `fourier_project` of the samples: (MatrixLoop, relative residual), from one FFT.
-
-    A stacked path (times -> (k, len, n, n) values) takes one degree per entry
-    and returns (None, residual per entry): each entry keeps its own grid and
-    window, and the entries sharing a grid are sampled and transformed at once.
+    Samples path once, on the smallest power of two grid >= CERT_GRID that
+    keeps the quarter rule, and returns the `relative_tail` of one FFT of the
+    samples.  A single path (times -> (len, n, n) values) takes one degree
+    and gets a 0-d residual; a stacked path (times -> (k, len, n, n) values)
+    takes one degree per entry and gets one residual per entry, each entry on
+    its own grid and window, the entries sharing a grid sampled and
+    transformed at once.  A single path is the stack of one without its axis.
     """
     degree = np.asarray(degree)
     grids = np.full(degree.shape, CERT_GRID)
     while not np.all(_within_quarter(degree, grids)):
         grids = np.where(_within_quarter(degree, grids), grids, 2 * grids)
-    if degree.ndim == 0:
-        grid = int(grids)
-        return fourier_project(SampledLoop(values=path(np.arange(grid) / grid)), int(degree))
     residuals = np.zeros(degree.shape)
-    for grid in sorted(set(grids.tolist())):
+    for grid in np.unique(grids):
+        # a 0-d mask adds the stack axis to a single path's samples, and its assignment drops it again
         entries = grids == grid
         spectrum = path(np.arange(grid) / grid)[entries]
         np.fft.fft(spectrum, axis=1, out=spectrum)
         residuals[entries] = relative_tail(spectrum, degree[entries])
-    return None, residuals
+    return residuals
 
 
 def polynomiality_residual(s, max_mode):

@@ -150,22 +150,20 @@ def fiber_certificate(p):
     Divides the path by the central-log path of its projection and measures
     how far the quotient loop is from a trigonometric polynomial of the
     predicted degree.  The quotient exp(-t zeta) alpha(t) is sampled as the
-    chain [-zeta, xi_1, ..., xi_m] times the loop part.  Returns (quotient
-    MatrixLoop, relative residual, degree); a stack gets one residual and one
-    degree per entry and no quotient loop (see `laurent.certify`).
+    chain [-zeta, xi_1, ..., xi_m] times the loop part.  Returns the relative
+    residual (`laurent.certify`): 0-d for one path, one per entry of a stack.
     """
     zeta = SkewSpectrum(central_log(p.projection))
     degree = _degree(np.max([zeta.radius] + p.radii, axis=0), [p.loop])
-    quotient, residual = certify(lambda ts: _chain_values([-zeta] + p.spectra, p.loop, ts), degree)
-    return quotient, residual, degree
+    return certify(lambda ts: _chain_values([-zeta] + p.spectra, p.loop, ts), degree)
 
 
 def path_fiber_quotient(a, b):
-    """Quotient loop t -> a(t)^{-1} b(t) of two paths in a common fibre.
+    """Certificate of the quotient loop t -> a(t)^{-1} b(t) of two paths in a common fibre.
 
-    Requires matching projections (tolerance 1e-9).  Returns the Fourier
-    projection of the quotient and its relative residual (`laurent.certify`);
-    a small residual certifies that the two paths differ by a polynomial loop.
+    Requires matching projections (tolerance 1e-9).  Returns the quotient's
+    relative residual (`laurent.certify`); a small residual certifies that the
+    two paths differ by a polynomial loop.
     The factors of a^{-1} b are the chain [-xi_m, ..., -xi_1, eta_1, ...] times
     b's loop part; only a loop part of a is divided out by a solve.
     """
@@ -180,13 +178,13 @@ def path_fiber_quotient(a, b):
 
 
 def exp_pair_loop(xi_1, xi_2, degree=None):
-    """Fourier data of the loop t -> exp(-t xi_1) exp(t xi_2).
+    """Certificate of the loop t -> exp(-t xi_1) exp(t xi_2).
 
     The two skew matrices must exponentiate to the same group element (checked
     to 1e-9); the resulting loop is then a trigonometric polynomial whose
-    degree is bounded by the sum of the spectral radii over 2 pi.  Returns
-    `laurent.certify` of the loop at the given degree, by default that bound
-    plus CERT_GUARD (`_degree`): (MatrixLoop, relative residual).
+    degree is bounded by the sum of the spectral radii over 2 pi.  Returns the
+    relative residual (`laurent.certify`) of the loop at the given degree, by
+    default that bound plus CERT_GUARD (`_degree`).
     """
     a = SkewSpectrum(xi_1)
     b = SkewSpectrum(xi_2)

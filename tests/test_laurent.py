@@ -217,19 +217,26 @@ def test_fourier_project_residual_is_the_relative_tail():
     ],
 )
 def test_certify_samples_once_on_the_quarter_rule_grid(degree, grid):
-    seen = []
+    seen, samples = [], []
 
     def path(ts):
         seen.append(ts)
-        return np.exp(2j * np.pi * degree * ts)[:, None, None]
+        samples.append(np.exp(2j * np.pi * degree * ts)[:, None, None])
+        return samples[-1]
 
-    loop, residual = certify(path, degree)
+    residual = certify(path, degree)
     assert [len(ts) for ts in seen] == [grid]
     assert np.array_equal(seen[0], np.arange(grid) / grid)
+    assert residual.shape == ()
     assert residual < 1e-12
     # the round-off of the phases stays below the degree-scaled floor: one mode is kept
+    loop, _ = fourier_project(SampledLoop(values=samples[0]), degree)
     assert list(loop.coeffs) == [degree]
     assert abs(loop.coeff(degree)[0, 0] - 1.0) < 1e-12
+    # a single path is the one-entry stack without its axis, bit for bit
+    stacked = certify(lambda ts: path(ts)[None], np.array([degree]))
+    assert stacked.shape == (1,)
+    assert residual.tobytes() == stacked.tobytes()
 
 
 def test_stacked_certify_is_the_single_path_certify_entry_by_entry():
@@ -244,11 +251,11 @@ def test_stacked_certify_is_the_single_path_certify_entry_by_entry():
         grids.append(len(ts))
         return np.exp(2j * np.pi * exponents[:, None] * ts)[:, :, None, None] * weights[:, None]
 
-    _, residuals = certify(stacked, degrees)
+    residuals = certify(stacked, degrees)
     assert grids == [64, 128]
     assert residuals[0] < 1e-12 and residuals[2] < 1e-12 and min(residuals[[1, 3, 4]]) > 1e-4
     for i, degree in enumerate(degrees):
-        _, single = certify(lambda ts: stacked(ts)[i], degree)
+        single = certify(lambda ts: stacked(ts)[i], degree)
         assert residuals[i] == single
     assert grids[2:] == [64, 64, 128, 128, 64]
 
@@ -257,7 +264,7 @@ def test_stacked_certify_is_the_single_path_certify_entry_by_entry():
 def test_certify_detects_a_non_integer_exponent_on_its_floor_grid(offset):
     """e^{2 pi i (3 + a) t} is no trigonometric polynomial; the CERT_GRID certificate reads its tail."""
     path = lambda ts: np.exp(2j * np.pi * (3.0 + offset) * ts)[:, None, None]  # noqa: E731
-    _, residual = certify(path, 5)
+    residual = certify(path, 5)
     _, fine = fourier_project(SampledLoop(values=path(np.arange(GRID) / GRID)), 5)
     assert residual > 1e-4  # the polynomiality-detects threshold
     assert residual == pytest.approx(fine, rel=0.1)

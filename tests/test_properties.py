@@ -184,7 +184,7 @@ def _one_trial_at_a_time(group, dims, trials, rng):
         vals = element.eval(np.arange(128) / 128)
         entry = {"trial": trial, "dim": dim, "endpoint": float(np.linalg.norm(element.projection - target))}
         entry["group"] = float(sampled_group_residual(vals, group))
-        entry["poly"] = sections.fiber_certificate(element)[1]
+        entry["poly"] = sections.fiber_certificate(element)
         if group == "SU":
             entry["det"] = float(np.max(np.abs(np.linalg.det(vals) - 1.0)))
         records.append(entry)

@@ -24,8 +24,7 @@ from loopbundle import (
     su_section,
     un_section,
 )
-from loopbundle import sections as sections_module
-from loopbundle.laurent import DEFAULT_GRID, SampledLoop, certify, fourier_project
+from loopbundle.laurent import DEFAULT_GRID, SampledLoop, fourier_project
 from loopbundle.rand import (
     gaussian,
     haar_unitary,
@@ -189,8 +188,7 @@ def test_so_section_minus_identity():
     g = -np.eye(4)
     sec = so_section(0.0, g, g)
     assert np.max(np.abs(project_path(sec) - g)) < ENDPOINT_TOL
-    _, residual, _ = fiber_certificate(sec)
-    assert residual < POLY_TOL
+    assert fiber_certificate(sec) < POLY_TOL
 
 
 def test_so_section_random_pairs():
@@ -207,8 +205,7 @@ def test_so_section_random_pairs():
         done += 1
         assert np.max(np.abs(project_path(sec) - h)) < ENDPOINT_TOL
         assert path_group_residual(sec) < ENDPOINT_TOL
-        _, residual, _ = fiber_certificate(sec)
-        assert residual < POLY_TOL
+        assert fiber_certificate(sec) < POLY_TOL
 
 
 def test_so_section_rank_mismatch_rejected():
@@ -251,15 +248,15 @@ def test_input_errors_are_not_chart_errors():
     assert not isinstance(info.value, ChartError)
 
 
-def test_fiber_quotient_of_equal_paths():
+def test_fiber_quotient_of_equal_paths(certified):
     rng = np.random.default_rng(25)
     p = PathElement([random_skew(rng, 3)])
-    loop, residual = path_fiber_quotient(p, p)
+    residual = path_fiber_quotient(p, p)
     assert residual < 1e-10
-    assert np.max(np.abs(loop.coeff(0) - np.eye(3))) < 1e-10
+    assert np.max(np.abs(certified[-1].loop.coeff(0) - np.eye(3))) < 1e-10
 
 
-def test_fiber_quotient_of_matched_logs():
+def test_fiber_quotient_of_matched_logs(certified):
     rng = np.random.default_rng(26)
     g = random_unitary(rng, 3)
     zeta = central_log(g)
@@ -268,20 +265,13 @@ def test_fiber_quotient_of_matched_logs():
     proj = clustered_eig(g).projector(clustered_eig(g).clusters[0])
     a = PathElement([zeta])
     b = PathElement([zeta + 2j * np.pi * proj])
-    loop, residual = path_fiber_quotient(a, b)
+    residual = path_fiber_quotient(a, b)
     assert residual < POLY_TOL
-    assert loop.degree <= 1
+    assert certified[-1].loop.degree <= 1
 
 
-def test_fiber_quotient_chain_matches_the_batched_solve(monkeypatch):
+def test_fiber_quotient_chain_matches_the_batched_solve(certified):
     """The sampled quotient a(t)^{-1} b(t) equals np.linalg.solve(a(t), b(t)), with and without loop parts."""
-    samplers = []
-
-    def recording(path, degree):
-        samplers.append(path)
-        return certify(path, degree)
-
-    monkeypatch.setattr(sections_module, "certify", recording)
     rng = np.random.default_rng(29)
     ts = np.arange(257) / 256 + 0.3
     checked = 0
@@ -298,7 +288,7 @@ def test_fiber_quotient_chain_matches_the_batched_solve(monkeypatch):
         for left, right in pairs:
             path_fiber_quotient(left, right)
             oracle = np.linalg.solve(left.eval(ts), right.eval(ts))
-            assert np.max(np.abs(samplers.pop()(ts) - oracle)) <= 1e-13
+            assert np.max(np.abs(certified.pop().path(ts) - oracle)) <= 1e-13
         checked += 1
 
 
@@ -309,12 +299,12 @@ def test_fiber_quotient_rejects_different_fibres():
         path_fiber_quotient(a, b)
 
 
-def test_certificate_of_section_paths():
+def test_certificate_of_section_paths(certified):
     rng = np.random.default_rng(27)
     g = random_unitary(rng, 3)
-    quotient, residual, degree = fiber_certificate(un_section(0.0, g))
+    residual = fiber_certificate(un_section(0.0, g))
     assert residual < POLY_TOL
-    assert degree >= quotient.degree
+    assert certified[-1].degree >= certified[-1].loop.degree
 
 
 @pytest.mark.parametrize("certificate", ["fiber_certificate", "path_fiber_quotient", "exp_pair_loop"])
@@ -335,7 +325,7 @@ def test_each_certificate_takes_one_fft(certificate, monkeypatch):
         return fft(*args, **kwargs)
 
     monkeypatch.setattr(np.fft, "fft", counted)
-    residual = calls[certificate]()[1]
+    residual = calls[certificate]()
     assert len(count) == 1
     assert residual < POLY_TOL
 
@@ -424,34 +414,20 @@ def test_factor_free_path_is_its_loop_part():
     assert np.array_equal(PathElement([], dim=2).eval(ts), np.broadcast_to(np.eye(2), (11, 2, 2)))
 
 
-def test_certificate_samples_the_quotient(monkeypatch):
+def test_certificate_samples_the_quotient(certified):
     rng = np.random.default_rng(83)
-    sampled = []
-
-    def capture(path, degree):
-        sampled.append(path)
-        return certify(path, degree)
-
-    monkeypatch.setattr(sections_module, "certify", capture)
     ts = np.arange(DEFAULT_GRID) / DEFAULT_GRID
     for dim in (2, 3, 5):
         for p in _chain_sections(rng, dim):
             fiber_certificate(p)
             zeta = SkewSpectrum(central_log(project_path(p)))
-            assert np.max(np.abs(sampled[-1](ts) - zeta.exp(-ts) @ p.eval(ts))) < 1e-13
+            assert np.max(np.abs(certified[-1].path(ts) - zeta.exp(-ts) @ p.eval(ts))) < 1e-13
 
 
 @pytest.mark.parametrize("group", ["U", "SU", "SO"])
-def test_certificate_coefficients_match_a_fine_grid_projection(group, monkeypatch):
-    """The certificate's quotient equals `fourier_project` of the same path on DEFAULT_GRID points."""
+def test_certificate_coefficients_match_a_fine_grid_projection(group, certified):
+    """The quotient of the certified samples equals `fourier_project` of the same path on DEFAULT_GRID points."""
     rng = np.random.default_rng(84)
-    sampled = []
-
-    def capture(path, degree):
-        sampled.append(path)
-        return certify(path, degree)
-
-    monkeypatch.setattr(sections_module, "certify", capture)
     ts = np.arange(DEFAULT_GRID) / DEFAULT_GRID
     degrees = []
     for dim in (2, 3, 4, 5, 6):
@@ -471,8 +447,9 @@ def test_certificate_coefficients_match_a_fine_grid_projection(group, monkeypatc
                 break
             except ChartError:
                 continue
-        quotient, residual, degree = fiber_certificate(p)
-        fine, fine_residual = fourier_project(SampledLoop(values=sampled[-1](ts)), degree)
+        residual = fiber_certificate(p)
+        quotient, degree = certified[-1].loop, certified[-1].degree
+        fine, fine_residual = fourier_project(SampledLoop(values=certified[-1].path(ts)), degree)
         assert residual < POLY_TOL and fine_residual < POLY_TOL
         assert quotient.degree == fine.degree
         modes = set(quotient.coeffs) | set(fine.coeffs)

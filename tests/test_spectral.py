@@ -404,38 +404,43 @@ def test_central_log_exponentiates_back():
         assert np.max(np.abs(exp_skew(central_log(g)) - g)) < ROUNDTRIP_TOL
 
 
-def test_pair_loop_diagonal_example():
-    loop, residual = exp_pair_loop(2j * np.pi * np.diag([1.0, 0.0]), np.zeros((2, 2)))
+def test_pair_loop_diagonal_example(certified):
+    residual = exp_pair_loop(2j * np.pi * np.diag([1.0, 0.0]), np.zeros((2, 2)))
+    loop = certified[-1].loop
     assert residual < 1e-10
     assert sorted(loop.coeffs) == [-1, 0]
     assert np.max(np.abs(loop.coeff(-1) - np.diag([1.0, 0.0]))) < 1e-12
     assert np.max(np.abs(loop.coeff(0) - np.diag([0.0, 1.0]))) < 1e-12
 
 
-def test_pair_loop_equal_inputs_is_constant():
+def test_pair_loop_equal_inputs_is_constant(certified):
     rng = np.random.default_rng(21)
     xi = random_skew(rng, 3)
-    loop, residual = exp_pair_loop(xi, xi)
+    residual = exp_pair_loop(xi, xi)
+    loop = certified[-1].loop
     assert residual < 1e-12
     assert sorted(loop.coeffs) == [0]
     assert np.max(np.abs(loop.coeff(0) - np.eye(3))) < 1e-10
 
 
-def test_pair_loop_projection_shift():
+def test_pair_loop_projection_shift(certified):
     rng = np.random.default_rng(34)
     g = random_unitary(rng, 3)
     zeta = central_log(g)
     decomp = clustered_eig(g)
     proj = decomp.projector(decomp.clusters[0])
-    loop, residual = exp_pair_loop(zeta + 2j * np.pi * proj, zeta)
+    residual = exp_pair_loop(zeta + 2j * np.pi * proj, zeta)
+    loop = certified[-1].loop
     assert residual < 1e-8
     values = sample_loop(loop, 512)
     assert polynomiality_residual(values, loop.degree) < 1e-8
 
 
-def test_pair_loop_at_large_spectral_radius():
+def test_pair_loop_at_large_spectral_radius(certified):
     # degree 600 needs a grid of 4096; a fixed grid of 1024 cannot hold it
-    loop, residual = exp_pair_loop(2j * np.pi * np.diag([600.0, 0.0]), np.zeros((2, 2)))
+    residual = exp_pair_loop(2j * np.pi * np.diag([600.0, 0.0]), np.zeros((2, 2)))
+    loop = certified[-1].loop
+    assert len(certified[-1].samples) == 4096
     assert residual < 1e-8
     assert loop.degree == 600
     exact = {-600: np.diag([1.0, 0.0]), 0: np.diag([0.0, 1.0])}
@@ -446,7 +451,7 @@ def test_pair_loop_at_large_spectral_radius():
 def test_pair_loop_residual_is_the_relative_tail():
     # diag(e^{-6 pi i t}, 1) at degree 1: tail 1, total sqrt 2
     xi_1, xi_2 = 2j * np.pi * np.diag([3.0, 0.0]), np.zeros((2, 2))
-    _, residual = exp_pair_loop(xi_1, xi_2, degree=1)
+    residual = exp_pair_loop(xi_1, xi_2, degree=1)
     ts = np.arange(DEFAULT_GRID) / DEFAULT_GRID
     samples = SampledLoop(values=SkewSpectrum(xi_1).exp(-ts) @ SkewSpectrum(xi_2).exp(ts))
     assert residual == polynomiality_residual(samples, 1)
@@ -498,14 +503,14 @@ def test_unitary_structure_rejects_degenerate():
         unitary_structure(xi)
 
 
-def test_structure_pair_loop_has_degree_two():
+def test_structure_pair_loop_has_degree_two(certified):
     rng = np.random.default_rng(52)
     for _ in range(5):
         j1 = unitary_structure(random_skew(rng, 4, real=True))
         j2 = unitary_structure(random_skew(rng, 4, real=True))
-        loop, residual = exp_pair_loop(np.pi * j1, np.pi * j2, degree=2)
+        residual = exp_pair_loop(np.pi * j1, np.pi * j2, degree=2)
         assert residual < 1e-8
-        assert loop.degree <= 2
+        assert certified[-1].loop.degree <= 2
 
 
 def test_log0_decompose_planar_rotation():
