@@ -47,7 +47,7 @@ import numpy as np
 from dataclasses import dataclass
 from functools import cached_property
 
-from .laurent import CERT_GUARD, certify, laurent_eval, relative_tail
+from .laurent import CERT_GUARD, certify, check_quarter_rule, laurent_eval, relative_tail
 from .modes import cosh_weight
 from .spectral import SkewSpectrum, check_unitary, clustered_eig, projector_basis
 
@@ -643,27 +643,34 @@ def reparam_actions(basis, rep):
     degree; rotations and reflections preserve polynomiality, generic maps
     break it.  (The transport action carries the coefficients unchanged to the basis
     over the reparametrised loop: its one check is that loop's `monodromy` periodicity.)
-    The pullback of section e^{2 pi i p t} c_j is e^{2 pi i p sigma} c_j o sigma,
-    so the core is resampled once and a section's degree is its core's band shifted by p.  That one
-    `trig_interpolate` call costs evaluation points x kept modes x channels: grid^2 per channel on a core that is
-    not band-limited (4,096 modes at 4,096 points for a core without its drift).
+    The pullback of section e^{2 pi i p t} c_j is e^{2 pi i p sigma} c_j o sigma, and a section's degree is its
+    core's band shifted by p.  So every degree is read from the core spectrum and held to the quarter rule first:
+    a core that fails it is never resampled.  The core is then resampled once, by one `trig_interpolate` call
+    (evaluation points x kept modes x channels), and each mode p forms, transforms and reads only its own n pulled
+    sections, so the working memory is O(n^2 grid) per mode, whatever P is.
     """
-    grid = basis.grid
-    sig = np.mod(rep.sigma(np.arange(grid) / grid), 1.0)
-    modes, cores = basis.rows()
-    pulled_core = trig_interpolate(np.moveaxis(basis.core, 2, 0), sig).transpose(1, 0, 2)  # (j, t, k)
-    # section-major, so that each section's spectrum is summed as a lone section's would be
-    pulled = np.exp(2j * np.pi * np.outer(modes, sig))[:, :, None] * pulled_core[cores]  # (section, t, k)
+    grid, n = basis.grid, basis.core.shape[0]
+    modes, _ = basis.rows()
     core_mass = np.linalg.norm(np.fft.fft(basis.core, axis=2), axis=1).T  # (mode, j)
     # the floor sets the degree at which each residual is read, so it sits above round-off: a reparametrised core
     # is not band-limited, and 1e-13 instead of 1e-10 of its l2 mass counts modes of its decaying tail as carried
     # (su2 under a sine reparametrisation, grid 4096, P = 8: degree 20 instead of 18)
     carried = core_mass > 1e-10 * np.linalg.norm(core_mass, axis=0)
-    # section (p, j) carries mode g exactly where c_j carries mode g - p
-    shifted = carried[(np.arange(grid)[:, None] - modes[None, :]) % grid, cores[None, :]]
     freqs = np.abs(np.fft.fftfreq(grid, d=1.0 / grid))[:, None]
-    degrees = np.where(shifted, freqs, 0.0).max(axis=0).astype(int)
-    residuals = relative_tail(np.fft.fft(pulled, axis=1), degrees)
+    degrees = np.empty(basis.count, dtype=int)
+    for start in range(0, basis.count, n):
+        # section (p, j) carries mode g exactly where c_j carries mode g - p
+        degrees[start : start + n] = np.where(np.roll(carried, modes[start], axis=0), freqs, 0.0).max(axis=0)
+    check_quarter_rule(degrees, grid)
+    sig = np.mod(rep.sigma(np.arange(grid) / grid), 1.0)
+    # one contiguous (j, t, k) copy: each mode's product then runs over contiguous rows, faster than over the view
+    pulled_core = np.ascontiguousarray(trig_interpolate(np.moveaxis(basis.core, 2, 0), sig).transpose(1, 0, 2))
+    residuals = np.empty(basis.count)
+    for start in range(0, basis.count, n):
+        rows = slice(start, start + n)
+        # section-major, so that each section's spectrum is summed as a lone section's would be
+        pulled = np.exp(2j * np.pi * np.outer(modes[rows], sig))[:, :, None] * pulled_core  # (j, t, k) at one mode p
+        residuals[rows] = relative_tail(np.fft.fft(pulled, axis=1), degrees[rows])
     return {"standard_residuals": residuals, "degrees": degrees}
 
 

@@ -198,17 +198,23 @@ def _within_quarter(degree, grid):
     return np.asarray(degree) < grid // 4
 
 
+def check_quarter_rule(degree, grid):
+    """Raise ValueError unless every degree keeps the quarter rule on the grid: the rule's one check and message."""
+    degree = np.asarray(degree)
+    if not np.all(_within_quarter(degree, grid)):
+        raise ValueError(f"degree {degree.max()} must be < grid/4 = {grid // 4}")
+
+
 def relative_tail(spectrum, degree):
     """Relative l2 mass of an FFT spectrum outside the modes |k| <= degree, one degree per entry.
 
     spectrum has the axes of degree first (none for one loop), then the mode
     axis in FFT order, then the value axes, over which a mode's mass is
-    summed.  Each degree must keep the quarter rule; the zero loop has residual 0.
+    summed.  Each degree must keep the quarter rule (`check_quarter_rule`); the zero loop has residual 0.
     """
     degree = np.asarray(degree)
     grid = spectrum.shape[degree.ndim]
-    if not np.all(_within_quarter(degree, grid)):
-        raise ValueError(f"degree {degree.max()} must be < grid/4 = {grid // 4}")
+    check_quarter_rule(degree, grid)
     mass2 = np.sum(spectrum.real**2 + spectrum.imag**2, axis=tuple(range(degree.ndim + 1, spectrum.ndim)))
     outside = np.abs(np.fft.fftfreq(grid, 1.0 / grid)) > degree[..., None]
     total = np.sqrt(np.sum(mass2, axis=-1))

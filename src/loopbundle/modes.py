@@ -26,8 +26,6 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .laurent import MatrixLoop
-
 BASIS_GRAM_TOL = 1e-12
 
 

@@ -8,10 +8,8 @@ budget.  Sizes and tolerances are fixed here on purpose -- do not shrink them.
 import time
 
 import numpy as np
-import pytest
 
 from loopbundle import (
-    Reparam,
     central_log,
     centralizer_element,
     clustered_eig,

@@ -94,7 +94,7 @@ REPARAM_RECORDS = {"reparam-rotation-preserves", "reparam-generic-breaks", "repa
 def test_a_runner_that_raises_fails_its_records_and_the_batch_goes_on(monkeypatch, tmp_path, capsys):
     def drift_free(model, loop, data):
         # the core without its e^{-2 pi i s_j t} drift, in every basis and in the direct sum's:
-        # reparam_actions then raises on a section's degree (the quarter rule of laurent.relative_tail)
+        # reparam_actions then raises on a section's degree (laurent.check_quarter_rule) before it resamples
         return cli.geo._transport_samples(model, loop, 0.0, np.arange(loop.grid) / loop.grid, data.frame)
 
     others = [name for name in cli.props.property_names() if name not in READS_A_BASIS]

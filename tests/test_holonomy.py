@@ -936,6 +936,89 @@ def test_reparam_actions_computes_no_transport(monkeypatch):
         assert report["standard_residuals"].shape == report["degrees"].shape == (basis.count,)
 
 
+# the Fourier modes each core column carries: on the sphere (pi/3) c_j = e^{i pi t} R(-pi t) w_j, w_j real, modes 0
+# and 1; on su2 (1, 2, 2) every exponent is 0 and the transport turns at frequencies 0 and +-1
+CORE_BANDS = {"sphere": (0, 1), "su2": (-1, 0, 1)}
+
+
+def jacobi_anger_spectrum(coeffs, p, rep, reach=40):
+    """Modes and Fourier coefficients of e^{2 pi i p sigma} c o sigma for sigma = shift + t + a sin 2 pi t, c given by
+    its coefficients {g: C_g} over a band of consecutive modes: mode g goes to C_g e^{2 pi i m shift} J_k(2 pi m a)
+    at mode m + k, m = g + p, |k| <= reach (Jacobi-Anger, Watson 1922, section 2.22)."""
+    band = sorted(coeffs)
+    ks = np.arange(-reach, reach + 1)
+    spectrum = np.zeros((band[-1] - band[0] + 2 * reach + 1, coeffs[band[0]].size), dtype=complex)
+    for g in band:
+        m = g + p
+        phase = np.exp(2j * np.pi * m * rep.shift)
+        spectrum[g - band[0] + ks + reach] += jv(ks, 2 * np.pi * m * rep.amplitude)[:, None] * (phase * coeffs[g])
+    return np.arange(band[0] + p - reach, band[-1] + p + reach + 1), spectrum
+
+
+@pytest.mark.parametrize("shift,amplitude", [(0.0, 0.1), (0.1, 0.08)])
+@pytest.mark.parametrize("kind", sorted(CORE_BANDS))
+def test_reparam_actions_matches_the_jacobi_anger_spectrum(kind, shift, amplitude):
+    """Every residual is the tail of the Bessel spectrum of its pulled section, and every degree the core band
+    shifted by p: the oracle resamples nothing."""
+    if kind == "sphere":
+        model, loop = sphere_model(np.pi / 3, grid=2048)
+    else:
+        model, loop = su2_model(direction=(1.0, 2.0, 2.0), grid=2048)
+    basis = eigen_sections(model, loop, monodromy(model, loop), 4)
+    rep = Reparam("sine", shift=shift, amplitude=amplitude)
+    report = reparam_actions(basis, rep)
+    band = CORE_BANDS[kind]
+    core_spectrum = np.fft.fft(basis.core, axis=2) / basis.grid  # (j, k, bin)
+    outside = np.delete(core_spectrum, band, axis=2)
+    assert np.linalg.norm(outside) <= 1e-14 * np.linalg.norm(core_spectrum)
+    modes, cores = basis.rows()
+    assert report["degrees"].tolist() == [max(abs(g + p) for g in band) for p in modes]
+    oracle = np.empty(basis.count)
+    for index, (p, j) in enumerate(zip(modes, cores)):
+        out, spectrum = jacobi_anger_spectrum({g: core_spectrum[j, :, g] for g in band}, p, rep)
+        mass = np.linalg.norm(spectrum, axis=1)
+        oracle[index] = np.linalg.norm(mass[np.abs(out) > report["degrees"][index]]) / np.linalg.norm(mass)
+    assert np.max(np.abs(report["standard_residuals"] - oracle)) <= 1e-14
+    if kind == "sphere":
+        # the reparam-generic-breaks record reads the sphere maximum at a = 0.1
+        assert oracle.max() == pytest.approx(0.5951407 if shift == 0.0 else 0.5670015, abs=1e-7)
+
+
+def test_reparam_actions_checks_the_quarter_rule_before_resampling(monkeypatch):
+    """A core without its drift is not band-limited: its degrees fail the quarter rule and it is never resampled."""
+    model, loop = sphere_model(np.pi / 3, grid=256)
+    data = monodromy(model, loop)
+    drift_free = geo._transport_samples(model, loop, 0.0, np.arange(loop.grid) / loop.grid, data.frame)
+    basis = geo.FiberBasis(model=model, loop=loop, data=data, mode_bound=4, core=drift_free)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reparam_actions resampled a core that fails the quarter rule")
+
+    monkeypatch.setattr(geo, "trig_interpolate", refuse)
+    with pytest.raises(ValueError, match=r"^degree \d+ must be < grid/4 = 64$"):
+        reparam_actions(basis, Reparam("sine", amplitude=0.1))
+
+
+def test_reparam_actions_working_memory_is_flat_in_the_mode_bound():
+    """Each mode p forms and transforms only its own n sections, so the traced peak does not grow with P."""
+    model, loop = su2_model(direction=(1.0, 2.0, 2.0), grid=1024)
+    data = monodromy(model, loop)
+    rep = Reparam("sine", shift=0.1, amplitude=0.1)
+    peaks = {}
+    for mode_bound in (8, 64):
+        basis = eigen_sections(model, loop, data, mode_bound)
+        reparam_actions(basis, rep)  # the FFT plans are cached from here on
+        tracemalloc.start()
+        try:
+            reparam_actions(basis, rep)
+            peaks[mode_bound] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # the returned degrees and residuals and the basis's row indices grow with P, by 45 bytes a section here (2%);
+    # the (grid, sections) arrays that grew 7.4-fold from P = 8 to 64 are gone
+    assert peaks[64] <= 1.05 * peaks[8], peaks
+
+
 UNREPARAMETRISED = {
     "torus": lambda: torus_model(winding=(1, 2), grid=64),
     "sphere": lambda: sphere_model(1.0, winding=2, grid=64),

@@ -16,7 +16,7 @@ from loopbundle import (
     polynomiality_residual,
     sample_loop,
 )
-from loopbundle.laurent import CERT_GRID, relative_tail
+from loopbundle.laurent import CERT_GRID, check_quarter_rule, relative_tail
 
 GRID = 1024
 EXACT_TOL = 1e-12
@@ -203,6 +203,17 @@ def test_fourier_project_residual_is_the_relative_tail():
         assert residual == relative_tail(np.fft.fft(s.values, axis=0), max_mode)
     assert fourier_project(s, 2)[1] == pytest.approx(tail / total, rel=4 * np.finfo(float).eps, abs=0.0)
     assert fourier_project(SampledLoop(values=np.zeros((GRID, 2, 2))), 2)[1] == 0.0
+
+
+def test_the_quarter_rule_has_one_check_and_one_message():
+    check_quarter_rule(np.array([0, 15]), 64)
+    message = r"^degree 16 must be < grid/4 = 16$"
+    with pytest.raises(ValueError, match=message):
+        check_quarter_rule(np.array([3, 16]), 64)
+    with pytest.raises(ValueError, match=message):
+        relative_tail(np.ones((2, 64)), np.array([3, 16]))
+    with pytest.raises(ValueError, match=message):
+        relative_tail(np.ones(64), 16)
 
 
 @pytest.mark.parametrize(

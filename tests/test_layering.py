@@ -31,6 +31,19 @@ def _imported_modules(path):
     return {name for _, names in _package_imports(tree) for name in names}
 
 
+def _unread_imports(path):
+    """Names that module-level imports of the module at path bind and that the module never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names if alias.name != "*"}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return bound - read
+
+
 def _nested_import_lines(path):
     """Line numbers of the package imports in the module at path that are not module-level statements."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -63,3 +76,19 @@ def test_the_level_scan_sees_only_nested_package_imports(tmp_path):
     source = "import numpy\nfrom . import holonomy as geo\n\ndef f():\n    import json\n    from .rand import x\n"
     (tmp_path / "probe.py").write_text(source, encoding="utf-8")
     assert _nested_import_lines(tmp_path / "probe.py") == [6]
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_every_module_level_import_is_read(name):
+    """An import no line reads is a dependency the module does not have."""
+    assert _unread_imports(PACKAGE / f"{name}.py") == set()
+
+
+def test_the_import_scan_sees_unread_names(tmp_path):
+    source = (
+        "from __future__ import annotations\nimport os.path\nimport json as js\nimport numpy as np\n"
+        "from .laurent import MatrixLoop, relative_tail\n\n"
+        "def f(x):\n    import re\n    return np.abs(relative_tail(x))\n"
+    )
+    (tmp_path / "probe.py").write_text(source, encoding="utf-8")
+    assert _unread_imports(tmp_path / "probe.py") == {"os", "js", "MatrixLoop"}
