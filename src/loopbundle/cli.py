@@ -318,31 +318,30 @@ def cmd_section(config):
 
 
 def _build_model(config):
-    grid = config["grid"]
-    if grid < 1 or grid & (grid - 1):
-        raise ConfigError(f"--grid must be a power of two, not {grid}")
-    if 2 * config["modes"] + 1 > grid:
-        raise ConfigError(f"--modes {config['modes']} needs 2 * modes + 1 <= --grid {grid}, or the basis aliases")
     build, params = MODELS[config["model"]]
     given = {key: config[key] for key in MODEL_FLAGS if config[key] is not None}
     untaken = sorted(given.keys() - params.keys())
     if untaken:
         raise ConfigError(f"the {config['model']} model takes no --{untaken[0]}")
     try:
-        return build(grid=grid, **{**params, **given})
+        model, loop = build(grid=config["grid"], **{**params, **given})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # after the constructor's grid check; the basis checks this too, but only after the monodromy has run
+    if 2 * config["modes"] + 1 > loop.grid:
+        raise ConfigError(f"--modes {config['modes']} needs 2 * modes + 1 <= --grid {loop.grid}, or the basis aliases")
+    return model, loop
 
 
 def cmd_holonomy(config):
     """Monodromy/Floquet pipeline over one model loop; JSON report + spectra CSV."""
     model, loop = _build_model(config)
-    r = config["r"]
-    if r <= 1.0:
-        raise ConfigError("the annulus parameter --r must exceed 1")
-    mode_bound = config["modes"]
-    with np.errstate(over="ignore"):
-        top_weight = cosh_weight(mode_bound + 0.5, r) ** 2
+    r, mode_bound = config["r"], config["modes"]
+    try:
+        with np.errstate(over="ignore"):
+            top_weight = cosh_weight(mode_bound + 0.5, r) ** 2
+    except ValueError as exc:
+        raise ConfigError(f"--r {r}: {exc}") from exc
     if not np.isfinite(top_weight):
         raise ConfigError(f"pairing weight cosh((P + 1/2) ln r)^2 overflows at --modes {mode_bound} --r {r}")
     data = geo.monodromy(model, loop)
@@ -420,7 +419,6 @@ def main(argv=None):
             sibling = _sibling_csv(config["out"], args.command)
             if os.path.isdir(sibling):
                 raise ConfigError(f"--out {config['out']} writes its CSV to {sibling}, which is a directory")
-        config.setdefault("seed", file_defaults.get("seed", SEED.default))  # holonomy takes no --seed
         tolerances = ((key.removeprefix("tol."), value) for key, value in config.items() if key.startswith("tol."))
         config["tolerances"] = {name: value for name, value in tolerances if value is not None}
         command = {"verify": cmd_verify, "section": cmd_section, "holonomy": cmd_holonomy, "demo": cmd_demo}

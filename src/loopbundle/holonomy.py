@@ -47,7 +47,7 @@ import numpy as np
 from dataclasses import dataclass
 from functools import cached_property
 
-from .laurent import CERT_GUARD, certify, check_quarter_rule, laurent_eval, relative_tail
+from .laurent import CERT_GUARD, certify, check_grid, check_quarter_rule, laurent_eval, relative_tail
 from .modes import cosh_weight
 from .spectral import SkewSpectrum, check_unitary, clustered_eig, projector_basis
 
@@ -133,6 +133,9 @@ class BaseLoop:
 
     grid: int = 4096
     reparam: object = None
+
+    def __post_init__(self):
+        check_grid(self.grid)
 
     def with_reparam(self, rep):
         """The loop reparametrised by rep after its own reparametrisation: t -> self.sigma(rep.sigma(t))."""
@@ -398,12 +401,12 @@ class FiberBasis:
         return float(np.max(np.abs(deviation)))
 
     def _mode_sums(self, coefficients):
-        """(t, j) = sum_p c_{p,j} e^{2 pi i p t} on the grid, from one inverse FFT."""
+        """(t, j) = sum_p c_{p,j} e^{2 pi i p t} on the grid, from one inverse FFT; as 2P + 1 <= grid, no bins meet."""
         if coefficients.shape != (self.count,):
             raise ValueError("coefficient vector has the wrong length")
         modes, cores = self.rows()
         scattered = np.zeros((self.grid, self.core.shape[0]), dtype=complex)
-        np.add.at(scattered, (modes % self.grid, cores), coefficients)
+        scattered[modes % self.grid, cores] = coefficients
         return np.fft.ifft(scattered, axis=0) * self.grid
 
     def section(self, coefficients):
@@ -485,9 +488,7 @@ def dhat_residuals(basis):
     transforms back.  It holds -2 pi B_j, so no spectrum is rescaled: the sums
     read from it are rescaled instead.  delta_p(g) = nu((g + p) mod grid) - nu(g) - p is
     -sign(p) grid on the |p| - 1 bins strictly between the Nyquist bin grid/2
-    and grid/2 - p, half that on those two end bins and 0 elsewhere; an odd
-    grid has no Nyquist bin, and there delta_p is -sign(p) grid on the |p|
-    bins from its top mode towards -p.  By Parseval
+    and grid/2 - p, half that on those two end bins and 0 elsewhere.  By Parseval
     the defect power of phi_{p,j} is that of b_j plus the change
     delta^2 |C|^2 - 2 delta Im(conj(B) C) summed over that walk of |p| + 1
     bins: a running sum of the per-bin change at |delta| = grid with both end
@@ -503,17 +504,14 @@ def dhat_residuals(basis):
     modes, cores = basis.rows()
     # the walk away from the Nyquist bin for p > 0 (side 0) and p < 0 (side 1): step o at index o
     steps = np.arange(basis.mode_bound + 1)
-    walk = np.stack([grid // 2 - steps, (grid - grid // 2 + steps) % grid])
+    walk = np.stack([grid // 2 - steps, grid // 2 + steps])
     power_c = spec_c.real**2 + spec_c.imag**2
     mass = np.sum(power_c[:, :, walk], axis=1)  # (j, side, step)
     cross = np.sum((spec_b[:, :, walk].conj() * spec_c[:, :, walk]).imag, axis=1) / (-2.0 * np.pi)
     sign = np.array([[1.0], [-1.0]])  # sign(p) on each side
     whole = grid**2 * mass + 2.0 * grid * sign * cross  # the change on a bin where |delta| = grid
     half = grid**2 / 4.0 * mass + grid * sign * cross  # and where |delta| = grid / 2
-    if grid % 2:
-        half[:] = 0.0  # no Nyquist bin: the last bin of a walk does not wrap
-    else:
-        whole[:, :, 0] = half[:, :, 0]  # every walk starts at the Nyquist bin
+    whole[:, :, 0] = half[:, :, 0]  # every walk starts at the Nyquist bin
     side = (cores, (modes < 0).astype(int))
     change = np.cumsum(whole, axis=2)[side + (np.abs(modes) - 1,)] + half[side + (np.abs(modes),)]
     change[modes == 0] = 0.0
@@ -617,16 +615,27 @@ def trig_interpolate(values, new_ts):
     return out
 
 
+def _carried_modes(mass):
+    """The modes each column carries, from per-mode l2 masses (mode axis first): those above 1e-10 of its l2 mass."""
+    # the floor sets the degree at which each residual is read, so it sits above round-off: a reparametrised core
+    # is not band-limited, and 1e-13 instead of 1e-10 of its l2 mass counts modes of its decaying tail as carried
+    # (su2 under a sine reparametrisation, grid 4096, P = 8: degree 20 instead of 18)
+    return mass > 1e-10 * np.linalg.norm(mass, axis=0)
+
+
 def condiff_residual(model, loop, rep, values):
     """Relative defect of the chain rule D_{gamma o sigma}(a o sigma) = ((D a) o sigma) sigma'.
 
-    Each of the two `trig_interpolate` calls costs evaluation points x kept modes x channels: grid^2 per channel
-    when the values are not band-limited (a core without its drift keeps 4,096 modes at 4,096 points).
+    The degree of the values (their `_carried_modes`) keeps the quarter rule, or nothing is resampled.  D a is not
+    checked: its FFT derivative scales round-off by the mode number, to about 3e-13 of its peak at the Nyquist mode.
     """
-    ts = np.arange(values.shape[0]) / values.shape[0]
+    grid = values.shape[0]
+    ts = np.arange(grid) / grid
     dsig = rep.dsigma(ts)
     if rep.orientation < 0 or np.min(dsig) <= 0:
         raise ValueError("reparametrisation must be orientation-preserving and monotone")
+    carried = _carried_modes(np.linalg.norm(np.fft.fft(values, axis=0), axis=1))
+    check_quarter_rule(int(np.abs(np.fft.fftfreq(grid, d=1.0 / grid))[carried].max(initial=0.0)), grid)
     sig = rep.sigma(ts)
     pulled = trig_interpolate(values, np.mod(sig, 1.0))
     lhs = covariant_derivative(model, loop.with_reparam(rep), pulled)
@@ -651,11 +660,7 @@ def reparam_actions(basis, rep):
     """
     grid, n = basis.grid, basis.core.shape[0]
     modes, _ = basis.rows()
-    core_mass = np.linalg.norm(np.fft.fft(basis.core, axis=2), axis=1).T  # (mode, j)
-    # the floor sets the degree at which each residual is read, so it sits above round-off: a reparametrised core
-    # is not band-limited, and 1e-13 instead of 1e-10 of its l2 mass counts modes of its decaying tail as carried
-    # (su2 under a sine reparametrisation, grid 4096, P = 8: degree 20 instead of 18)
-    carried = core_mass > 1e-10 * np.linalg.norm(core_mass, axis=0)
+    carried = _carried_modes(np.linalg.norm(np.fft.fft(basis.core, axis=2), axis=1).T)  # (mode, j)
     freqs = np.abs(np.fft.fftfreq(grid, d=1.0 / grid))[:, None]
     degrees = np.empty(basis.count, dtype=int)
     for start in range(0, basis.count, n):
@@ -675,13 +680,13 @@ def reparam_actions(basis, rep):
 
 
 def subbundle_counterexample(gamma, beta):
-    """Certificate report {"residual", "is_counterexample"} for the twisted loop t -> e^{2 pi i gamma(t)} beta(t).
+    """The `certify` residual of the twisted loop t -> e^{2 pi i gamma(t)} beta(t), as a float.
 
     gamma is a callable lift with integer winding, called point by point; beta
     a scalar loop.  The twist of a polynomial loop stays polynomial exactly
-    when gamma is linear; "residual" is the `certify` residual at degree
-    deg(beta) + CERT_GUARD + |winding|, and the report flags a counterexample
-    when it exceeds 1e-3.
+    when gamma is linear; the residual is read at degree
+    deg(beta) + CERT_GUARD + |winding|.  Whether it shows a counterexample is
+    the `subbundle-counterexample` record's threshold.
     """
     if beta.dim != 1:
         raise ValueError("the demonstration uses scalar loops")
@@ -694,8 +699,7 @@ def subbundle_counterexample(gamma, beta):
         return np.exp(2j * np.pi * gvals)[:, None, None] * laurent_eval(beta, ts)
 
     degree = beta.degree + CERT_GUARD + abs(int(round(wind)))
-    residual = float(certify(twisted, degree))
-    return {"residual": residual, "is_counterexample": residual > 1e-3}
+    return float(certify(twisted, degree))
 
 
 def _span_containment(inner, outer):

@@ -87,6 +87,12 @@ class MatrixLoop:
         return float(np.sqrt(sum(np.sum(np.abs(a) ** 2) for a in self.coeffs.values())))
 
 
+def check_grid(grid):
+    """Raise ValueError unless the sample grid is a power of two >= 2: the grid rule's one check and message."""
+    if grid < 2 or grid & (grid - 1):
+        raise ValueError(f"grid size {grid} is not a power of two")
+
+
 @dataclass(frozen=True)
 class SampledLoop:
     """Matrix loop sampled on the uniform grid t_i = i / N_s, N_s a power of two: values (N_s, dim, dim)."""
@@ -97,9 +103,7 @@ class SampledLoop:
         arr = np.asarray(self.values, dtype=complex)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise ValueError("values must have shape (N_s, dim, dim)")
-        n_s = arr.shape[0]
-        if n_s < 2 or (n_s & (n_s - 1)) != 0:
-            raise ValueError(f"grid size {n_s} is not a power of two")
+        check_grid(arr.shape[0])
         object.__setattr__(self, "values", arr)
 
     @property

@@ -978,7 +978,7 @@ def _transport_torus(rng, trials):
         model, loop = geo.torus_model(winding=(int(rng.integers(-3, 4)), int(rng.integers(-3, 4))))
         t0 = float(rng.uniform(0.0, 1.0))
         t1 = t0 + float(rng.uniform(0.1, 1.0))
-        worst = max(worst, float(np.linalg.norm(geo.transport(model, loop, t0, t1, steps=256) - np.eye(2))))
+        worst = max(worst, float(np.linalg.norm(geo.transport(model, loop, t0, t1) - np.eye(2))))
     return worst
 
 
@@ -988,14 +988,14 @@ def transport_identity_sweep(rng, per_model):
     worst = {"composition": 0.0, "period": 0.0, "doubling": 0.0, "orthogonality": 0.0}
     for model, loop in _random_transport_loops(rng, per_model):
         mid = float(rng.uniform(0.25, 0.75))
-        t_a = geo.transport(model, loop, 0.0, mid, steps=steps)
-        t_b = geo.transport(model, loop, mid, 1.0, steps=steps)
-        t_full = geo.transport(model, loop, 0.0, 1.0, steps=steps)
+        t_a = geo.transport(model, loop, 0.0, mid)
+        t_b = geo.transport(model, loop, mid, 1.0)
+        t_full = geo.transport(model, loop, 0.0, 1.0)
         worst["composition"] = max(worst["composition"], float(np.linalg.norm(t_b @ t_a - t_full)))
         t0 = float(rng.uniform(0.0, 1.0))
         t1 = t0 + float(rng.uniform(0.2, 1.0))
-        shifted = geo.transport(model, loop, t0 + 1.0, t1 + 1.0, steps=steps)
-        plain = geo.transport(model, loop, t0, t1, steps=steps)
+        shifted = geo.transport(model, loop, t0 + 1.0, t1 + 1.0)
+        plain = geo.transport(model, loop, t0, t1)
         worst["period"] = max(worst["period"], float(np.linalg.norm(shifted - plain)))
         worst["doubling"] = max(worst["doubling"], geo.transport_defect(model, loop, 0.0, 1.0, steps=steps))
         frame = geo.transport_frame(model, loop, steps=steps)
@@ -1137,15 +1137,10 @@ def _projection_roundtrip(rng, trials):
 @_register("projection-residual-decay", 1e-3)
 def _projection_decay(rng, trials):
     model, loop = geo.sphere_model(np.pi / 3, grid=2048)
-    data = geo.monodromy(model, loop)
     ts = np.arange(2048) / 2048
-    narrow = geo.eigen_sections(model, loop, data, 1)
+    narrow = geo.eigen_sections(model, loop, geo.monodromy(model, loop), 1)
     target = np.exp(0.3 * np.sin(2.0 * np.pi * ts))[:, None] * narrow.core[1].T  # section (p = 0, j = 1)
-    errs = []
-    for bound in (2, 4, 8):
-        basis = geo.eigen_sections(model, loop, data, bound)
-        _, err = geo.project_section(basis, target)
-        errs.append(err)
+    errs = [geo.project_section(replace(narrow, mode_bound=bound), target)[1] for bound in (2, 4, 8)]  # one core, any P
     penalty = 0.0 if errs[0] >= errs[1] >= errs[2] else 1.0
     return errs[2] / max(errs[0], 1e-300) + penalty
 
@@ -1243,20 +1238,14 @@ def _reparam(rng, trials):
 @_register("subbundle-counterexample", 1e-3, ">")
 def _subbundle_counter(rng, trials):
     gamma = lambda t: t + 0.3 * np.sin(2.0 * np.pi * t)  # noqa: E731
-    observed = np.inf
-    for beta in (MatrixLoop(dim=1, coeffs={0: [[1.0]]}), MatrixLoop(dim=1, coeffs={2: [[1.0]]})):
-        report = geo.subbundle_counterexample(gamma, beta)
-        observed = min(observed, report["residual"])
-        if not report["is_counterexample"]:
-            observed = min(observed, 0.0)
-    return observed
+    betas = (MatrixLoop(dim=1, coeffs={0: [[1.0]]}), MatrixLoop(dim=1, coeffs={2: [[1.0]]}))
+    return min(geo.subbundle_counterexample(gamma, beta) for beta in betas)
 
 
 @_register("subbundle-linear-phase", 1e-10)
 def _subbundle_linear(rng, trials):
     beta = MatrixLoop(dim=1, coeffs={0: [[0.7]], 2: [[1.0]]})
-    report = geo.subbundle_counterexample(lambda t: t + 0.7, beta)
-    return report["residual"]
+    return geo.subbundle_counterexample(lambda t: t + 0.7, beta)
 
 
 @_register("direct-sum-union", 1e-8)

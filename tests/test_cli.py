@@ -88,13 +88,21 @@ READS_A_BASIS = {
     "projection-roundtrip",  # round-trips sampled sections
     "fiber-basis-gram",  # with distinct sphere exponents the drift enters the Gram overlap
 }
-REPARAM_RECORDS = {"reparam-rotation-preserves", "reparam-generic-breaks", "reparam-transport-carries"}
+# records whose runners hold a degree to the quarter rule before they resample: they raise on a drift-free core
+RESAMPLING_RECORDS = {
+    "condiff-identity",
+    "condiff-rotation",
+    "condiff-generic",
+    "reparam-rotation-preserves",
+    "reparam-generic-breaks",
+    "reparam-transport-carries",
+}
 
 
 def test_a_runner_that_raises_fails_its_records_and_the_batch_goes_on(monkeypatch, tmp_path, capsys):
     def drift_free(model, loop, data):
-        # the core without its e^{-2 pi i s_j t} drift, in every basis and in the direct sum's:
-        # reparam_actions then raises on a section's degree (laurent.check_quarter_rule) before it resamples
+        # the core without its e^{-2 pi i s_j t} drift, in every basis and in the direct sum's: reparam_actions and
+        # condiff_residual then raise on a degree (laurent.check_quarter_rule) before they resample
         return cli.geo._transport_samples(model, loop, 0.0, np.arange(loop.grid) / loop.grid, data.frame)
 
     others = [name for name in cli.props.property_names() if name not in READS_A_BASIS]
@@ -110,14 +118,14 @@ def test_a_runner_that_raises_fails_its_records_and_the_batch_goes_on(monkeypatc
     lines = capsys.readouterr().out.splitlines()
     records = {rec["name"]: rec for rec in read_json(out)["properties"]}
     assert len(records) == len(cli.props.property_names())
-    assert {name for name, rec in records.items() if "error" in rec} == REPARAM_RECORDS
-    for name in REPARAM_RECORDS:
+    assert {name for name, rec in records.items() if "error" in rec} == RESAMPLING_RECORDS
+    for name in RESAMPLING_RECORDS:
         rec = records[name]
         assert rec["observed"] is None and rec["passed"] is False
         assert rec["error"].startswith("ValueError: degree ") and " must be < grid/4 = " in rec["error"]
         assert f"FAIL {name}: raised {rec['error']}" in lines
     failed = {name for name, rec in records.items() if not rec["passed"]}
-    assert failed == REPARAM_RECORDS | {"dhat-eigenvalue-residual", "condiff-generic"}
+    assert failed == RESAMPLING_RECORDS | {"dhat-eigenvalue-residual"}
     assert {name: records[name]["observed"] for name in others} == reference
 
 
@@ -189,7 +197,7 @@ def test_shared_config_file_is_valid_for_every_subcommand(tmp_path, monkeypatch,
     cfg.write_text("seed=3\ngroup=SU\ntol.cosh-inequality=0.5\n")
     argv = [command, "counterexample"] if command == "demo" else [command]
     assert cli.main(["--config", str(cfg)] + argv) == 0
-    assert seen["seed"] == 3
+    assert seen.get("seed") == (None if command == "holonomy" else 3)  # holonomy takes no --seed and gets none
     if command in ("verify", "demo"):  # the two commands that run property checks read tol.* keys
         assert seen["tolerances"] == {"cosh-inequality": 0.5}
 
@@ -329,8 +337,10 @@ def test_no_runtime_path_imports_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-def test_holonomy_rejects_bad_annulus():
-    assert cli.main(["holonomy", "--model", "torus", "--r", "0.5"]) == 2
+def test_holonomy_rejects_bad_annulus(capsys):
+    for r in ("0.5", "1"):
+        assert cli.main(["holonomy", "--model", "torus", "--r", r]) == 2
+        assert capsys.readouterr().err == f"config error: --r {float(r)}: weight parameter must satisfy r > 1\n"
 
 
 def test_holonomy_rejects_bad_theta():

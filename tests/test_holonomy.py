@@ -489,8 +489,8 @@ def gathered_dhat(basis):
 
 @pytest.mark.parametrize("setup", sorted(DENSE_SETUPS))
 def test_dhat_running_sums_match_the_gathered_bins(setup):
-    # (129, 64) is an odd grid, with no Nyquist bin; P = 1000 would gather about 10^6 bins per core column
-    for grid, mode_bound in [(4096, 8), (128, 63), (129, 64), (4096, 1000)]:
+    # P = 1000 would gather about 10^6 bins per core column
+    for grid, mode_bound in [(4096, 8), (128, 63), (4096, 1000)]:
         model, loop = DENSE_SETUPS[setup](grid)
         basis = eigen_sections(model, loop, monodromy(model, loop), mode_bound)
         tracemalloc.start()
@@ -502,6 +502,22 @@ def test_dhat_running_sums_match_the_gathered_bins(setup):
         oracle = gathered_dhat(basis)
         assert np.all(np.abs(dhat - oracle) <= 1e-14 + 1e-9 * oracle), (grid, mode_bound)
         assert peak < 64e6, (grid, mode_bound, peak)
+
+
+@pytest.mark.parametrize("grid", [129, 0])
+def test_every_loop_is_built_on_a_power_of_two_grid(grid):
+    """The model constructors, a bare loop and a loop moved to another grid all hold `laurent.check_grid`."""
+    message = rf"^grid size {grid} is not a power of two$"
+    builds = (
+        lambda: torus_model(grid=grid),
+        lambda: sphere_model(np.pi / 3, grid=grid),
+        lambda: su2_model(grid=grid),
+        lambda: geo.BaseLoop(grid),
+        lambda: dataclasses.replace(geo.BaseLoop(64, Reparam("rotation", shift=0.3)), grid=grid),
+    )
+    for build in builds:
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 def test_fiber_basis_rejects_an_aliasing_mode_bound():
@@ -543,7 +559,7 @@ CORE_SETUPS = {
 }
 
 
-@pytest.mark.parametrize("grid", [4096, 129])
+@pytest.mark.parametrize("grid", [4096, 128])
 @pytest.mark.parametrize("setup", sorted(CORE_SETUPS))
 def test_floquet_core_is_the_sample_major_formula_stored_grid_innermost(setup, grid):
     model, loop = CORE_SETUPS[setup](grid)
@@ -764,8 +780,8 @@ def test_gram_symbol_checks_equal_their_dense_oracles(setup, mode_bound):
 @pytest.mark.parametrize("setup", sorted(SYMBOL_SETUPS))
 def test_gram_symbol_equals_the_per_sample_products(setup):
     model, loop = SYMBOL_SETUPS[setup]()
-    # grid 1024 and the odd grid 129, where the 4P + 1 bins of P = 64 wrap past the grid
-    for grid, mode_bound in [(1024, 8), (129, 8), (129, 64)]:
+    # grid 1024, and grid 128, where the 4P + 1 bins of P = 63 wrap past the grid
+    for grid, mode_bound in [(1024, 8), (128, 63)]:
         moved = dataclasses.replace(loop, grid=grid)
         basis = eigen_sections(model, moved, monodromy(model, moved), mode_bound)
         # an orthonormal core has a constant overlap; mixing in a moving phase makes every block F[k] differ
@@ -875,6 +891,22 @@ def test_condiff_residuals():
     assert condiff_residual(model, loop, Reparam("sine", amplitude=0.1), values) < 1e-4
 
 
+def test_condiff_checks_the_quarter_rule_of_its_values_before_resampling(monkeypatch):
+    """A core column without its drift is not band-limited: its degree fails the quarter rule and it is never
+    resampled; condiff_residual raises as reparam_actions does on the same core."""
+    model, loop = sphere_model(np.pi / 3, grid=256)
+    data = monodromy(model, loop)
+    drift_free = geo._transport_samples(model, loop, 0.0, np.arange(loop.grid) / loop.grid, data.frame)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("condiff_residual resampled values that fail the quarter rule")
+
+    monkeypatch.setattr(geo, "trig_interpolate", refuse)
+    for rep in (Reparam("identity"), Reparam("sine", amplitude=0.1)):
+        with pytest.raises(ValueError, match=r"^degree \d+ must be < grid/4 = 64$"):
+            condiff_residual(model, loop, rep, drift_free[1].T)
+
+
 def test_condiff_rejects_orientation_reversal():
     model, loop = sphere_model(np.pi / 3)
     data = monodromy(model, loop)
@@ -982,6 +1014,32 @@ def test_reparam_actions_matches_the_jacobi_anger_spectrum(kind, shift, amplitud
     if kind == "sphere":
         # the reparam-generic-breaks record reads the sphere maximum at a = 0.1
         assert oracle.max() == pytest.approx(0.5951407 if shift == 0.0 else 0.5670015, abs=1e-7)
+
+
+@pytest.mark.parametrize("shift,amplitude", [(0.0, 0.1), (0.1, 0.08)])
+def test_condiff_pulled_section_matches_the_jacobi_anger_synthesis(shift, amplitude):
+    """condiff's pulled section a o sigma and its covariant derivative along the reparametrised loop, against the
+    Bessel spectrum of a o sigma: the oracle resamples nothing."""
+    model, loop = sphere_model(np.pi / 3, grid=2048)
+    basis = eigen_sections(model, loop, monodromy(model, loop), 4)
+    rng = np.random.default_rng(7)
+    decay = np.exp(-0.5 * np.abs(basis.rows()[0]))
+    values = basis.section((rng.standard_normal(basis.count) + 1j * rng.standard_normal(basis.count)) * decay)
+    grid, ts = basis.grid, np.arange(basis.grid) / basis.grid
+    spectrum = np.fft.fft(values, axis=0) / grid  # (bin, k)
+    band = np.arange(-basis.mode_bound, basis.mode_bound + 2)  # the core's modes 0 and 1, shifted by |p| <= P
+    assert np.linalg.norm(np.delete(spectrum, band, axis=0)) <= 1e-14 * np.linalg.norm(spectrum)
+    rep = Reparam("sine", shift=shift, amplitude=amplitude)
+    out, pulled_spectrum = jacobi_anger_spectrum({g: spectrum[g] for g in band}, 0, rep)
+    synthesis = np.exp(2j * np.pi * np.outer(ts, out))
+    oracle = synthesis @ pulled_spectrum
+    # D_{gamma o sigma} = d/dt - sigma'(t) A0
+    oracle_derivative = synthesis @ (2j * np.pi * out[:, None] * pulled_spectrum)
+    oracle_derivative -= rep.dsigma(ts)[:, None] * (oracle @ model.generator.T)
+    pulled = trig_interpolate(values, np.mod(rep.sigma(ts), 1.0))
+    derivative = covariant_derivative(model, loop.with_reparam(rep), pulled)
+    assert np.max(np.abs(pulled - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+    assert np.max(np.abs(derivative - oracle_derivative)) <= 1e-11 * np.max(np.abs(oracle_derivative))
 
 
 def test_reparam_actions_checks_the_quarter_rule_before_resampling(monkeypatch):
@@ -1128,39 +1186,36 @@ def test_floquet_data_invariant_under_rotation():
 
 def test_counterexample_matches_bessel_oracle(certified):
     gamma = lambda t: t + 0.3 * np.sin(2 * np.pi * t)
-    report = subbundle_counterexample(gamma, identity_loop(1, field="complex"))
-    assert report["is_counterexample"]
+    residual = subbundle_counterexample(gamma, identity_loop(1, field="complex"))
+    assert type(residual) is float and residual > 1e-3
     assert [call.degree for call in certified] == [CERT_GUARD + 1]  # deg(beta) = 0 plus the guard plus the winding 1
-    assert report["residual"] == pytest.approx(COUNTEREXAMPLE_RESIDUAL, rel=1e-9)
+    assert residual == pytest.approx(COUNTEREXAMPLE_RESIDUAL, rel=1e-9)
     # independent route: tail of the Jacobi-Anger expansion of the phase twist
     J = jv(np.arange(80), 0.6 * np.pi)
     oracle = np.sqrt(np.sum(J[5:] ** 2) + np.sum(J[7:] ** 2))
-    assert report["residual"] == pytest.approx(oracle, rel=1e-9)
-    assert report["residual"] > 1e-3
+    assert residual == pytest.approx(oracle, rel=1e-9)
 
 
 def test_counterexample_persists_for_higher_degree_loop():
     gamma = lambda t: t + 0.3 * np.sin(2 * np.pi * t)
     beta = MatrixLoop(dim=1, field="complex", coeffs={2: np.eye(1)})
-    report = subbundle_counterexample(gamma, beta)
-    assert report["residual"] == pytest.approx(COUNTEREXAMPLE_RESIDUAL_Z2, rel=1e-9)
-    assert report["is_counterexample"]
+    residual = subbundle_counterexample(gamma, beta)
+    assert residual == pytest.approx(COUNTEREXAMPLE_RESIDUAL_Z2, rel=1e-9)
+    assert residual > 1e-3
 
 
 def test_counterexample_flags_a_second_harmonic_lift(certified):
     # e^{2 pi i (t + 0.1 sin 4 pi t)} has mode 1 + 2k with coefficient J_k(0.2 pi); degree 5 keeps k = -3..2
-    report = subbundle_counterexample(lambda t: t + 0.1 * np.sin(4 * np.pi * t), identity_loop(1, field="complex"))
+    residual = subbundle_counterexample(lambda t: t + 0.1 * np.sin(4 * np.pi * t), identity_loop(1, field="complex"))
     J = jv(np.arange(40), 0.2 * np.pi)
     oracle = np.sqrt(np.sum(J[3:] ** 2) + np.sum(J[4:] ** 2))
     assert [call.degree for call in certified] == [5]
-    assert report["residual"] == pytest.approx(oracle, rel=1e-9)
-    assert report["is_counterexample"]
+    assert residual == pytest.approx(oracle, rel=1e-9)
+    assert residual > 1e-3
 
 
 def test_linear_phase_is_polynomial():
-    report = subbundle_counterexample(lambda t: t, identity_loop(1, field="complex"))
-    assert report["residual"] < 1e-10
-    assert not report["is_counterexample"]
+    assert subbundle_counterexample(lambda t: t, identity_loop(1, field="complex")) < 1e-10
 
 
 def test_counterexample_requires_integer_winding():

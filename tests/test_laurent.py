@@ -16,7 +16,7 @@ from loopbundle import (
     polynomiality_residual,
     sample_loop,
 )
-from loopbundle.laurent import CERT_GRID, check_quarter_rule, relative_tail
+from loopbundle.laurent import CERT_GRID, check_grid, check_quarter_rule, relative_tail
 
 GRID = 1024
 EXACT_TOL = 1e-12
@@ -214,6 +214,19 @@ def test_the_quarter_rule_has_one_check_and_one_message():
         relative_tail(np.ones((2, 64)), np.array([3, 16]))
     with pytest.raises(ValueError, match=message):
         relative_tail(np.ones(64), 16)
+
+
+def test_the_grid_rule_has_one_check_and_one_message():
+    for grid in (2, 4, 1024):
+        check_grid(grid)
+        assert SampledLoop(values=np.zeros((grid, 1, 1))).grid == grid
+    for grid in (129, 0, 1, -4, 96):
+        message = rf"^grid size {grid} is not a power of two$"
+        with pytest.raises(ValueError, match=message):
+            check_grid(grid)
+        if grid >= 0:  # a sample count
+            with pytest.raises(ValueError, match=message):
+                SampledLoop(values=np.zeros((grid, 1, 1)))
 
 
 @pytest.mark.parametrize(
